@@ -1,14 +1,14 @@
-"""Compare the pure-Python model counter against the compiled extension.
+"""Time the model counter on twin-network CNFs from the benchmark generator.
 
-Builds twin-network CNFs from the benchmark generator and times a float-mode
-counterfactual count through both kernels on identical inputs.
+Builds the CNF of a counterfactual query for each (n, k) cell and times one
+float-mode count of it, taking the best of `--repeats` runs on a fresh
+counter each time.
 
 Usage: python benchmarks/counter_benchmark.py [--n 20,40,60] [--k 1,3,5] [--repeats 3]
 """
 from __future__ import annotations
 
 import argparse
-import statistics
 import time
 
 from whatif import benchgen, transforms, wmc as wmc_mod
@@ -26,15 +26,15 @@ def build_case(n: int, k: int, seed: int):
     return with_query, assumptions
 
 
-def time_kernel(make_counter, cnf, assumptions, repeats: int) -> tuple[float, float]:
+def time_count(cnf, assumptions, repeats: int) -> float:
+    weights = {v: (float(wt), float(wf)) for v, (wt, wf) in cnf.weights.items()}
     times = []
-    answer = None
     for _ in range(repeats):
-        counter = make_counter(cnf)
+        counter = ModelCounter(cnf.clauses, weights, DEFAULT_CACHE_CAP)
         start = time.perf_counter()
-        answer = counter.count(assumptions)
+        counter.count(assumptions)
         times.append(time.perf_counter() - start)
-    return min(times), answer
+    return min(times)
 
 
 def main() -> None:
@@ -45,37 +45,12 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    if not wmc_mod.HAVE_COMPILED_COUNTER:
-        print("compiled counter not available; timing pure Python only")
-
-    def pure(cnf):
-        weights = {v: (float(wt), float(wf)) for v, (wt, wf) in cnf.weights.items()}
-        return ModelCounter(cnf.clauses, weights, DEFAULT_CACHE_CAP)
-
-    def compiled(cnf):
-        weights = {v: (float(wt), float(wf)) for v, (wt, wf) in cnf.weights.items()}
-        return wmc_mod._CompiledFloatCounter(
-            cnf.clauses, weights, cnf.var_count, DEFAULT_CACHE_CAP
-        )
-
-    print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'pure_s':>9} {'compiled_s':>10} {'speedup':>8}")
-    ratios = []
+    print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9}")
     for n in (int(x) for x in args.n.split(",")):
         for k in (int(x) for x in args.k.split(",")):
             cnf, assumptions = build_case(n, k, args.seed)
-            pure_t, pure_answer = time_kernel(pure, cnf, assumptions, args.repeats)
-            if wmc_mod.HAVE_COMPILED_COUNTER:
-                fast_t, fast_answer = time_kernel(compiled, cnf, assumptions, args.repeats)
-                assert abs(pure_answer - fast_answer) <= 1e-9 * max(1.0, abs(pure_answer))
-                ratios.append(pure_t / fast_t if fast_t else float("inf"))
-                print(
-                    f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} "
-                    f"{pure_t:>9.4f} {fast_t:>10.4f} {pure_t / fast_t:>7.1f}x"
-                )
-            else:
-                print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {pure_t:>9.4f}")
-    if ratios:
-        print(f"median speedup: {statistics.median(ratios):.1f}x")
+            seconds = time_count(cnf, assumptions, args.repeats)
+            print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {seconds:>9.4f}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,7 @@
 
 Translates an acyclic program into a weighted CNF via Clark completion with
 auxiliary variables, and counts with a DPLL-style counter.  Rational mode is
-exact and always runs the pure-Python kernel; float mode prefers the compiled
-kernel when the extension built.
+exact; float mode runs the same counter on float weights.
 """
 from __future__ import annotations
 
@@ -28,13 +27,8 @@ from .model import (
 )
 from .semantics import Classification, check_unique_supported_models
 
-try:
-    from ._counter_cy import FloatCounter as _CompiledFloatCounter
-
-    HAVE_COMPILED_COUNTER = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _CompiledFloatCounter = None
-    HAVE_COMPILED_COUNTER = False
+# There is no compiled kernel; the benchmark still reports this flag.
+HAVE_COMPILED_COUNTER = False
 
 
 @dataclass
@@ -151,15 +145,10 @@ def wmc(
     for lit in assumptions:
         if not 1 <= abs(lit) <= cnf.var_count:
             raise ValidationError(f"assumption references unknown variable: {lit}")
-    if exact:
-        counter = ModelCounter(cnf.clauses, cnf.weights, cache_cap)
-        return counter.count(assumptions)
-    weights = {v: (float(wt), float(wf)) for v, (wt, wf) in cnf.weights.items()}
-    if HAVE_COMPILED_COUNTER:
-        counter = _CompiledFloatCounter(cnf.clauses, weights, cnf.var_count, cache_cap)
-    else:
-        counter = ModelCounter(cnf.clauses, weights, cache_cap)
-    return counter.count(assumptions)
+    weights = cnf.weights
+    if not exact:
+        weights = {v: (float(wt), float(wf)) for v, (wt, wf) in weights.items()}
+    return ModelCounter(cnf.clauses, weights, cache_cap).count(assumptions)
 
 
 def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
@@ -183,6 +172,9 @@ def conditional(
     cnf = to_weighted_cnf(program)
     assumptions = [cnf.literal(lit) for lit in sorted(evidence)]
     denominator = wmc(cnf, assumptions, exact=exact)
+    if denominator == 0 and not exact:
+        # a float count of 0 may be an underflow; the exact count decides
+        return float(conditional(program, formula, evidence, exact=True))
     if denominator == 0:
         raise ZeroEvidenceError("evidence has probability zero")
     with_query, root = add_formula(cnf, formula)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from generators import random_acyclic_program, random_formula
 from whatif.model import (
     And,
+    CounterfactualQuery,
     Literal,
     Not,
     Var,
     ValidationError,
     ZeroEvidenceError,
 )
+from whatif._counter_py import ModelCounter
 from whatif.parser import parse_problog
 from whatif.semantics import marginal
 from whatif.transforms import twin
@@ -25,6 +29,7 @@ from whatif.wmc import (
     wmc,
 )
 from whatif import counterfactual
+from whatif.counterfactual import answer_counterfactual
 
 
 def test_single_rule_completion():
@@ -135,3 +140,116 @@ def test_counter_backends_agree():
         exact = marginal_wmc(program, formula)
         approx = marginal_wmc(program, formula, exact=False)
         assert abs(float(exact) - approx) < 1e-9
+
+
+def _random_cnf(rng):
+    """A CNF over at most 12 variables, with assumptions, covering edge shapes."""
+    n = rng.randint(0, 12)
+    weights = {
+        v: (Fraction(rng.randint(0, 4), rng.randint(1, 4)), Fraction(rng.randint(0, 3), 3))
+        for v in range(1, n + 1)
+    }
+    used = rng.sample(range(1, n + 1), rng.randint(0, n))  # the rest are unmentioned
+    clauses = []
+    for _ in range(rng.randint(0, 3 * len(used)) if used else 0):
+        clause = [rng.choice((1, -1)) * rng.choice(used) for _ in range(rng.randint(1, 4))]
+        shape = rng.random()
+        if shape < 0.1:
+            clause.append(clause[0])  # duplicate literal, as in (aux, -a, -a)
+        elif shape < 0.2:
+            clause.append(-clause[0])  # tautology
+        clauses.append(tuple(clause))
+    assumptions = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 2))] if n else []
+    if assumptions and rng.random() < 0.1:
+        assumptions.append(-assumptions[0])  # contradictory
+    return n, clauses, weights, assumptions
+
+
+def _brute_force(n, clauses, weights, assumptions):
+    """Weighted sum over all 2^n assignments that satisfy every clause and assumption."""
+    constraints = clauses + [(lit,) for lit in assumptions]
+    total = Fraction(0)
+    for bits in itertools.product((True, False), repeat=n):
+        if all(any(bits[abs(lit) - 1] == (lit > 0) for lit in c) for c in constraints):
+            weight = Fraction(1)
+            for var, value in enumerate(bits, 1):
+                weight *= weights[var][0 if value else 1]
+            total += weight
+    return total
+
+
+def test_counter_equals_brute_force():
+    rng = random.Random(2305)
+    shapes = set()
+    for _ in range(300):
+        n, clauses, weights, assumptions = _random_cnf(rng)
+        expected = _brute_force(n, clauses, weights, assumptions)
+        assert ModelCounter(clauses, weights).count(assumptions) == expected
+        shapes.add("empty" if not clauses else "nonempty")
+        shapes.update(
+            name
+            for name, present in (
+                ("duplicate", any(len(set(c)) < len(c) for c in clauses)),
+                ("tautology", any(-lit in c for c in clauses for lit in c)),
+                ("unit", any(len(c) == 1 for c in clauses)),
+                ("contradiction", any(-lit in assumptions for lit in assumptions)),
+                ("unmentioned", len({abs(l) for c in clauses for l in c}) < n),
+            )
+            if present
+        )
+    assert shapes == {
+        "empty", "nonempty", "duplicate", "tautology", "unit", "contradiction", "unmentioned",
+    }
+
+
+def test_counter_invariant_under_permutation_and_renaming():
+    rng = random.Random(17)
+    for _ in range(100):
+        n, clauses, weights, assumptions = _random_cnf(rng)
+        reference = ModelCounter(clauses, weights).count(assumptions)
+        shuffled = [tuple(rng.sample(c, len(c))) for c in clauses]
+        rng.shuffle(shuffled)
+        assert ModelCounter(shuffled, weights).count(assumptions) == reference
+        perm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+
+        def rename(lit):
+            return perm[lit] if lit > 0 else -perm[-lit]
+
+        renamed = [tuple(map(rename, c)) for c in clauses]
+        renamed_weights = {perm[v]: w for v, w in weights.items()}
+        counter = ModelCounter(renamed, renamed_weights)
+        assert counter.count(list(map(rename, assumptions))) == reference
+
+
+def test_counter_empty_clause_is_unsatisfiable():
+    weights = {1: (Fraction(1, 2), Fraction(1, 2))}
+    assert ModelCounter([(), (1, -1)], weights).count() == 0
+    assert ModelCounter([(1, -1)], weights).count() == 1
+
+
+def test_deep_path_counts_without_recursion_limit():
+    n = 1200
+    half = Fraction(1, 2)
+    weights = {v: (half, half) for v in range(1, n + 2)}
+    clauses = [(i, i + 1) for i in range(1, n + 1)]
+    # independent DP over the path: weight of prefixes ending in true / false
+    ends_true, ends_false = half, half
+    for _ in range(n):
+        ends_true, ends_false = (ends_true + ends_false) * half, ends_true * half
+    limit = sys.getrecursionlimit()
+    assert ModelCounter(clauses, weights).count() == ends_true + ends_false
+    assert sys.getrecursionlimit() == limit
+
+
+def test_float_underflow_falls_back_to_exact():
+    facts = [f"u_{i}" for i in range(340)]
+    text = "".join(f"0.1::{u}.\n" for u in facts)
+    text += f"a :- {', '.join(facts)}.\nb :- a.\nc :- \\+b.\n"
+    program = parse_problog(text)
+    query = CounterfactualQuery(
+        Var("c"), frozenset({Literal("a")}), frozenset({Literal("b", False)})
+    )
+    assert answer_counterfactual(program, query) == 1
+    assert answer_counterfactual(program, query, exact=False) == 1.0
+    with pytest.raises(ZeroEvidenceError):
+        conditional(program, Var("c"), {Literal("a"), Literal("b", False)}, exact=False)

@@ -1,7 +1,8 @@
 """Time the model counter on twin-network CNFs from the benchmark generator.
 
-Builds the CNF of a counterfactual query for each (n, k) cell and times one
-float-mode count of it, taking the best of `--repeats` runs on a fresh
+Builds the CNF of a counterfactual query for each (n, k) cell, from the twin
+program reduced by `transforms.relevant` as the wmc backend does, and times
+one float-mode count of it, taking the best of `--repeats` runs on a fresh
 counter each time.
 
 Usage: python benchmarks/counter_benchmark.py [--n 20,40,60] [--k 1,3,5] [--repeats 3]
@@ -19,7 +20,7 @@ def build_case(n: int, k: int, seed: int):
     instance = benchgen.generate_instance(n, k, seed)
     query = benchgen.sample_query(instance, 2, 2, seed)
     program = benchgen.instance_to_program(instance)
-    transformed, renamed, evidence = transforms.twin(program, query)
+    transformed, renamed, evidence = transforms.relevant(*transforms.twin(program, query))
     cnf = wmc_mod.to_weighted_cnf(transformed)
     with_query, root = wmc_mod.add_formula(cnf, renamed)
     assumptions = [with_query.literal(lit) for lit in sorted(evidence)] + [root]

@@ -237,7 +237,7 @@ def run_experiment(
         for backend in grid.backends
     ]
     rows: list[dict[str, object]] = []
-    context = multiprocessing.get_context("fork")
+    context = multiprocessing.get_context()
     for offset in range(0, len(tasks), max(jobs, 1)):
         batch = tasks[offset : offset + max(jobs, 1)]
         running = []
@@ -250,11 +250,12 @@ def run_experiment(
             process.start()
             sender.close()
             running.append((task, process, receiver))
+        deadline = time.monotonic() + time_limit_s  # one limit for the whole batch
         for task, process, receiver in running:
             n, k, seed, e_count, i_count, backend = task
             status, wall, answer = "TIMEOUT", float(time_limit_s), ""
             if process is not None:
-                process.join(time_limit_s)
+                process.join(max(0.0, deadline - time.monotonic()))
                 if process.is_alive():
                     process.terminate()
                     process.join()

@@ -47,7 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--do", default="", help="comma-separated intervention literals")
     query.add_argument("--backend", choices=counterfactual.BACKENDS, default="wmc")
     query.add_argument("--precision", choices=("rational", "float", "auto"), default="auto")
-    query.add_argument("--dump-cnf", type=Path, help="also write the weighted CNF (DIMACS)")
+    query.add_argument(
+        "--dump-cnf",
+        type=Path,
+        help="also write the weighted CNF (DIMACS) of the reduced twin program that "
+        "the wmc backend counts",
+    )
 
     transform = commands.add_parser("transform", help="print a transformed program")
     transform.add_argument("program", type=Path)
@@ -92,12 +97,12 @@ def _cmd_query(args) -> int:
     exact = args.precision == "rational" or (
         args.precision == "auto" and len(program.externals) <= RATIONAL_LIMIT
     )
-    if args.dump_cnf:
-        transformed, _, _ = transforms.twin(program, query)
-        args.dump_cnf.write_text(wmc_mod.dump_dimacs(wmc_mod.to_weighted_cnf(transformed)))
     answer = counterfactual.answer_counterfactual(
         program, query, backend=args.backend, exact=exact
     )
+    if args.dump_cnf:
+        reduced, _, _ = transforms.relevant(*transforms.twin(program, query))
+        args.dump_cnf.write_text(wmc_mod.dump_dimacs(wmc_mod.to_weighted_cnf(reduced)))
     print(_format_probability(answer, args.precision))
     return 0
 

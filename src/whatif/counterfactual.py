@@ -11,6 +11,7 @@ from .model import (
     Literal,
     NegativeCycleError,
     Program,
+    ValidationError,
     ZeroEvidenceError,
     conjunction,
     ensure_internals,
@@ -29,7 +30,8 @@ def _check_classification(program: Program, backend: str) -> None:
         raise NegativeCycleError("program has a cycle through negation")
     if classification is Classification.STRATIFIED_CYCLIC:
         if backend == "wmc":
-            return  # the WMC translation rejects it with its own error
+            # raised here, not by the encoder: wmc drops irrelevant cycles
+            raise ValidationError("WMC backend requires an acyclic program")
         warnings.warn(
             "program is cyclic (stratified); results are formal only",
             stacklevel=3,

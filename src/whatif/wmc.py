@@ -3,6 +3,17 @@
 Translates an acyclic program into a weighted CNF via Clark completion with
 auxiliary variables, and counts with a DPLL-style counter.  Rational mode is
 exact; float mode runs the same counter on float weights.
+
+`marginal_wmc` and `conditional` first shrink the program with
+`transforms.relevant`.  That keeps only the ancestors of the query and
+evidence atoms and the facts they mention: the weights of every other
+external sum to 1, and no other internal atom changes the atoms that remain.
+It also merges atoms whose sets of bodies are equal once their body atoms
+are merged, since Clark completion makes such atoms equal in every world.
+On a twin program this merges the two copies of every atom that no
+intervention reaches (the node merging of Balke & Pearl's twin networks),
+with no rule specific to twins.  The answer is unchanged; only the CNF
+shrinks.
 """
 from __future__ import annotations
 
@@ -22,10 +33,9 @@ from .model import (
     NegativeCycleError,
     ValidationError,
     ZeroEvidenceError,
-    ensure_internals,
-    formula_atoms,
 )
 from .semantics import Classification, check_unique_supported_models
+from .transforms import relevant
 
 # There is no compiled kernel; the benchmark still reports this flag.
 HAVE_COMPILED_COUNTER = False
@@ -153,7 +163,7 @@ def wmc(
 
 def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
     """Marginal probability via the counting backend."""
-    program = ensure_internals(program, formula_atoms(formula) - program.externals)
+    program, formula, _ = relevant(program, formula, ())
     cnf = to_weighted_cnf(program)
     with_query, root = add_formula(cnf, formula)
     return wmc(with_query, [root], exact=exact)
@@ -166,9 +176,8 @@ def conditional(
     exact: bool = True,
 ):
     """P(formula | evidence) as a ratio of weighted counts."""
-    evidence = frozenset(evidence)
-    atoms = formula_atoms(formula) | {lit.atom for lit in evidence}
-    program = ensure_internals(program, atoms - program.externals)
+    # relevant() adds absent atoms as rule-less internals
+    program, formula, evidence = relevant(program, formula, evidence)
     cnf = to_weighted_cnf(program)
     assumptions = [cnf.literal(lit) for lit in sorted(evidence)]
     denominator = wmc(cnf, assumptions, exact=exact)

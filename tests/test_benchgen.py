@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,15 @@ def test_run_experiment_zero_limit_times_out():
     rows = run_experiment(grid, time_limit_s=0.0)
     assert [row["status"] for row in rows] == ["TIMEOUT"]
     assert rows[0]["wall_time_s"] == 0.0
+
+
+def test_run_experiment_batch_shares_one_deadline():
+    # each instance needs far more than the limit; joined one after the
+    # other with the full limit each, the call would take twice the limit
+    grid = GridSpec(ns=(100,), ks=(5,), seeds=(1, 2), e_count=2, i_count=2)
+    start = time.monotonic()
+    rows = run_experiment(grid, time_limit_s=1.0, jobs=2)
+    elapsed = time.monotonic() - start
+    assert [row["status"] for row in rows] == ["TIMEOUT", "TIMEOUT"]
+    assert all(row["wall_time_s"] == 1.0 for row in rows)
+    assert elapsed < 1.7, elapsed

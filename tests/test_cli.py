@@ -149,6 +149,8 @@ def test_dump_cnf(capsys, sprinkler_file, tmp_path):
     assert code == 0 and out.strip() == "1/10"
     lines = target.read_text().splitlines()
     assert lines[0].startswith("p cnf ")
+    # the reduced twin that is counted, not the plain twin's 19 variables
+    assert int(lines[0].split()[2]) < 19
 
 
 def test_bench_subcommand(capsys, tmp_path):

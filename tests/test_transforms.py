@@ -1,19 +1,29 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import TWIN_SPRINKLER_TEXT
 from generators import random_acyclic_program
+from whatif.counterfactual import answer_counterfactual
 from whatif.model import (
+    Alphabet,
     Clause,
     CounterfactualQuery,
     Literal,
+    NegativeCycleError,
+    Not,
+    RandomFact,
     ValidationError,
     Var,
+    ZeroEvidenceError,
+    formula_atoms,
 )
 from whatif.parser import parse_problog
 from whatif.semantics import Classification, check_unique_supported_models, marginal
-from whatif.transforms import intervene, twin
+from whatif.transforms import intervene, relevant, twin
+from whatif.wmc import conditional, marginal_wmc
 
 
 def test_intervene_negative_sprinkler(sprinkler):
@@ -111,3 +121,94 @@ def test_twin_suffix_collision_rejected():
     program = parse_problog("a__e :- b.")
     with pytest.raises(ValidationError, match="suffix"):
         twin(program, CounterfactualQuery(Var("b")))
+
+
+def test_relevant_merges_sprinkler_twin(sprinkler, sprinkler_query):
+    reduced, query, evidence = relevant(*twin(sprinkler, sprinkler_query))
+    copies = Counter(head.split("__")[0] for head in {c.head for c in reduced.clauses})
+    # sprinkler__i, intervened to false, keeps no clause
+    assert copies == {"szn_spr_sum": 1, "rain": 1, "sprinkler": 1, "wet": 2, "slippery": 2}
+    assert reduced.externals == {"u1", "u2", "u3", "u4"}
+    assert query == Var("slippery__i")
+    assert evidence == {Literal("slippery__e"), Literal("sprinkler__e")}
+    assert conditional(reduced, query, evidence) == Fraction(1, 10)
+
+
+def test_relevant_drops_unmentioned_facts():
+    program = parse_problog("0.5::u. 0.3::w. 0.2::x. a :- u. b :- w. c :- a, x.")
+    reduced, query, evidence = relevant(program, Var("a"), {Literal("b", False)})
+    assert set(reduced.clauses) == {Clause("a", frozenset({Literal("u")})),
+                                    Clause("b", frozenset({Literal("w")}))}
+    assert {f.atom for f in reduced.facts} == {"u", "w"}
+    assert reduced.alphabet == Alphabet(frozenset({"a", "b"}), frozenset({"u", "w"}))
+    assert (query, evidence) == (Var("a"), {Literal("b", False)})
+    # an external named only by the formula is kept
+    reduced, _, _ = relevant(program, Var("x"), ())
+    assert reduced.facts == (RandomFact("x", Fraction(1, 5)),) and not reduced.clauses
+
+
+@pytest.mark.parametrize("positive, kept, answer", [(False, 3, 1), (True, 5, 0)])
+def test_relevant_intervention_on_ruleless_atom(positive, kept, answer):
+    program = parse_problog("0.5::u. a :- b. a :- u. c :- a, \\+b.")
+    query = CounterfactualQuery(
+        Var("c"), frozenset({Literal("a")}), frozenset({Literal("b", positive)})
+    )
+    transformed, formula, evidence = twin(program, query)
+    reduced, formula, evidence = relevant(transformed, formula, evidence)
+    # do(not b) leaves both copies of b rule-less, so a and b need one copy each
+    assert len(transformed.internals) == 6 and len(reduced.internals) == kept
+    assert formula_atoms(formula) | {l.atom for l in evidence} <= reduced.internals
+    assert conditional(reduced, formula, evidence) == answer
+    assert answer_counterfactual(program, query, "oracle") == answer
+
+
+def test_relevant_query_atom_absent_from_program(sprinkler):
+    reduced, query, evidence = relevant(sprinkler, Var("ghost") | Var("rain"), ())
+    assert "ghost" in reduced.internals
+    assert all(c.head != "ghost" for c in reduced.clauses)
+    assert conditional(reduced, query, evidence) == marginal(sprinkler, Var("rain"))
+    # two absent atoms are the same rule-less atom
+    _, query, _ = relevant(sprinkler, Var("ghost") & Not(Var("spook")), ())
+    assert formula_atoms(query) == {"ghost"}
+
+
+def test_relevant_merge_keys():
+    program = parse_problog("0.5::u. a :- u. b :- \\+u. c. c :- u. d. e :- c. f :- d.")
+    # a body literal's sign is part of the key
+    reduced, query, evidence = relevant(program, Var("a"), {Literal("b")})
+    assert reduced.internals == {"a", "b"} and conditional(program, query, evidence) == 0
+    # a fact clause decides the key alone
+    reduced, query, _ = relevant(program, Var("e") & Var("f"), ())
+    assert reduced.internals == {"c", "e"} and query == Var("e") & Var("e")
+
+
+def test_relevant_merge_makes_evidence_contradictory():
+    program = parse_problog("0.5::u. a :- u. b :- u. c :- a.")
+    reduced, _, evidence = relevant(program, Var("c"), {Literal("a"), Literal("b", False)})
+    assert evidence == {Literal("a"), Literal("a", False)}
+    assert reduced.internals == {"a", "c"}
+    for exact in (True, False):
+        with pytest.raises(ZeroEvidenceError):
+            conditional(program, Var("c"), {Literal("a"), Literal("b", False)}, exact=exact)
+
+
+def test_relevant_leaves_a_relevant_cycle_to_the_encoder():
+    program = parse_problog("0.5::u. a :- b. b :- a. a :- u. c :- a. d :- u.")
+    assert relevant(program, Var("c"), ()) == (program, Var("c"), frozenset())
+    with pytest.raises(ValidationError):
+        conditional(program, Var("c"), ())
+    negative = parse_problog("0.5::u. a :- \\+b, u. b :- \\+a. c :- a.")
+    assert relevant(negative, Var("c"), ())[0] is negative
+    with pytest.raises(NegativeCycleError):
+        marginal_wmc(negative, Var("c"))
+    # a cycle the query does not reach is pruned on a direct call
+    assert conditional(program, Var("d"), ()) == Fraction(1, 2)
+
+
+def test_irrelevant_cycle_still_rejected_by_answer_counterfactual():
+    program = parse_problog("0.5::u. a :- b. b :- a. d :- u.")
+    query = CounterfactualQuery(Var("d"), frozenset(), frozenset({Literal("d", False)}))
+    with pytest.raises(ValidationError, match="acyclic"):
+        answer_counterfactual(program, query)
+    with pytest.warns(UserWarning):
+        assert answer_counterfactual(program, query, "enumerate") == 0

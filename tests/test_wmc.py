@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import random_acyclic_program, random_formula
+from generators import random_acyclic_program, random_counterfactual_query, random_formula
 from whatif.model import (
     And,
     CounterfactualQuery,
@@ -18,7 +18,7 @@ from whatif.model import (
 from whatif._counter_py import ModelCounter
 from whatif.parser import parse_problog
 from whatif.semantics import marginal
-from whatif.transforms import twin
+from whatif.transforms import relevant, twin
 from whatif.wmc import (
     WeightedCnf,
     add_formula,
@@ -253,3 +253,26 @@ def test_float_underflow_falls_back_to_exact():
     assert answer_counterfactual(program, query, exact=False) == 1.0
     with pytest.raises(ZeroEvidenceError):
         conditional(program, Var("c"), {Literal("a"), Literal("b", False)}, exact=False)
+
+
+def _plain_conditional(program, formula, evidence):
+    """P(formula | evidence) counted on `program` as given, with no reduction."""
+    cnf = to_weighted_cnf(program)
+    assumptions = [cnf.literal(lit) for lit in sorted(evidence)]
+    with_query, root = add_formula(cnf, formula)
+    return wmc(with_query, assumptions + [root]) / wmc(cnf, assumptions)
+
+
+def test_reduced_twin_equals_plain_twin():
+    rng = random.Random(33)
+    shrunk = renamed = 0
+    for case in range(300):
+        program = random_acyclic_program(rng)
+        query = random_counterfactual_query(rng, program)
+        transformed, formula, evidence = twin(program, query)
+        expected = _plain_conditional(transformed, formula, evidence)
+        assert conditional(transformed, formula, evidence) == expected, case
+        reduced = relevant(transformed, formula, evidence)
+        shrunk += to_weighted_cnf(reduced[0]).var_count < to_weighted_cnf(transformed).var_count
+        renamed += reduced[1:] != (formula, evidence)  # a query or evidence atom merged
+    assert shrunk >= 250 and renamed >= 50, (shrunk, renamed)

@@ -23,7 +23,7 @@ from .model import (
     conjunction,
 )
 from .lpad import LpadClause, LpadProgram, prob_of_lpad
-from . import counterfactual, semantics, wmc as wmc_mod
+from . import counterfactual, wmc as wmc_mod
 
 TRAP_PROB = Fraction(1, 10)
 GOAL = "goal"
@@ -128,14 +128,6 @@ def instance_to_program(instance: GraphInstance) -> Program:
     return Program(tuple(clauses), tuple(facts), Alphabet(internals, externals))
 
 
-def _evidence_satisfiable(program: Program, evidence: frozenset[Literal]) -> bool:
-    if len(program.externals) <= 16:
-        return semantics.marginal(program, conjunction(evidence)) > 0
-    cnf = wmc_mod.to_weighted_cnf(program)
-    assumptions = [cnf.literal(lit) for lit in sorted(evidence)]
-    return wmc_mod.wmc(cnf, assumptions, exact=False) > 0
-
-
 def sample_query(
     instance: GraphInstance,
     e_count: int,
@@ -159,7 +151,7 @@ def sample_query(
         for _ in range(max_draws):
             atoms = rng.sample(candidates, abs(e_count))
             evidence = frozenset(Literal(a, polarity) for a in atoms)
-            if _evidence_satisfiable(program, evidence):
+            if wmc_mod.marginal_wmc(program, conjunction(evidence), exact=False) > 0:
                 break
         else:
             raise QuerySamplingError(

@@ -53,6 +53,7 @@ def conditional(
     backend: str = "wmc",
     exact: bool = True,
 ):
+    _check_classification(program, backend)
     evidence = frozenset(evidence)
     if backend == "wmc":
         return wmc_mod.conditional(program, formula, evidence, exact=exact)
@@ -86,6 +87,5 @@ def answer_counterfactual(
         from .oracle import abduction_action_prediction
 
         return abduction_action_prediction(program, query, exact=exact)
-    _check_classification(program, backend)
     transformed, renamed_query, evidence = twin(program, query)
     return conditional(transformed, renamed_query, evidence, backend, exact)

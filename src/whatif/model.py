@@ -7,9 +7,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from .semantics import Stratification
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -129,6 +133,12 @@ class Program:
 
     def fact_probs(self) -> dict[str, Fraction]:
         return {f.atom: f.prob for f in self.facts}
+
+    @cached_property
+    def stratification(self) -> "Stratification":
+        """The program's dependency analysis, computed once and kept on this instance."""
+        from .semantics import Stratification
+        return Stratification(self)
 
     def clauses_by_head(self) -> dict[str, list[Clause]]:
         grouped: dict[str, list[Clause]] = {}

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     Alphabet,
@@ -56,39 +56,40 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number" | "atom" | "op" | "eof"
     text: str
-    span: SourceSpan
+    start: int
+
+
+def _span(text: str, start: int, end: int) -> SourceSpan:
+    """Position of text[start:end]; computed only when an error is raised."""
+    line_start = text.rfind("\n", 0, start) + 1
+    return SourceSpan(start, end, text.count("\n", 0, start) + 1, start - line_start + 1)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
-    line, line_start = 1, 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if not match:
-            span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind = match.lastgroup
-        value = match.group()
-        if kind != "ws":
-            span = SourceSpan(pos, match.end(), line, pos - line_start + 1)
-            tokens.append(Token(kind, value, span))
-        line += value.count("\n")
-        if "\n" in value:
-            line_start = pos + value.rindex("\n") + 1
+            raise ParseError(f"unexpected character {text[pos]!r}", _span(text, pos, pos + 1))
+        if match.lastgroup != "ws":
+            tokens.append(Token(match.lastgroup, match.group(), pos))
         pos = match.end()
-    tokens.append(Token("eof", "", SourceSpan(pos, pos, line, pos - line_start + 1)))
+    tokens.append(Token("eof", "", pos))
     return tokens
 
 
 class _TokenStream:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+
+    def error(self, message: str, token: Token) -> ParseError:
+        return ParseError(message, _span(self.text, token.start, token.start + len(token.text)))
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -112,20 +113,20 @@ class _TokenStream:
     def expect(self, text: str) -> Token:
         if not self.at(text):
             token = self.peek()
-            raise ParseError(f"expected {text!r}, found {token.text or 'end of input'!r}", token.span)
+            raise self.error(f"expected {text!r}, found {token.text or 'end of input'!r}", token)
         return self.next()
 
     def expect_atom(self) -> Token:
         token = self.peek()
         if token.kind != "atom":
-            raise ParseError(f"expected atom, found {token.text or 'end of input'!r}", token.span)
+            raise self.error(f"expected atom, found {token.text or 'end of input'!r}", token)
         return self.next()
 
 
 def _parse_probability(stream: _TokenStream) -> Fraction:
     token = stream.peek()
     if token.kind != "number":
-        raise ParseError(f"expected probability, found {token.text!r}", token.span)
+        raise stream.error(f"expected probability, found {token.text!r}", token)
     stream.next()
     if "." in token.text:
         whole, frac = token.text.split(".")
@@ -135,11 +136,11 @@ def _parse_probability(stream: _TokenStream) -> Fraction:
         if stream.accept("/"):
             denom = stream.peek()
             if denom.kind != "number" or "." in denom.text:
-                raise ParseError("expected integer denominator", denom.span)
+                raise stream.error("expected integer denominator", denom)
             stream.next()
             value /= int(denom.text)
     if not 0 <= value <= 1:
-        raise ParseError(f"probability {value} outside [0,1]", token.span)
+        raise stream.error(f"probability {value} outside [0,1]", token)
     return value
 
 
@@ -173,7 +174,7 @@ def parse_problog(text: str) -> Program:
             atom = stream.expect_atom()
             stream.expect(".")
             if atom.text in fact_atoms:
-                raise ParseError(f"duplicate random fact for {atom.text}", atom.span)
+                raise stream.error(f"duplicate random fact for {atom.text}", atom)
             fact_atoms[atom.text] = atom
             facts.append(RandomFact(atom.text, prob))
         else:
@@ -186,7 +187,7 @@ def parse_problog(text: str) -> Program:
             clauses.append(Clause(head.text, body))
     for atom, token in head_atoms.items():
         if atom in fact_atoms:
-            raise ParseError(f"atom {atom} used both as random fact and rule head", token.span)
+            raise stream.error(f"atom {atom} used both as random fact and rule head", token)
     return Program(tuple(clauses), tuple(facts))
 
 
@@ -237,7 +238,7 @@ def parse_lpad(text: str) -> LpadProgram:
         stream.expect(".")
         total = sum((p for _, p in head), Fraction(0))
         if total > 1:
-            raise ParseError(f"head probabilities sum to {total} > 1", token.span)
+            raise stream.error(f"head probabilities sum to {total} > 1", token)
         clauses.append(LpadClause(head, body))
     return LpadProgram(tuple(clauses))
 
@@ -276,7 +277,7 @@ def parse_formula(text: str) -> Formula:
     formula = _parse_disjunction(stream)
     token = stream.peek()
     if token.kind != "eof":
-        raise ParseError(f"unexpected trailing input {token.text!r}", token.span)
+        raise stream.error(f"unexpected trailing input {token.text!r}", token)
     return formula
 
 
@@ -313,5 +314,5 @@ def parse_literals(text: str) -> frozenset[Literal]:
     literals = _parse_body(stream)
     token = stream.peek()
     if token.kind != "eof":
-        raise ParseError(f"unexpected trailing input {token.text!r}", token.span)
+        raise stream.error(f"unexpected trailing input {token.text!r}", token)
     return literals

@@ -1,5 +1,8 @@
 """Logic-program layer: dependency analysis, minimal models, world enumeration.
 
+The dependency analysis (`Stratification`) runs once per `Program` instance,
+which caches it as `Program.stratification`; programs are immutable.
+
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against; it is exact when run in rational mode.
 """
@@ -8,10 +11,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .model import (
+    Clause,
     Formula,
     NegativeCycleError,
     Program,
@@ -51,67 +56,77 @@ def _sccs(vertices: frozenset[str], successors: Mapping[str, list[str]]) -> list
     on_stack: set[str] = set()
     stack: list[str] = []
     components: list[list[str]] = []
-    counter = itertools.count()
 
     for root in sorted(vertices):
         if root in index:
             continue
         work = [(root, iter(successors.get(root, ())))]
-        index[root] = lowlink[root] = next(counter)
+        index[root] = lowlink[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
             vertex, it = work[-1]
-            advanced = False
             for succ in it:
                 if succ not in index:
-                    index[succ] = lowlink[succ] = next(counter)
+                    index[succ] = lowlink[succ] = len(index)
                     stack.append(succ)
                     on_stack.add(succ)
                     work.append((succ, iter(successors.get(succ, ()))))
-                    advanced = True
                     break
                 if succ in on_stack:
                     lowlink[vertex] = min(lowlink[vertex], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[vertex])
-            if lowlink[vertex] == index[vertex]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == vertex:
-                        break
-                components.append(component)
+            else:  # every successor done: vertex is finished
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[vertex])
+                if lowlink[vertex] == index[vertex]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == vertex:
+                            break
+                    components.append(component)
     return components
 
 
-def _condensation(program: Program) -> tuple[list[list[str]], DependencyGraph]:
-    graph = dependency_graph(program)
-    successors: dict[str, list[str]] = {}
-    for src, dst, _ in sorted(graph.edges):
-        successors.setdefault(src, []).append(dst)
-    return _sccs(graph.vertices, successors), graph
+class Stratification:
+    """Classification and strata of one program, from one run of `_sccs`.
+
+    The strata (the clauses grouped by SCC, in topological order) are built
+    on first use: only `minimal_model` needs them.
+    """
+
+    def __init__(self, program: Program) -> None:
+        graph = dependency_graph(program)
+        successors: dict[str, list[str]] = {}
+        for src, dst, _ in sorted(graph.edges):
+            successors.setdefault(src, []).append(dst)
+        self.components = _sccs(graph.vertices, successors)
+        component_of = {v: i for i, comp in enumerate(self.components) for v in comp}
+        # an edge inside one SCC lies on a cycle
+        signs = {pos for src, dst, pos in graph.edges if component_of[src] == component_of[dst]}
+        self.classification = (
+            Classification.NEGATIVE_CYCLE if False in signs
+            else Classification.STRATIFIED_CYCLIC if signs
+            else Classification.ACYCLIC
+        )
+        self._clauses = program.clauses  # not the program, which holds this object
+
+    @cached_property
+    def strata(self) -> list[list[Clause]]:
+        by_head: dict[str, list[Clause]] = {}
+        for clause in self._clauses:
+            by_head.setdefault(clause.head, []).append(clause)
+        return [[c for head in comp for c in by_head.get(head, ())]
+                for comp in reversed(self.components)]
 
 
 def check_unique_supported_models(program: Program) -> Classification:
     """Syntactic classification: acyclicity guarantees unique supported models."""
-    components, graph = _condensation(program)
-    component_of = {v: i for i, comp in enumerate(components) for v in comp}
-    cyclic = False
-    for src, dst, positive in graph.edges:
-        if component_of[src] != component_of[dst]:
-            continue
-        if len(components[component_of[src]]) > 1 or src == dst:
-            if not positive:
-                return Classification.NEGATIVE_CYCLE
-            cyclic = True
-    return Classification.STRATIFIED_CYCLIC if cyclic else Classification.ACYCLIC
+    return program.stratification.classification
 
 
 def minimal_model(program: Program, world: WorldAssignment) -> dict[str, bool]:
@@ -122,13 +137,9 @@ def minimal_model(program: Program, world: WorldAssignment) -> dict[str, bool]:
     """
     if check_unique_supported_models(program) is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
-    components, _ = _condensation(program)
     values: dict[str, bool] = {a: bool(world.get(a, False)) for a in program.externals}
     values.update(dict.fromkeys(program.internals, False))
-    by_head = program.clauses_by_head()
-    for component in reversed(components):  # topological order
-        members = set(component)
-        clauses = [c for head in component for c in by_head.get(head, ())]
+    for clauses in program.stratification.strata:
         changed = True
         while changed:
             changed = False

@@ -133,3 +133,14 @@ def test_run_experiment_batch_shares_one_deadline():
     assert [row["status"] for row in rows] == ["TIMEOUT", "TIMEOUT"]
     assert all(row["wall_time_s"] == 1.0 for row in rows)
     assert elapsed < 1.7, elapsed
+
+
+@pytest.mark.parametrize("n, k, small", [(3, 1, True), (6, 3, False)])
+def test_sample_query_evidence_satisfiability(n, k, small):
+    instance = generate_instance(n, k, 1)
+    assert (len(instance_to_program(instance).externals) <= 16) == small
+    every = len(instance.vertices) - 1  # every atom but the goal's, so \+r_<start> too
+    with pytest.raises(QuerySamplingError):
+        sample_query(instance, -every, 0, seed=1, max_draws=3)
+    query = sample_query(instance, 1, 0, seed=1, max_draws=1)  # any reach atom is possible
+    assert len(query.evidence) == 1 and all(lit.positive for lit in query.evidence)

@@ -15,6 +15,7 @@ from whatif.model import (
     CounterfactualQuery,
     Literal,
     NegativeCycleError,
+    ValidationError,
     Var,
     ZeroEvidenceError,
 )
@@ -100,3 +101,10 @@ def test_backend_agreement_random_suite():
 def test_float_mode_agreement(sprinkler, sprinkler_query):
     approx = answer_counterfactual(sprinkler, sprinkler_query, exact=False)
     assert abs(approx - 0.1) < 1e-9
+
+
+def test_conditional_classifies_for_every_backend():
+    # the cycle is irrelevant to d, so only the classification rejects it
+    program = parse_problog("0.5::u. a :- b. b :- a. d :- u.")
+    with pytest.raises(ValidationError, match="acyclic"):
+        conditional(program, Var("d"), (), backend="wmc")

@@ -52,6 +52,25 @@ def test_syntax_error_has_position():
     assert err.value.span.line == 2
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_problog, "a :- b\nc.", (2, 1, 7, 8)),
+        (parse_problog, "% note\n0.5::u.\n  a :- u, $.", (3, 11, 25, 26)),
+        (parse_problog, "a :- b", (1, 7, 6, 6)),
+        (parse_problog, "0.5::u.\n\n1.5::v.", (3, 1, 9, 12)),
+        (parse_problog, "0.5::u. 0.2::u.", (1, 14, 13, 14)),
+        (parse_formula, "a, (b ; c", (1, 10, 9, 9)),
+        (parse_literals, "a, \\+b c", (1, 8, 7, 8)),
+    ],
+)
+def test_error_span(parse, text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    span = err.value.span
+    assert (span.line, span.column, span.start, span.end) == position
+
+
 def test_fact_and_head_conflict():
     with pytest.raises(ParseError, match="both as random fact and rule head"):
         parse_problog("0.5::a. a :- b.")

@@ -4,8 +4,13 @@ from fractions import Fraction
 import pytest
 
 from generators import random_acyclic_program, random_formula
-from whatif.model import And, Not, Or, Program, Var, NegativeCycleError
+from whatif import semantics
+from whatif.model import (
+    And, CounterfactualQuery, Literal, Not, Or, Program, Var, NegativeCycleError,
+)
+from whatif.oracle import abduction_action_prediction
 from whatif.parser import parse_problog
+from whatif.transforms import intervene
 from whatif.semantics import (
     Classification,
     check_unique_supported_models,
@@ -132,3 +137,40 @@ def test_minimal_model_monotone_without_negation():
         bigger = dict(world, **{flip: True})
         larger = minimal_model(program, bigger)
         assert all(larger[a] for a in base if base[a])
+
+
+SIX_EXTERNALS = """\
+0.1::u1. 0.2::u2. 0.3::u3. 0.4::u4. 0.5::u5. 0.6::u6.
+a :- u1, \\+u2.  b :- a, u3.  b :- u4.  c :- b, \\+u5.  c :- u6, \\+a.
+"""
+
+
+def test_dependency_analysis_runs_once_per_program(monkeypatch):
+    runs = []
+    original = semantics._sccs
+
+    def counted(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semantics, "_sccs", counted)
+    program = parse_problog(SIX_EXTERNALS)
+    assert len(list(worlds(program))) == 64
+    assert marginal(program, Var("c")) == marginal(program, Var("c"))
+    assert len(runs) == 1
+
+    runs.clear()
+    query = CounterfactualQuery(Var("c"), frozenset({Literal("b")}), frozenset({Literal("a")}))
+    abduction_action_prediction(parse_problog(SIX_EXTERNALS), query)
+    assert len(runs) <= 2  # the program and the acted program
+
+    runs.clear()
+    cyclic = parse_problog("0.5::u. a :- b. b :- a. c :- u, \\+a.")
+    assert check_unique_supported_models(cyclic) is Classification.STRATIFIED_CYCLIC
+    acted = intervene(cyclic, {Literal("a")})
+    assert check_unique_supported_models(acted) is Classification.ACYCLIC
+    assert minimal_model(acted, {"u": True}) == {"a": True, "b": True, "c": False}
+    assert minimal_model(cyclic, {"u": True}) == {"a": False, "b": False, "c": True}
+    copy = Program(cyclic.clauses, cyclic.facts, cyclic.alphabet)
+    assert check_unique_supported_models(copy) is Classification.STRATIFIED_CYCLIC
+    assert len(runs) == 3  # one per instance, equal or not

@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--dump-cnf",
         type=Path,
-        help="also write the weighted CNF (DIMACS) of the reduced twin program that "
-        "the wmc backend counts",
+        help="also write the weighted CNF (DIMACS) that the wmc backend counts: the "
+        "reduced twin program's clauses and the query's",
     )
 
     transform = commands.add_parser("transform", help="print a transformed program")
@@ -101,8 +101,9 @@ def _cmd_query(args) -> int:
         program, query, backend=args.backend, exact=exact
     )
     if args.dump_cnf:
-        reduced, _, _ = transforms.relevant(*transforms.twin(program, query))
-        args.dump_cnf.write_text(wmc_mod.dump_dimacs(wmc_mod.to_weighted_cnf(reduced)))
+        reduced, formula, _ = transforms.relevant(*transforms.twin(program, query))
+        counted, _ = wmc_mod.add_formula(wmc_mod.to_weighted_cnf(reduced), formula)
+        args.dump_cnf.write_text(wmc_mod.dump_dimacs(counted))
     print(_format_probability(answer, args.precision))
     return 0
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
-    from .semantics import Stratification
+    from .semantics import Stratification, WorldWeights
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -139,6 +139,12 @@ class Program:
         """The program's dependency analysis, computed once and kept on this instance."""
         from .semantics import Stratification
         return Stratification(self)
+
+    @cached_property
+    def world_weights(self) -> "WorldWeights":
+        """The externals' weight table of `world_probability`, built once per instance."""
+        from .semantics import WorldWeights
+        return WorldWeights(self)
 
     def clauses_by_head(self) -> dict[str, list[Clause]]:
         grouped: dict[str, list[Clause]] = {}

@@ -1,7 +1,9 @@
 """Logic-program layer: dependency analysis, minimal models, world enumeration.
 
 The dependency analysis (`Stratification`) runs once per `Program` instance,
-which caches it as `Program.stratification`; programs are immutable.
+which caches it as `Program.stratification`; programs are immutable.  The
+externals' weight table that every world's probability is computed from
+(`WorldWeights`) is cached the same way, as `Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against; it is exact when run in rational mode.
@@ -159,13 +161,38 @@ def worlds(program: Program) -> Iterator[dict[str, bool]]:
         yield dict(zip(atoms, bits))
 
 
+class WorldWeights:
+    """Each external's weights when true and when false, in both precisions.
+
+    With p = a / b, an external weighs a / b when true and (b - a) / b when
+    false, so a world's exact weight is the product of the integers a or
+    b - a over the product of the integers b: one `Fraction` per world.
+    """
+
+    def __init__(self, program: Program) -> None:
+        probs = program.fact_probs()
+        self.atoms = tuple(program.externals)
+        fractions = [probs[atom] for atom in self.atoms]
+        self.exact = [(p.numerator, p.denominator - p.numerator) for p in fractions]
+        self.denominator = 1
+        for p in fractions:
+            self.denominator *= p.denominator
+        self.floats = [(float(p), 1 - float(p)) for p in fractions]
+
+    def weight(self, world: WorldAssignment, exact: bool = True):
+        if exact:
+            numerator = 1
+            for atom, (yes, no) in zip(self.atoms, self.exact):
+                numerator *= yes if world[atom] else no
+            return Fraction(numerator, self.denominator)
+        weight = 1.0
+        for atom, (yes, no) in zip(self.atoms, self.floats):
+            weight *= yes if world[atom] else no
+        return weight
+
+
 def world_probability(program: Program, world: WorldAssignment, exact: bool = True):
-    probs = program.fact_probs()
-    weight = Fraction(1) if exact else 1.0
-    for atom in program.externals:
-        prob = probs[atom] if exact else float(probs[atom])
-        weight *= prob if world[atom] else 1 - prob
-    return weight
+    return program.world_weights.weight(world, exact)
 
 
 def marginal(program: Program, formula: Formula, exact: bool = True):

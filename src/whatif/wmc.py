@@ -4,6 +4,15 @@ Translates an acyclic program into a weighted CNF via Clark completion with
 auxiliary variables, and counts with a DPLL-style counter.  Rational mode is
 exact; float mode runs the same counter on float weights.
 
+`conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search.  It
+encodes the query once (`add_formula`) and builds one counter over that CNF
+whose marked literal is the query's root literal; the Tseitin definitions
+are equivalences over auxiliaries of weight (1, 1), so the same CNF also
+gives P(e).  Its first `wmc` call searches under the evidence and returns
+P(e); the search carries the count restricted to the marked literal along,
+so the second call, with the root literal added, returns P(q ∧ e) without
+searching again.
+
 `marginal_wmc` and `conditional` first shrink the program with
 `transforms.relevant`.  That keeps only the ancestors of the query and
 evidence atoms and the facts they mention: the weights of every other
@@ -144,21 +153,38 @@ def _encode(cnf: WeightedCnf, formula: Formula) -> int:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def counter(
+    cnf: WeightedCnf,
+    exact: bool = True,
+    cache_cap: int = DEFAULT_CACHE_CAP,
+    mark: int = 0,
+) -> ModelCounter:
+    """A counter over `cnf` with `mark` as its marked literal (0 marks none)."""
+    weights = cnf.weights
+    if not exact:
+        weights = {v: (float(wt), float(wf)) for v, (wt, wf) in weights.items()}
+    return ModelCounter(cnf.clauses, weights, cache_cap, mark)
+
+
 def wmc(
     cnf: WeightedCnf,
     assumptions: Iterable[int] = (),
     exact: bool = True,
     cache_cap: int = DEFAULT_CACHE_CAP,
+    shared: Optional[ModelCounter] = None,
 ):
-    """Weighted count of models consistent with the assumption literals."""
+    """Weighted count of models consistent with the assumption literals.
+
+    Searches a fresh counter, or `shared`, a `counter(cnf, ...)` kept across
+    calls, whose cache and last marked count are then reused.
+    """
     assumptions = list(assumptions)
     for lit in assumptions:
         if not 1 <= abs(lit) <= cnf.var_count:
             raise ValidationError(f"assumption references unknown variable: {lit}")
-    weights = cnf.weights
-    if not exact:
-        weights = {v: (float(wt), float(wf)) for v, (wt, wf) in weights.items()}
-    return ModelCounter(cnf.clauses, weights, cache_cap).count(assumptions)
+    if shared is None:
+        shared = counter(cnf, exact, cache_cap)
+    return shared.count(assumptions)
 
 
 def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
@@ -178,16 +204,17 @@ def conditional(
     """P(formula | evidence) as a ratio of weighted counts."""
     # relevant() adds absent atoms as rule-less internals
     program, formula, evidence = relevant(program, formula, evidence)
-    cnf = to_weighted_cnf(program)
-    assumptions = [cnf.literal(lit) for lit in sorted(evidence)]
-    denominator = wmc(cnf, assumptions, exact=exact)
+    with_query, root = add_formula(to_weighted_cnf(program), formula)
+    assumptions = [with_query.literal(lit) for lit in sorted(evidence)]
+    shared = counter(with_query, exact, mark=root)
+    denominator = wmc(with_query, assumptions, exact=exact, shared=shared)
     if denominator == 0 and not exact:
         # a float count of 0 may be an underflow; the exact count decides
         return float(conditional(program, formula, evidence, exact=True))
     if denominator == 0:
         raise ZeroEvidenceError("evidence has probability zero")
-    with_query, root = add_formula(cnf, formula)
-    numerator = wmc(with_query, assumptions + [root], exact=exact)
+    # the count with the root literal true, kept by the search above
+    numerator = wmc(with_query, assumptions + [root], exact=exact, shared=shared)
     return numerator / denominator
 
 

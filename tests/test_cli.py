@@ -2,8 +2,10 @@ import pytest
 
 from conftest import SPRINKLER_TEXT, TWIN_SPRINKLER_TEXT
 from whatif.cli import main
-from whatif.model import Var
-from whatif.parser import parse_problog, parse_lpad
+from whatif.model import CounterfactualQuery, Var
+from whatif.parser import parse_formula, parse_literals, parse_problog, parse_lpad
+from whatif.transforms import relevant, twin
+from whatif.wmc import add_formula, dump_dimacs, to_weighted_cnf
 from whatif.semantics import marginal
 from whatif.lpad import lpad_distribution, lpad_of_problog
 
@@ -151,6 +153,24 @@ def test_dump_cnf(capsys, sprinkler_file, tmp_path):
     assert lines[0].startswith("p cnf ")
     # the reduced twin that is counted, not the plain twin's 19 variables
     assert int(lines[0].split()[2]) < 19
+
+
+def test_dump_cnf_holds_the_query_clauses(capsys, sprinkler_file, tmp_path):
+    target = tmp_path / "twin.cnf"
+    argv = ["--evidence", "sprinkler,slippery", "--do", "\\+sprinkler"]
+    code, out, _ = run(capsys, "query", str(sprinkler_file), "--query", "wet ; rain", *argv,
+                       "--dump-cnf", str(target))
+    assert code == 0 and out.strip() == "1/10"
+    program = parse_problog(sprinkler_file.read_text())
+    query = CounterfactualQuery(
+        parse_formula("wet ; rain"), parse_literals(argv[1]), parse_literals(argv[3])
+    )
+    reduced, formula, _ = relevant(*twin(program, query))
+    plain = to_weighted_cnf(reduced)
+    counted, _ = add_formula(plain, formula)
+    # the disjunction's Tseitin variable and clauses come on top of the twin's
+    assert target.read_text() == dump_dimacs(counted)
+    assert len(counted.clauses) > len(plain.clauses)
 
 
 def test_bench_subcommand(capsys, tmp_path):

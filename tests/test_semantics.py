@@ -6,7 +6,7 @@ import pytest
 from generators import random_acyclic_program, random_formula
 from whatif import semantics
 from whatif.model import (
-    And, CounterfactualQuery, Literal, Not, Or, Program, Var, NegativeCycleError,
+    And, CounterfactualQuery, Literal, Not, Or, Program, RandomFact, Var, NegativeCycleError,
 )
 from whatif.oracle import abduction_action_prediction
 from whatif.parser import parse_problog
@@ -96,6 +96,24 @@ def test_world_probability(sprinkler):
     mixed = {"u1": True, "u2": True, "u3": False, "u4": True}
     assert world_probability(sprinkler, mixed) == Fraction(189, 1000)  # 0.189
     assert world_probability(Program(), {}) == 1
+
+
+def test_world_weights_equal_the_direct_product():
+    rng = random.Random(8)
+    for _ in range(40):
+        denominators = [rng.randint(1, 12) for _ in range(5)]
+        probs = {f"u{i}": Fraction(rng.randint(0, b), b) for i, b in enumerate(denominators)}
+        program = Program((), tuple(RandomFact(a, p) for a, p in probs.items()))
+        assert program.world_weights is program.world_weights  # built once
+        for world in worlds(program):
+            exact = Fraction(1)
+            approx = 1.0
+            for atom in program.externals:  # the order a float product depends on
+                exact *= probs[atom] if world[atom] else 1 - probs[atom]
+                approx *= float(probs[atom]) if world[atom] else 1 - float(probs[atom])
+            weight = world_probability(program, world)
+            assert type(weight) is Fraction and weight == exact
+            assert world_probability(program, world, exact=False) == approx
 
 
 def test_world_probabilities_sum_to_one(sprinkler):

@@ -11,6 +11,7 @@ from whatif.model import (
     CounterfactualQuery,
     Literal,
     Not,
+    Or,
     Var,
     ValidationError,
     ZeroEvidenceError,
@@ -105,6 +106,21 @@ def test_conditional_examples(sprinkler):
     assert conditional(sprinkler, Var("sprinkler"), frozenset()) == Fraction(7, 20)
     with pytest.raises(ZeroEvidenceError):
         conditional(sprinkler, Var("rain"), {Literal("sprinkler"), Literal("wet", False)})
+
+
+def test_conditional_searches_once(monkeypatch, sprinkler):
+    formula, evidence = Var("slippery") | Var("rain"), {Literal("wet")}
+    expected = counterfactual.conditional(sprinkler, formula, evidence, backend="enumerate")
+    searches = []
+    search = ModelCounter._search
+
+    def counted(self, *args):
+        searches.append(args)
+        return search(self, *args)
+
+    monkeypatch.setattr(ModelCounter, "_search", counted)
+    assert conditional(sprinkler, formula, evidence) == expected
+    assert len(searches) == 1
 
 
 def test_oracle_equivalence_random_suite():
@@ -202,6 +218,50 @@ def test_counter_equals_brute_force():
     }
 
 
+def test_marked_pair_equals_brute_force():
+    # count(A) searches once; count(A + [m]) must then come from that search
+    rng = random.Random(2306)
+    shapes = set()
+    for _ in range(300):
+        n, clauses, weights, assumptions = _random_cnf(rng)
+        if not n:
+            continue
+        units = [c[0] for c in clauses if len(c) == 1]
+        pool = assumptions + [-lit for lit in assumptions] + units + [-lit for lit in units]
+        if pool and rng.random() < 0.5:
+            mark = rng.choice(pool)
+        else:
+            mark = rng.choice((1, -1)) * rng.randint(1, n)
+        counter = ModelCounter(clauses, weights, mark=mark)
+        expected = _brute_force(n, clauses, weights, assumptions)
+        assert counter.count(assumptions) == expected
+        counter._expand = None  # the marked count must not search again
+        marked = _brute_force(n, clauses, weights, assumptions + [mark])
+        assert counter.count(assumptions + [mark]) == marked
+        del counter._expand  # any other assumptions search again, on the same cache
+        unmarked = assumptions + [-mark]
+        assert counter.count(unmarked) == _brute_force(n, clauses, weights, unmarked)
+        assert counter.count(assumptions) == expected
+        shapes.update(
+            name
+            for name, present in (
+                ("positive", mark > 0),
+                ("negative", mark < 0),
+                ("assumed", mark in assumptions),
+                ("contradicted", -mark in assumptions),
+                ("unit", any(abs(lit) == abs(mark) for lit in units)),
+                ("free", all(abs(lit) != abs(mark) for c in clauses for lit in c)),
+                ("unsatisfiable", expected == 0),
+                ("split", 0 != marked != expected),
+            )
+            if present
+        )
+    assert shapes == {
+        "positive", "negative", "assumed", "contradicted", "unit", "free", "unsatisfiable",
+        "split",
+    }
+
+
 def test_counter_invariant_under_permutation_and_renaming():
     rng = random.Random(17)
     for _ in range(100):
@@ -264,15 +324,20 @@ def _plain_conditional(program, formula, evidence):
 
 
 def test_reduced_twin_equals_plain_twin():
+    # conditional counts the reduced twin in one marked search; the references
+    # make two fresh searches, on the plain twin and on the reduced one
     rng = random.Random(33)
-    shrunk = renamed = 0
+    shrunk = renamed = compound = 0
     for case in range(300):
         program = random_acyclic_program(rng)
         query = random_counterfactual_query(rng, program)
         transformed, formula, evidence = twin(program, query)
         expected = _plain_conditional(transformed, formula, evidence)
-        assert conditional(transformed, formula, evidence) == expected, case
+        answer = conditional(transformed, formula, evidence)
+        assert type(answer) is Fraction and answer == expected, case
         reduced = relevant(transformed, formula, evidence)
+        assert _plain_conditional(*reduced) == expected, case
         shrunk += to_weighted_cnf(reduced[0]).var_count < to_weighted_cnf(transformed).var_count
         renamed += reduced[1:] != (formula, evidence)  # a query or evidence atom merged
-    assert shrunk >= 250 and renamed >= 50, (shrunk, renamed)
+        compound += isinstance(reduced[1], (And, Or))  # the query has Tseitin clauses
+    assert shrunk >= 250 and renamed >= 50 and compound >= 100, (shrunk, renamed, compound)

@@ -4,8 +4,9 @@ Builds the CNF of a counterfactual query for each (n, k) cell, from the twin
 program reduced by `transforms.relevant` and the query's clauses, as the wmc
 backend does.  Then times what `wmc.conditional` counts: the denominator
 P(e) and the numerator P(q ∧ e) from one float-mode counter, whose search
-for the first also yields the second.  Reports the best of `--repeats` runs
-on a fresh counter each time, and both counts.
+for the first also yields the second.  The counter builds its root
+occurrence map on the first count, so that build is timed too.  Reports the
+best of `--repeats` runs on a fresh counter each time, and both counts.
 
 Usage: python benchmarks/counter_benchmark.py [--n 20,40,60] [--k 1,3,5] [--repeats 3]
 """

@@ -1,18 +1,23 @@
 """Pure-Python weighted model counter.
 
-DPLL-style search with component caching.  Each search node assigns its seed
-literals (the assumptions at the root, the branch literal below it) and runs
-unit propagation as a FIFO queue over the component's occurrence map
-`literal → clause indices`, with a count of not-yet-false literals and a
-satisfied flag per clause; each literal's weight is multiplied in as it is
-assigned.  One breadth-first pass over the same occurrence map then collects
-the unsatisfied clauses, shortened to their unassigned literals, into
-connected components, and multiplies in the weight of each variable left in
-no clause.  A component is looked up in a size-bounded LRU cache keyed by its
-clause set; on a miss its occurrence map is built once, it is split on the
-variable of highest degree (ties to the lowest index), and both branches use
-that map.  The search runs on an explicit stack, so its depth is not limited
-by the interpreter's recursion limit.
+DPLL-style search with component caching.  A component is a pair (clauses,
+variables).  Expanding one assigns its seed literals (the assumptions at the
+root, the branch literal below it) and runs unit propagation as a FIFO queue
+over the component's occurrence map `literal → clause indices`, with a count
+of not-yet-false literals and a satisfied flag per clause; each literal's
+weight is multiplied in as it is assigned.  One breadth-first pass over the
+same occurrence map then collects the unsatisfied clauses, shortened to their
+unassigned literals, into connected components, and multiplies in the weight
+of each variable left in no clause.
+
+Each search node is a generator (`_node`) over the components of one
+expansion.  It looks each component up in an LRU cache keyed by its clause
+set and capped at `CACHE_CAP` entries.  On a miss it builds the component's
+occurrence map once, picks the variable of highest degree (ties to the
+lowest index), and yields the two branches, positive first; it is sent back
+each branch's count and stores their sum.  `_search` drives the nodes on a
+plain list, so the search depth is not limited by the interpreter's
+recursion limit.
 
 A counter may carry one *marked literal* m (in the counterfactual backend,
 the root literal of the query).  A search under assumptions A then yields
@@ -24,9 +29,9 @@ when m is assigned false; and when m's variable is left in no clause, t
 takes its weight sum and q only m's weight.  Products and branch sums act on
 both halves, and the cache stores pairs; propagation, cache keys and the
 branching rule are those of an unmarked search.  A node whose factor t is 0
-is not expanded further, as before: with non-negative weights, as
-probabilities are, its q is 0 too.  `count(A)` returns t and keeps q, so a
-following `count(A + [m])` returns q without a second search.
+is not expanded further: with non-negative weights, as probabilities are,
+its q is 0 too.  `count(A)` returns t and keeps q, so a following
+`count(A + [m])` returns q without a second search.
 
 Works with any numeric weight type; exact when weights are `Fraction`.
 """
@@ -35,115 +40,75 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from typing import Iterable, Sequence
 
-DEFAULT_CACHE_CAP = 1 << 20
+CACHE_CAP = 1 << 20  # cache entries kept before the least recently used is evicted
 
 
-class _Component:
-    """Clauses of one connected component, with what both branches share."""
-
-    __slots__ = ("clauses", "occ", "lens", "variables")
-
-    def __init__(self, clauses, variables):
-        self.clauses = clauses
-        self.variables = variables
-        self.occ = None
-        self.lens = None
-
-    def prepare(self):
-        """Build the occurrence map and clause lengths both branches use."""
-        self.occ = defaultdict(list)
-        for idx, clause in enumerate(self.clauses):
-            for lit in clause:
-                self.occ[lit].append(idx)
-        self.lens = [len(clause) for clause in self.clauses]
-
-    def branch_variable(self):
-        """The variable of highest degree, ties to the lowest index."""
-        occ = self.occ
-        best_var, best_degree = 0, -1
-        for var in self.variables:
-            degree = len(occ.get(var, ())) + len(occ.get(-var, ()))
-            if degree > best_degree or (degree == best_degree and var < best_var):
-                best_var, best_degree = var, degree
-        return best_var
-
-
-class _Frame:
-    """A search node: its factor pair times the count pairs of its components, in turn."""
-
-    __slots__ = ("factor", "marked", "components", "next", "split", "key", "branch", "positive")
-
-    def __init__(self, factor, marked, components):
-        self.factor = factor
-        self.marked = marked  # the factor restricted to the marked literal true
-        self.components = components
-        self.next = 0
-        self.split = None  # the component being split on `branch`
-        self.key = None  # its cache key
-        self.branch = 0
-        self.positive = None  # its count pair with `branch` true, once known
+def _prepare(clauses):
+    """The occurrence map `literal → clause indices` and the clause lengths."""
+    occ = defaultdict(list)
+    for idx, clause in enumerate(clauses):
+        for lit in clause:
+            occ[lit].append(idx)
+    return occ, [len(clause) for clause in clauses]
 
 
 class ModelCounter:
     """Counts over a fixed clause set; one instance per query (mutable cache).
 
-    `mark` is the marked literal; 0, the default, marks none.
+    `mark` is the marked literal; 0, the default, marks none.  The clauses
+    are read on the first `count`.
     """
 
-    def __init__(
-        self,
-        clauses: Sequence[Sequence[int]],
-        weights: dict[int, tuple],
-        cache_cap: int = DEFAULT_CACHE_CAP,
-        mark: int = 0,
-    ):
+    def __init__(self, clauses: Sequence[Sequence[int]], weights: dict[int, tuple], mark: int = 0):
         self.wsum = {v: wt + wf for v, (wt, wf) in weights.items()}
         self.lit_weight = {}
         for var, (wt, wf) in weights.items():
             self.lit_weight[var] = wt
             self.lit_weight[-var] = wf
         self.cache: OrderedDict[frozenset, tuple] = OrderedDict()
-        self.cache_cap = cache_cap
         self.one = next(iter(weights.values()))[0] * 0 + 1 if weights else 1
         self.zero = self.one * 0
+        self.clauses = clauses
+        self.root = None  # (unit literals, prepared root or None if a clause is empty)
+        self.mark = mark
+        self.marked = None  # (assumptions, count with `mark` true) of the last search
+
+    def _build_root(self):
         # Unit clauses seed the root's propagation queue; an empty clause is
         # never satisfied.
-        self.units: list[int] = []
-        self.unsatisfiable = False
-        body = []
-        for clause in map(tuple, clauses):
+        units, body = [], []
+        for clause in map(tuple, self.clauses):
             if len(clause) > 1:
                 body.append(clause)
             elif clause:
-                self.units.append(clause[0])
+                units.append(clause[0])
             else:
-                self.unsatisfiable = True
-        self.root = _Component(body, list(weights))
-        self.root.prepare()
-        self.mark = mark
-        self.marked = None  # (assumptions, count with `mark` true) of the last search
+                return units, None
+        return units, (body, list(self.wsum), *_prepare(body))
 
     def count(self, assumptions: Iterable[int] = ()):
         assumptions = tuple(assumptions)
         if self.mark and self.marked and assumptions == self.marked[0] + (self.mark,):
             return self.marked[1]
-        if self.unsatisfiable:
+        if self.root is None:
+            self.root = self._build_root()
+        units, root = self.root
+        if root is None:
             return self.zero
-        total, marked = self._search(*self._expand(self.root, [*self.units, *assumptions]))
+        total, marked = self._search(*self._expand(*root, [*units, *assumptions]))
         self.marked = (assumptions, marked)
         return total
 
-    def _expand(self, component, seeds):
+    def _expand(self, clauses, variables, occ, lens, seeds):
         """Assign `seeds`, propagate, and split what is left into components.
 
         Returns the weight of the assigned and freed variables, that weight
         restricted to the marked literal true, and the components (weights
         zero and no components on a conflict).
         """
-        clauses, occ = component.clauses, component.occ
         weight = self.lit_weight
         true: set[int] = set()
-        left = component.lens[:]
+        left = lens[:]
         satisfied = bytearray(len(clauses))
         factor = self.one
         queue = list(seeds)
@@ -171,8 +136,6 @@ class ModelCounter:
 
         # Components of the unsatisfied clauses, found through the component's
         # occurrence map; `satisfied` also marks the clauses already taken.
-        variables = component.variables
-        lens = component.lens
         wsum = self.wsum
         mark = self.mark
         mark_var = abs(mark)
@@ -201,7 +164,7 @@ class ModelCounter:
                                 seen.add(other)
                                 group.append(other)
             if members:
-                components.append(_Component(members, group))
+                components.append((members, group))
             elif start == mark_var:
                 mark_free = True
             else:
@@ -212,45 +175,49 @@ class ModelCounter:
             return factor, self.zero, components
         return factor, factor, components
 
-    def _search(self, factor, marked, components):
-        """The pair (`factor`, `marked`) times the count pairs of `components`, on a stack."""
-        cache = self.cache
-        stack = [_Frame(factor, marked, components)]
-        value = None  # count pair of the frame popped last, for the frame below it
-        while stack:
-            frame = stack[-1]
-            if value is not None:
-                if frame.positive is None:
-                    frame.positive = value
-                    value = None
-                    stack.append(self._child(frame.split, -frame.branch))
-                    continue
-                positive = frame.positive
-                value = (value[0] + positive[0], value[1] + positive[1])
-                cache[frame.key] = value
-                if len(cache) > self.cache_cap:
-                    cache.popitem(last=False)
-                frame.factor *= value[0]
-                frame.marked *= value[1]
-                frame.positive = value = None
-            if frame.next == len(frame.components) or not frame.factor:
-                stack.pop()
-                value = (frame.factor, frame.marked)
-                continue
-            component = frame.components[frame.next]
-            frame.next += 1
-            key = frozenset(component.clauses)
-            cached = cache.get(key)
-            if cached is not None:
-                cache.move_to_end(key)
-                frame.factor *= cached[0]
-                frame.marked *= cached[1]
-                continue
-            component.prepare()
-            frame.split, frame.key = component, key
-            frame.branch = component.branch_variable()
-            stack.append(self._child(component, frame.branch))
-        return value
+    def _node(self, factor, marked, components):
+        """The pair (`factor`, `marked`) times the count pairs of `components`.
 
-    def _child(self, component, literal):
-        return _Frame(*self._expand(component, (literal,)))
+        Yields the arguments of `_expand` for each branch it needs counted
+        and is sent back that branch's count pair.
+        """
+        cache = self.cache
+        for clauses, variables in components:
+            if not factor:
+                break
+            key = frozenset(clauses)
+            value = cache.get(key)
+            if value is None:
+                occ, lens = _prepare(clauses)
+                branch, degree = 0, -1
+                for var in variables:
+                    d = len(occ.get(var, ())) + len(occ.get(-var, ()))
+                    if d > degree or (d == degree and var < branch):
+                        branch, degree = var, d
+                positive = yield clauses, variables, occ, lens, (branch,)
+                negative = yield clauses, variables, occ, lens, (-branch,)
+                value = (negative[0] + positive[0], negative[1] + positive[1])
+                cache[key] = value
+                if len(cache) > CACHE_CAP:
+                    cache.popitem(last=False)
+            else:
+                cache.move_to_end(key)
+            factor *= value[0]
+            marked *= value[1]
+        return factor, marked
+
+    def _search(self, factor, marked, components):
+        """Run the root node and every node below it on a list, not the call stack."""
+        stack = [self._node(factor, marked, components)]
+        value = None  # the count pair sent to the top node
+        while True:
+            try:
+                branch = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+            else:
+                stack.append(self._node(*self._expand(*branch)))
+                value = None

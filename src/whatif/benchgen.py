@@ -7,9 +7,9 @@ import io
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .model import (
     Alphabet,

@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_probability(value, precision: str) -> str:
+def _format_probability(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
     return f"{value:.12g}"
@@ -104,7 +104,7 @@ def _cmd_query(args) -> int:
         reduced, formula, _ = transforms.relevant(*transforms.twin(program, query))
         counted, _ = wmc_mod.add_formula(wmc_mod.to_weighted_cnf(reduced), formula)
         args.dump_cnf.write_text(wmc_mod.dump_dimacs(counted))
-    print(_format_probability(answer, args.precision))
+    print(_format_probability(answer))
     return 0
 
 

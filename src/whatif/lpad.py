@@ -18,7 +18,6 @@ from .model import (
     ValidationError,
     ZeroEvidenceError,
     evaluate,
-    formula_atoms,
 )
 from .semantics import minimal_model
 

@@ -34,19 +34,10 @@ class ValidationError(WhatifError):
     """A program or query violates a structural invariant."""
 
 
-def check_atom(name: str) -> str:
-    if not ATOM_RE.match(name):
-        raise ValidationError(f"invalid atom name: {name!r}")
-    return name
-
-
 @dataclass(frozen=True, order=True)
 class Literal:
     atom: str
     positive: bool = True
-
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
 
     def __str__(self) -> str:
         return self.atom if self.positive else "\\+" + self.atom
@@ -134,6 +125,14 @@ class Program:
     def fact_probs(self) -> dict[str, Fraction]:
         return {f.atom: f.prob for f in self.facts}
 
+    def external_probs(self) -> dict[str, Fraction]:
+        """`fact_probs`, checked to give every external atom a probability."""
+        probs = self.fact_probs()
+        missing = sorted(self.externals - probs.keys())
+        if missing:
+            raise ValidationError(f"external atom without random fact: {', '.join(missing)}")
+        return probs
+
     @cached_property
     def stratification(self) -> "Stratification":
         """The program's dependency analysis, computed once and kept on this instance."""
@@ -211,10 +210,6 @@ class Or(Formula):
     operands: tuple[Formula, ...]
 
 
-TRUE: Formula = And(())
-FALSE: Formula = Or(())
-
-
 def formula_atoms(formula: Formula) -> set[str]:
     if isinstance(formula, Var):
         return {formula.name}
@@ -259,28 +254,6 @@ def literal_formula(lit: Literal) -> Formula:
 
 def conjunction(literals: Iterable[Literal]) -> Formula:
     return And(tuple(literal_formula(lit) for lit in sorted(literals)))
-
-
-def format_formula(formula: Formula) -> str:
-    if isinstance(formula, Var):
-        return formula.name
-    if isinstance(formula, Not):
-        return "\\+" + _wrap(formula.operand)
-    if isinstance(formula, And):
-        if not formula.operands:
-            return "true"
-        return ", ".join(_wrap(part) for part in formula.operands)
-    if isinstance(formula, Or):
-        if not formula.operands:
-            return "false"
-        return "; ".join(_wrap(part) for part in formula.operands)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def _wrap(formula: Formula) -> str:
-    if isinstance(formula, (And, Or)) and len(formula.operands) != 1:
-        return "(" + format_formula(formula) + ")"
-    return format_formula(formula)
 
 
 # --- queries --------------------------------------------------------------

@@ -16,7 +16,7 @@ from .model import (
     evaluate,
     formula_atoms,
 )
-from .semantics import minimal_model, world_probability, worlds
+from .semantics import minimal_model, worlds
 from .transforms import intervene
 
 
@@ -29,11 +29,12 @@ def abduction_action_prediction(
     }
     program = ensure_internals(program, atoms - program.externals)
 
+    weights = program.world_weights
     kept: list[tuple[dict[str, bool], Fraction]] = []
     for world in worlds(program):
         model = minimal_model(program, world)
         if all(model.get(lit.atom, False) == lit.positive for lit in query.evidence):
-            kept.append((world, world_probability(program, world, exact)))
+            kept.append((world, weights.weight(world, exact)))
     evidence_mass = sum(weight for _, weight in kept)
     if evidence_mass == 0:
         raise ZeroEvidenceError("evidence has probability zero")

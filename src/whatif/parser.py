@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .model import (
-    Alphabet,
     Clause,
     Formula,
     Literal,

@@ -170,7 +170,7 @@ class WorldWeights:
     """
 
     def __init__(self, program: Program) -> None:
-        probs = program.fact_probs()
+        probs = program.external_probs()
         self.atoms = tuple(program.externals)
         fractions = [probs[atom] for atom in self.atoms]
         self.exact = [(p.numerator, p.denominator - p.numerator) for p in fractions]
@@ -198,9 +198,10 @@ def world_probability(program: Program, world: WorldAssignment, exact: bool = Tr
 def marginal(program: Program, formula: Formula, exact: bool = True):
     """Probability of `formula` by enumeration over all possible worlds."""
     total = Fraction(0) if exact else 0.0
+    weights = program.world_weights
     for world in worlds(program):
         model = minimal_model(program, world)
         model.update(world)
         if evaluate(formula, model):
-            total += world_probability(program, world, exact)
+            total += weights.weight(world, exact)
     return total

@@ -26,11 +26,11 @@ shrinks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from ._counter_py import DEFAULT_CACHE_CAP, ModelCounter
+from ._counter_py import ModelCounter
 from .model import (
     Formula,
     Literal,
@@ -81,13 +81,12 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
         raise ValidationError("WMC backend requires an acyclic program")
 
     cnf = WeightedCnf(0, [], {}, {})
-    probs = program.fact_probs()
+    probs = program.external_probs()
     for atom in sorted(program.externals):
         var = cnf.var_count + 1
         cnf.var_count = var
         cnf.var_map[atom] = var
-        prob = probs.get(atom, Fraction(0))
-        cnf.weights[var] = (prob, 1 - prob)
+        cnf.weights[var] = (probs[atom], 1 - probs[atom])
     for atom in sorted(program.internals):
         var = cnf.var_count + 1
         cnf.var_count = var
@@ -153,24 +152,18 @@ def _encode(cnf: WeightedCnf, formula: Formula) -> int:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def counter(
-    cnf: WeightedCnf,
-    exact: bool = True,
-    cache_cap: int = DEFAULT_CACHE_CAP,
-    mark: int = 0,
-) -> ModelCounter:
+def counter(cnf: WeightedCnf, exact: bool = True, mark: int = 0) -> ModelCounter:
     """A counter over `cnf` with `mark` as its marked literal (0 marks none)."""
     weights = cnf.weights
     if not exact:
         weights = {v: (float(wt), float(wf)) for v, (wt, wf) in weights.items()}
-    return ModelCounter(cnf.clauses, weights, cache_cap, mark)
+    return ModelCounter(cnf.clauses, weights, mark)
 
 
 def wmc(
     cnf: WeightedCnf,
     assumptions: Iterable[int] = (),
     exact: bool = True,
-    cache_cap: int = DEFAULT_CACHE_CAP,
     shared: Optional[ModelCounter] = None,
 ):
     """Weighted count of models consistent with the assumption literals.
@@ -183,12 +176,13 @@ def wmc(
         if not 1 <= abs(lit) <= cnf.var_count:
             raise ValidationError(f"assumption references unknown variable: {lit}")
     if shared is None:
-        shared = counter(cnf, exact, cache_cap)
+        shared = counter(cnf, exact)
     return shared.count(assumptions)
 
 
 def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
     """Marginal probability via the counting backend."""
+    program.external_probs()  # checked before relevant() drops unused externals
     program, formula, _ = relevant(program, formula, ())
     cnf = to_weighted_cnf(program)
     with_query, root = add_formula(cnf, formula)
@@ -202,6 +196,7 @@ def conditional(
     exact: bool = True,
 ):
     """P(formula | evidence) as a ratio of weighted counts."""
+    program.external_probs()  # checked before relevant() drops unused externals
     # relevant() adds absent atoms as rule-less internals
     program, formula, evidence = relevant(program, formula, evidence)
     with_query, root = add_formula(to_weighted_cnf(program), formula)

@@ -12,9 +12,13 @@ from whatif.counterfactual import (
     marginal,
 )
 from whatif.model import (
+    Alphabet,
+    Clause,
     CounterfactualQuery,
     Literal,
     NegativeCycleError,
+    Program,
+    RandomFact,
     ValidationError,
     Var,
     ZeroEvidenceError,
@@ -108,3 +112,22 @@ def test_conditional_classifies_for_every_backend():
     program = parse_problog("0.5::u. a :- b. b :- a. d :- u.")
     with pytest.raises(ValidationError, match="acyclic"):
         conditional(program, Var("d"), (), backend="wmc")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_external_without_random_fact_is_rejected(backend, exact):
+    # only the API can build this program: u is external but has no probability
+    program = Program(
+        (Clause("a", frozenset({Literal("u")})), Clause("b", frozenset({Literal("v")}))),
+        (RandomFact("v", Fraction(1, 2)),),
+        Alphabet(frozenset({"a", "b"}), frozenset({"u", "v"})),
+    )
+    for query in (
+        CounterfactualQuery(Var("a")),
+        CounterfactualQuery(Var("a"), {Literal("b")}, {Literal("b", False)}),
+        CounterfactualQuery(Var("b")),  # u is irrelevant to b, and still rejected
+        CounterfactualQuery(Var("a"), {Literal("c")}),  # no world satisfies the evidence
+    ):
+        with pytest.raises(ValidationError, match="external atom without random fact: u"):
+            answer_counterfactual(program, query, backend, exact)

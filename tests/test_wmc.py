@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from whatif.model import (
     ValidationError,
     ZeroEvidenceError,
 )
+from whatif import _counter_py
 from whatif._counter_py import ModelCounter
 from whatif.parser import parse_problog
 from whatif.semantics import marginal
@@ -194,13 +196,40 @@ def _brute_force(n, clauses, weights, assumptions):
     return total
 
 
-def test_counter_equals_brute_force():
+class _CountingCache(OrderedDict):
+    """A counter's cache that counts its evictions."""
+
+    def __init__(self):
+        super().__init__()
+        self.evictions = 0
+
+    def popitem(self, last=True):
+        self.evictions += 1
+        return super().popitem(last)
+
+
+def _counting(counter):
+    counter.cache = _CountingCache()
+    return counter
+
+
+# the default cap, and a cap of one entry, which evicts on almost every miss
+CACHE_CAPS = pytest.mark.parametrize("cap", [_counter_py.CACHE_CAP, 1], ids=["default-cap", "cap-1"])
+
+
+@CACHE_CAPS
+def test_counter_equals_brute_force(monkeypatch, cap):
+    monkeypatch.setattr(_counter_py, "CACHE_CAP", cap)
     rng = random.Random(2305)
     shapes = set()
+    evictions = 0
     for _ in range(300):
         n, clauses, weights, assumptions = _random_cnf(rng)
         expected = _brute_force(n, clauses, weights, assumptions)
-        assert ModelCounter(clauses, weights).count(assumptions) == expected
+        counter = _counting(ModelCounter(clauses, weights))
+        assert counter.count(assumptions) == expected
+        assert len(counter.cache) <= cap
+        evictions += counter.cache.evictions
         shapes.add("empty" if not clauses else "nonempty")
         shapes.update(
             name
@@ -216,12 +245,16 @@ def test_counter_equals_brute_force():
     assert shapes == {
         "empty", "nonempty", "duplicate", "tautology", "unit", "contradiction", "unmentioned",
     }
+    assert (evictions > 0) == (cap == 1), evictions
 
 
-def test_marked_pair_equals_brute_force():
+@CACHE_CAPS
+def test_marked_pair_equals_brute_force(monkeypatch, cap):
     # count(A) searches once; count(A + [m]) must then come from that search
+    monkeypatch.setattr(_counter_py, "CACHE_CAP", cap)
     rng = random.Random(2306)
     shapes = set()
+    evictions = 0
     for _ in range(300):
         n, clauses, weights, assumptions = _random_cnf(rng)
         if not n:
@@ -232,7 +265,7 @@ def test_marked_pair_equals_brute_force():
             mark = rng.choice(pool)
         else:
             mark = rng.choice((1, -1)) * rng.randint(1, n)
-        counter = ModelCounter(clauses, weights, mark=mark)
+        counter = _counting(ModelCounter(clauses, weights, mark=mark))
         expected = _brute_force(n, clauses, weights, assumptions)
         assert counter.count(assumptions) == expected
         counter._expand = None  # the marked count must not search again
@@ -242,6 +275,8 @@ def test_marked_pair_equals_brute_force():
         unmarked = assumptions + [-mark]
         assert counter.count(unmarked) == _brute_force(n, clauses, weights, unmarked)
         assert counter.count(assumptions) == expected
+        assert len(counter.cache) <= cap
+        evictions += counter.cache.evictions
         shapes.update(
             name
             for name, present in (
@@ -260,6 +295,7 @@ def test_marked_pair_equals_brute_force():
         "positive", "negative", "assumed", "contradicted", "unit", "free", "unsatisfiable",
         "split",
     }
+    assert (evictions > 0) == (cap == 1), evictions
 
 
 def test_counter_invariant_under_permutation_and_renaming():
@@ -299,6 +335,41 @@ def test_deep_path_counts_without_recursion_limit():
     limit = sys.getrecursionlimit()
     assert ModelCounter(clauses, weights).count() == ends_true + ends_false
     assert sys.getrecursionlimit() == limit
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
+    # the search nodes nest far deeper than the interpreter may recurse here
+    n, margin = 1200, 100
+    weights = {v: (Fraction(1, 2), Fraction(1, 2)) for v in range(1, n + 2)}
+    clauses = [(i, i + 1) for i in range(1, n + 1)]  # a path; its count is tested above
+    expected = ModelCounter(clauses, weights).count()
+    live = peak = 0
+    node = ModelCounter._node
+
+    def measured(self, *args):
+        nonlocal live, peak
+        live += 1
+        peak = max(peak, live)
+        try:
+            return (yield from node(self, *args))  # one level: the driver resumes each node
+        finally:
+            live -= 1
+
+    monkeypatch.setattr(ModelCounter, "_node", measured)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + margin)
+    try:
+        assert ModelCounter(clauses, weights).count() == expected
+    finally:
+        sys.setrecursionlimit(limit)
+    assert peak > 4 * margin, peak
 
 
 def test_float_underflow_falls_back_to_exact():

@@ -1,32 +1,34 @@
 """Time the model counter on twin-network CNFs from the benchmark generator.
 
-Builds the CNF of a counterfactual query for each (n, k) cell, from the twin
-program reduced by `transforms.relevant` and the query's clauses, as the wmc
-backend does.  Then times what `wmc.conditional` counts: the denominator
-P(e) and the numerator P(q ∧ e) from one float-mode counter, whose search
-for the first also yields the second.  The counter builds its root
-occurrence map on the first count, so that build is timed too.  Reports the
-best of `--repeats` runs on a fresh counter each time, and both counts.
+Builds the CNF of a counterfactual query for each (n, k) cell with
+`wmc.encode_query`, as the wmc backend does.  Then times what
+`wmc.conditional` counts: the denominator P(e) and the numerator P(q ∧ e)
+from one float-mode counter, whose search for the first also yields the
+second.  The counter builds its root occurrence map on the first count, so
+that build is timed too.  Reports the best of `--repeats` runs on a fresh
+counter each time, and both counts.
+
+Each cell's ratio of the two counts must equal `wmc.conditional`'s float
+answer exactly (same CNF, same search); the script exits with status 1 if
+any cell differs.
 
 Usage: python benchmarks/counter_benchmark.py [--n 20,40,60] [--k 1,3,5] [--repeats 3]
 """
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from whatif import benchgen, transforms, wmc as wmc_mod
 
 
 def build_case(n: int, k: int, seed: int):
+    """The twin program, query and evidence of one cell, and `encode_query` of them."""
     instance = benchgen.generate_instance(n, k, seed)
     query = benchgen.sample_query(instance, 2, 2, seed)
-    program = benchgen.instance_to_program(instance)
-    transformed, renamed, evidence = transforms.relevant(*transforms.twin(program, query))
-    cnf = wmc_mod.to_weighted_cnf(transformed)
-    with_query, root = wmc_mod.add_formula(cnf, renamed)
-    assumptions = [with_query.literal(lit) for lit in sorted(evidence)]
-    return with_query, assumptions, root
+    twinned = transforms.twin(benchgen.instance_to_program(instance), query)
+    return twinned, wmc_mod.encode_query(*twinned)
 
 
 def time_pair(cnf, assumptions, root, repeats: int):
@@ -41,7 +43,7 @@ def time_pair(cnf, assumptions, root, repeats: int):
     return min(times), denominator, numerator
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", default="20,40,60")
     parser.add_argument("--k", default="1,3,5")
@@ -49,15 +51,24 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
+    mismatches = 0
     print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9} "
-          f"{'P(e)':>12} {'P(q,e)':>12}")
+          f"{'P(e)':>12} {'P(q,e)':>12} check")
     for n in (int(x) for x in args.n.split(",")):
         for k in (int(x) for x in args.k.split(",")):
-            cnf, assumptions, root = build_case(n, k, args.seed)
+            twinned, (cnf, root, assumptions) = build_case(n, k, args.seed)
             seconds, denominator, numerator = time_pair(cnf, assumptions, root, args.repeats)
+            # a float P(e) of 0 gives no ratio, while conditional recounts exactly
+            ratio = numerator / denominator if denominator else None
+            agrees = ratio == wmc_mod.conditional(*twinned, exact=False)
+            mismatches += not agrees
             print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {seconds:>9.4f} "
-                  f"{denominator:>12.6g} {numerator:>12.6g}")
+                  f"{denominator:>12.6g} {numerator:>12.6g} {'ok' if agrees else 'MISMATCH'}")
+    if mismatches:
+        print(f"{mismatches} cell(s) differ from wmc.conditional", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

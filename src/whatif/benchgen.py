@@ -27,6 +27,7 @@ from . import counterfactual, wmc as wmc_mod
 
 TRAP_PROB = Fraction(1, 10)
 GOAL = "goal"
+MAX_DRAWS = 200  # evidence sets `sample_query` tries before giving up
 
 
 class QuerySamplingError(WhatifError):
@@ -133,7 +134,6 @@ def sample_query(
     e_count: int,
     i_count: int,
     seed: int,
-    max_draws: int = 200,
 ) -> CounterfactualQuery:
     """Query r_goal with |e_count| evidence and |i_count| intervention literals.
 
@@ -148,14 +148,14 @@ def sample_query(
     evidence: frozenset[Literal] = frozenset()
     if e_count:
         polarity = e_count > 0
-        for _ in range(max_draws):
+        for _ in range(MAX_DRAWS):
             atoms = rng.sample(candidates, abs(e_count))
             evidence = frozenset(Literal(a, polarity) for a in atoms)
             if wmc_mod.marginal_wmc(program, conjunction(evidence), exact=False) > 0:
                 break
         else:
             raise QuerySamplingError(
-                f"no satisfiable evidence found in {max_draws} draws"
+                f"no satisfiable evidence found in {MAX_DRAWS} draws"
             )
     interventions: frozenset[Literal] = frozenset()
     if i_count:

@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--dump-cnf",
         type=Path,
-        help="also write the weighted CNF (DIMACS) that the wmc backend counts: the "
-        "reduced twin program's clauses and the query's",
+        help="also write the weighted CNF (DIMACS) that the wmc backend counts "
+        "(wmc.encode_query): the reduced twin program's clauses and the query's",
     )
 
     transform = commands.add_parser("transform", help="print a transformed program")
@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     transform.add_argument(
         "--twin",
         default=None,
-        help="'query;evidence;do' triple building the duplicated program",
+        help="'query;evidence;do' triple building the duplicated program; a query "
+        "with ';' (or) needs both later parts, which may be empty: 'a;b;;'",
     )
 
     translate = commands.add_parser("translate", help="convert between ProbLog and LPAD")
@@ -87,13 +88,13 @@ def _format_probability(value) -> str:
     return f"{value:.12g}"
 
 
+def _parse_query(formula: str, evidence: str, do: str) -> CounterfactualQuery:
+    return CounterfactualQuery(parse_formula(formula), parse_literals(evidence), parse_literals(do))
+
+
 def _cmd_query(args) -> int:
     program = parse_problog(args.program.read_text())
-    query = CounterfactualQuery(
-        parse_formula(args.query),
-        parse_literals(args.evidence),
-        parse_literals(args.do),
-    )
+    query = _parse_query(args.query, args.evidence, args.do)
     exact = args.precision == "rational" or (
         args.precision == "auto" and len(program.externals) <= RATIONAL_LIMIT
     )
@@ -101,8 +102,7 @@ def _cmd_query(args) -> int:
         program, query, backend=args.backend, exact=exact
     )
     if args.dump_cnf:
-        reduced, formula, _ = transforms.relevant(*transforms.twin(program, query))
-        counted, _ = wmc_mod.add_formula(wmc_mod.to_weighted_cnf(reduced), formula)
+        counted, _, _ = wmc_mod.encode_query(*transforms.twin(program, query))
         args.dump_cnf.write_text(wmc_mod.dump_dimacs(counted))
     print(_format_probability(answer))
     return 0
@@ -111,14 +111,8 @@ def _cmd_query(args) -> int:
 def _cmd_transform(args) -> int:
     program = parse_problog(args.program.read_text())
     if args.twin is not None:
-        parts = (args.twin.split(";") + ["", ""])[:3]
-        query = CounterfactualQuery(
-            parse_formula(parts[0]),
-            parse_literals(parts[1]),
-            parse_literals(parts[2]),
-        )
-        transformed, _, _ = transforms.twin(program, query)
-        program = transformed
+        query = _parse_query(*(args.twin.rsplit(";", 2) + ["", ""])[:3])
+        program, _, _ = transforms.twin(program, query)
     else:
         program = transforms.intervene(program, parse_literals(args.do or ""))
     sys.stdout.write(print_problog(program))

@@ -14,8 +14,7 @@ from .model import (
     ValidationError,
     ZeroEvidenceError,
     conjunction,
-    ensure_internals,
-    formula_atoms,
+    validate_program,
 )
 from . import semantics, wmc as wmc_mod
 from .semantics import Classification, check_unique_supported_models
@@ -38,8 +37,14 @@ def _check_classification(program: Program, backend: str) -> None:
         )
 
 
+def _validate(program: Program) -> None:
+    """Reject a program built through the API that breaks a structural invariant."""
+    diagnostics = validate_program(program)
+    if diagnostics:
+        raise ValidationError("; ".join(diagnostics))
+
+
 def marginal(program: Program, formula: Formula, backend: str = "wmc", exact: bool = True):
-    program = ensure_internals(program, formula_atoms(formula) - program.externals)
     _check_classification(program, backend)
     if backend == "wmc":
         return wmc_mod.marginal_wmc(program, formula, exact=exact)
@@ -73,6 +78,7 @@ def answer_intervention(
     exact: bool = True,
 ):
     """Marginal of `formula` on the surgically modified program."""
+    _validate(program)
     return marginal(intervene(program, frozenset(interventions)), formula, backend, exact)
 
 
@@ -83,6 +89,7 @@ def answer_counterfactual(
     exact: bool = True,
 ):
     """Twin-network evaluation: duplicate, intervene on one copy, condition on the other."""
+    _validate(program)
     if backend == "oracle":
         from .oracle import abduction_action_prediction
 

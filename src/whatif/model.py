@@ -293,6 +293,8 @@ def validate_program(program: Program) -> list[str]:
             diagnostics.append(f"duplicate random fact: {atom}")
         if atom not in program.externals:
             diagnostics.append(f"random fact for non-external atom: {atom}")
+    for atom in sorted(program.externals - fact_atoms.keys()):
+        diagnostics.append(f"external atom without random fact: {atom}")
     for fact in program.facts:
         if not 0 <= fact.prob <= 1:
             diagnostics.append(f"probability out of range: {fact.prob}::{fact.atom}")
@@ -304,6 +306,4 @@ def validate_program(program: Program) -> list[str]:
         for lit in clause.body:
             if lit.atom not in program.alphabet:
                 diagnostics.append(f"body atom outside alphabet: {lit.atom}")
-            elif lit.atom in program.externals and lit.atom not in fact_atoms:
-                diagnostics.append(f"external body atom without random fact: {lit.atom}")
     return diagnostics

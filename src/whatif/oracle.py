@@ -12,9 +12,7 @@ from .model import (
     CounterfactualQuery,
     Program,
     ZeroEvidenceError,
-    ensure_internals,
     evaluate,
-    formula_atoms,
 )
 from .semantics import minimal_model, worlds
 from .transforms import intervene
@@ -24,11 +22,6 @@ def abduction_action_prediction(
     program: Program, query: CounterfactualQuery, exact: bool = True
 ):
     """Pearl's three steps: condition the error terms, intervene, predict."""
-    atoms = formula_atoms(query.query) | {
-        lit.atom for lit in query.evidence | query.interventions
-    }
-    program = ensure_internals(program, atoms - program.externals)
-
     weights = program.world_weights
     kept: list[tuple[dict[str, bool], Fraction]] = []
     for world in worlds(program):

@@ -4,25 +4,25 @@ Translates an acyclic program into a weighted CNF via Clark completion with
 auxiliary variables, and counts with a DPLL-style counter.  Rational mode is
 exact; float mode runs the same counter on float weights.
 
-`conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search.  It
-encodes the query once (`add_formula`) and builds one counter over that CNF
-whose marked literal is the query's root literal; the Tseitin definitions
-are equivalences over auxiliaries of weight (1, 1), so the same CNF also
-gives P(e).  Its first `wmc` call searches under the evidence and returns
-P(e); the search carries the count restricted to the marked literal along,
-so the second call, with the root literal added, returns P(q ∧ e) without
-searching again.
+`encode_query` is the only builder of the CNF a query counts; `conditional`,
+`marginal_wmc`, `whatif query --dump-cnf` and the counter benchmark use it.
+It first shrinks the program with `transforms.relevant`, which keeps only the
+ancestors of the query and evidence atoms and the facts they mention (the
+weights of every other external sum to 1), and merges atoms whose sets of
+bodies are equal once their body atoms are merged, since Clark completion
+makes such atoms equal in every world.  On a twin program this merges the two
+copies of every atom that no intervention reaches (the node merging of Balke
+& Pearl's twin networks).  Clark completion and the query's Tseitin clauses
+are written by one definer, `_define`.
 
-`marginal_wmc` and `conditional` first shrink the program with
-`transforms.relevant`.  That keeps only the ancestors of the query and
-evidence atoms and the facts they mention: the weights of every other
-external sum to 1, and no other internal atom changes the atoms that remain.
-It also merges atoms whose sets of bodies are equal once their body atoms
-are merged, since Clark completion makes such atoms equal in every world.
-On a twin program this merges the two copies of every atom that no
-intervention reaches (the node merging of Balke & Pearl's twin networks),
-with no rule specific to twins.  The answer is unchanged; only the CNF
-shrinks.
+`conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search over one
+counter whose marked literal is the query's root literal; the Tseitin
+definitions are equivalences over auxiliaries of weight (1, 1), so the same
+CNF also gives P(e).  Its first `wmc` call searches under the evidence and
+returns P(e); the search carries the count restricted to the marked literal
+along, so the second call, with the root literal added, returns P(q ∧ e)
+without searching again.  A float P(e) of 0 may be an underflow, so the same
+CNF is then counted again in exact mode.
 """
 from __future__ import annotations
 
@@ -49,6 +49,8 @@ from .transforms import relevant
 # There is no compiled kernel; the benchmark still reports this flag.
 HAVE_COMPILED_COUNTER = False
 
+_FREE = (Fraction(1), Fraction(1))  # the weights of a variable that is not a fact
+
 
 @dataclass
 class WeightedCnf:
@@ -68,7 +70,7 @@ class WeightedCnf:
 
     def new_var(self) -> int:
         self.var_count += 1
-        self.weights[self.var_count] = (Fraction(1), Fraction(1))
+        self.weights[self.var_count] = _FREE
         return self.var_count
 
 
@@ -81,17 +83,11 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
         raise ValidationError("WMC backend requires an acyclic program")
 
     cnf = WeightedCnf(0, [], {}, {})
+    for atom in sorted(program.externals) + sorted(program.internals):
+        cnf.var_map[atom] = cnf.new_var()
     probs = program.external_probs()
-    for atom in sorted(program.externals):
-        var = cnf.var_count + 1
-        cnf.var_count = var
-        cnf.var_map[atom] = var
-        cnf.weights[var] = (probs[atom], 1 - probs[atom])
-    for atom in sorted(program.internals):
-        var = cnf.var_count + 1
-        cnf.var_count = var
-        cnf.var_map[atom] = var
-        cnf.weights[var] = (Fraction(1), Fraction(1))
+    for atom in program.externals:
+        cnf.weights[cnf.var_map[atom]] = (probs[atom], 1 - probs[atom])
 
     by_head = program.clauses_by_head()
     for atom in sorted(program.internals):
@@ -103,24 +99,29 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
         if any(not body for body in bodies):  # a fact clause makes the head true
             cnf.clauses.append((head,))
             continue
-        if not bodies:
-            cnf.clauses.append((-head,))
-            continue
-        disjuncts = []
-        for body in bodies:
-            lits = [cnf.literal(l) for l in body]
-            if len(lits) == 1:
-                disjuncts.append(lits[0])
-            else:
-                aux = cnf.new_var()
-                for lit in lits:
-                    cnf.clauses.append((-aux, lit))
-                cnf.clauses.append(tuple([aux] + [-lit for lit in lits]))
-                disjuncts.append(aux)
-        cnf.clauses.append(tuple([-head] + disjuncts))
-        for disjunct in disjuncts:
-            cnf.clauses.append((head, -disjunct))
+        # with no bodies this is the unit clause (-head,)
+        disjuncts = [_join(cnf, [cnf.literal(l) for l in body], True) for body in bodies]
+        _define(cnf, head, disjuncts, False)
     return cnf
+
+
+def _define(cnf: WeightedCnf, out: int, parts: list[int], conjunctive: bool) -> None:
+    """Append the clauses of out <-> and(parts), or of out <-> or(parts)."""
+    if conjunctive:
+        cnf.clauses.extend((-out, part) for part in parts)
+        cnf.clauses.append(tuple([out] + [-part for part in parts]))
+    else:
+        cnf.clauses.append(tuple([-out] + parts))
+        cnf.clauses.extend((out, -part) for part in parts)
+
+
+def _join(cnf: WeightedCnf, parts: list[int], conjunctive: bool) -> int:
+    """A literal equal to and(parts) or or(parts): the single part, or a defined auxiliary."""
+    if len(parts) == 1:
+        return parts[0]
+    out = cnf.new_var()
+    _define(cnf, out, parts, conjunctive)
+    return out
 
 
 def add_formula(cnf: WeightedCnf, formula: Formula) -> tuple[WeightedCnf, int]:
@@ -137,19 +138,19 @@ def _encode(cnf: WeightedCnf, formula: Formula) -> int:
         return -_encode(cnf, formula.operand)
     if isinstance(formula, (And, Or)):
         parts = [_encode(cnf, part) for part in formula.operands]
-        if len(parts) == 1:
-            return parts[0]
-        aux = cnf.new_var()
-        if isinstance(formula, And):
-            for part in parts:
-                cnf.clauses.append((-aux, part))
-            cnf.clauses.append(tuple([aux] + [-part for part in parts]))
-        else:
-            cnf.clauses.append(tuple([-aux] + parts))
-            for part in parts:
-                cnf.clauses.append((aux, -part))
-        return aux
+        return _join(cnf, parts, isinstance(formula, And))
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def encode_query(
+    program: Program, formula: Formula, evidence: Iterable[Literal] = ()
+) -> tuple[WeightedCnf, int, list[int]]:
+    """The CNF counted for P(formula | evidence), its root and evidence literals."""
+    program.external_probs()  # checked before relevant() drops unused externals
+    # relevant() adds absent atoms as rule-less internals
+    program, formula, evidence = relevant(program, formula, evidence)
+    cnf, root = add_formula(to_weighted_cnf(program), formula)
+    return cnf, root, [cnf.literal(lit) for lit in sorted(evidence)]
 
 
 def counter(cnf: WeightedCnf, exact: bool = True, mark: int = 0) -> ModelCounter:
@@ -182,11 +183,8 @@ def wmc(
 
 def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
     """Marginal probability via the counting backend."""
-    program.external_probs()  # checked before relevant() drops unused externals
-    program, formula, _ = relevant(program, formula, ())
-    cnf = to_weighted_cnf(program)
-    with_query, root = add_formula(cnf, formula)
-    return wmc(with_query, [root], exact=exact)
+    cnf, root, _ = encode_query(program, formula)
+    return wmc(cnf, [root], exact=exact)
 
 
 def conditional(
@@ -196,28 +194,25 @@ def conditional(
     exact: bool = True,
 ):
     """P(formula | evidence) as a ratio of weighted counts."""
-    program.external_probs()  # checked before relevant() drops unused externals
-    # relevant() adds absent atoms as rule-less internals
-    program, formula, evidence = relevant(program, formula, evidence)
-    with_query, root = add_formula(to_weighted_cnf(program), formula)
-    assumptions = [with_query.literal(lit) for lit in sorted(evidence)]
-    shared = counter(with_query, exact, mark=root)
-    denominator = wmc(with_query, assumptions, exact=exact, shared=shared)
+    cnf, root, assumptions = encode_query(program, formula, evidence)
+    shared = counter(cnf, exact, mark=root)
+    denominator = wmc(cnf, assumptions, shared=shared)
     if denominator == 0 and not exact:
-        # a float count of 0 may be an underflow; the exact count decides
-        return float(conditional(program, formula, evidence, exact=True))
+        # a float count of 0 may be an underflow; an exact count of the same CNF decides
+        shared = counter(cnf, True, mark=root)
+        denominator = wmc(cnf, assumptions, shared=shared)
     if denominator == 0:
         raise ZeroEvidenceError("evidence has probability zero")
     # the count with the root literal true, kept by the search above
-    numerator = wmc(with_query, assumptions + [root], exact=exact, shared=shared)
-    return numerator / denominator
+    numerator = wmc(cnf, assumptions + [root], shared=shared)
+    answer = numerator / denominator
+    return answer if exact else float(answer)
 
 
 def dump_dimacs(cnf: WeightedCnf) -> str:
     """Weighted CNF in the standard model-counting text format."""
     lines = [f"p cnf {cnf.var_count} {len(cnf.clauses)}"]
-    for var in range(1, cnf.var_count + 1):
-        wt, wf = cnf.weights[var]
+    for var, (wt, wf) in sorted(cnf.weights.items()):
         lines.append(f"c p weight {var} {float(wt):.17g} 0")
         lines.append(f"c p weight {-var} {float(wf):.17g} 0")
     for clause in cnf.clauses:

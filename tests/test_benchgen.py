@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from whatif import benchgen
 from whatif.benchgen import (
     CSV_COLUMNS,
     GridSpec,
@@ -137,11 +138,13 @@ def test_run_experiment_batch_shares_one_deadline():
 
 
 @pytest.mark.parametrize("n, k, small", [(3, 1, True), (6, 3, False)])
-def test_sample_query_evidence_satisfiability(n, k, small):
+def test_sample_query_evidence_satisfiability(monkeypatch, n, k, small):
     instance = generate_instance(n, k, 1)
     assert (len(instance_to_program(instance).externals) <= 16) == small
     every = len(instance.vertices) - 1  # every atom but the goal's, so \+r_<start> too
+    monkeypatch.setattr(benchgen, "MAX_DRAWS", 3)
     with pytest.raises(QuerySamplingError):
-        sample_query(instance, -every, 0, seed=1, max_draws=3)
-    query = sample_query(instance, 1, 0, seed=1, max_draws=1)  # any reach atom is possible
+        sample_query(instance, -every, 0, seed=1)
+    monkeypatch.setattr(benchgen, "MAX_DRAWS", 1)
+    query = sample_query(instance, 1, 0, seed=1)  # any reach atom is possible
     assert len(query.evidence) == 1 and all(lit.positive for lit in query.evidence)

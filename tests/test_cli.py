@@ -3,7 +3,7 @@ import pytest
 from conftest import SPRINKLER_TEXT, TWIN_SPRINKLER_TEXT
 from whatif.cli import main
 from whatif.model import CounterfactualQuery, Var
-from whatif.parser import parse_formula, parse_literals, parse_problog, parse_lpad
+from whatif.parser import parse_formula, parse_literals, parse_problog, parse_lpad, print_problog
 from whatif.transforms import relevant, twin
 from whatif.wmc import add_formula, dump_dimacs, to_weighted_cnf
 from whatif.semantics import marginal
@@ -118,6 +118,20 @@ def test_transform_twin_matches_listing(capsys, sprinkler_file):
     )
     assert code == 0
     assert parse_problog(out) == parse_problog(TWIN_SPRINKLER_TEXT)
+
+
+def test_transform_twin_splits_off_evidence_and_do_from_the_right(
+    capsys, sprinkler_file, sprinkler
+):
+    # ';' in the query is "or"; the last two parts are the evidence and the interventions
+    for text, query in (
+        ("wet;rain;sprinkler;\\+rain", CounterfactualQuery(
+            parse_formula("wet;rain"), parse_literals("sprinkler"), parse_literals("\\+rain"))),
+        ("wet;rain;;", CounterfactualQuery(parse_formula("wet;rain"))),
+    ):
+        code, out, _ = run(capsys, "transform", str(sprinkler_file), "--twin", text)
+        assert code == 0
+        assert out == print_problog(twin(sprinkler, query)[0]), text
 
 
 def test_translate_round_trip(capsys, sprinkler_file, tmp_path, sprinkler):

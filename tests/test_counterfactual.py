@@ -17,6 +17,7 @@ from whatif.model import (
     CounterfactualQuery,
     Literal,
     NegativeCycleError,
+    Or,
     Program,
     RandomFact,
     ValidationError,
@@ -131,3 +132,24 @@ def test_external_without_random_fact_is_rejected(backend, exact):
     ):
         with pytest.raises(ValidationError, match="external atom without random fact: u"):
             answer_counterfactual(program, query, backend, exact)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_api_programs_are_validated(backend):
+    # only the API can build these: b is outside the alphabet, and 3/2 is no probability
+    outside = Program(
+        (Clause("a", frozenset({Literal("b")})), Clause("c", frozenset({Literal("u")}))),
+        (RandomFact("u", Fraction(1, 2)),),
+        Alphabet(frozenset({"a", "c"}), frozenset({"u"})),
+    )
+    out_of_range = Program(
+        (Clause("a", frozenset({Literal("u")})),), (RandomFact("u", Fraction(3, 2)),)
+    )
+    for program, formula, do, message in (
+        (outside, Or((Var("a"), Var("c"))), {Literal("c", False)}, "body atom outside alphabet: b"),
+        (out_of_range, Var("a"), set(), "probability out of range: 3/2::u"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            answer_counterfactual(program, CounterfactualQuery(formula, (), do), backend)
+        with pytest.raises(ValidationError, match=message):
+            answer_intervention(program, formula, do, backend)

@@ -17,7 +17,7 @@ from whatif.model import (
     ValidationError,
     ZeroEvidenceError,
 )
-from whatif import _counter_py
+from whatif import _counter_py, wmc as wmc_mod
 from whatif._counter_py import ModelCounter
 from whatif.parser import parse_problog
 from whatif.semantics import marginal
@@ -372,7 +372,8 @@ def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
     assert peak > 4 * margin, peak
 
 
-def test_float_underflow_falls_back_to_exact():
+def _underflow_case():
+    """P(a) = 1e-340, which is 0 as a float."""
     facts = [f"u_{i}" for i in range(340)]
     text = "".join(f"0.1::{u}.\n" for u in facts)
     text += f"a :- {', '.join(facts)}.\nb :- a.\nc :- \\+b.\n"
@@ -380,10 +381,28 @@ def test_float_underflow_falls_back_to_exact():
     query = CounterfactualQuery(
         Var("c"), frozenset({Literal("a")}), frozenset({Literal("b", False)})
     )
+    return program, query
+
+
+def test_float_underflow_falls_back_to_exact():
+    program, query = _underflow_case()
     assert answer_counterfactual(program, query) == 1
     assert answer_counterfactual(program, query, exact=False) == 1.0
     with pytest.raises(ZeroEvidenceError):
         conditional(program, Var("c"), {Literal("a"), Literal("b", False)}, exact=False)
+
+
+def test_float_underflow_recounts_the_same_cnf(monkeypatch):
+    program, query = _underflow_case()
+    encoded = []
+
+    def counted(program):
+        encoded.append(program)
+        return to_weighted_cnf(program)
+
+    monkeypatch.setattr(wmc_mod, "to_weighted_cnf", counted)
+    assert answer_counterfactual(program, query, exact=False) == 1.0
+    assert len(encoded) == 1
 
 
 def _plain_conditional(program, formula, evidence):

@@ -33,7 +33,7 @@ def _check_classification(program: Program, backend: str) -> None:
             raise ValidationError("WMC backend requires an acyclic program")
         warnings.warn(
             "program is cyclic (stratified); results are formal only",
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public entry point
         )
 
 
@@ -45,10 +45,9 @@ def _validate(program: Program) -> None:
 
 
 def marginal(program: Program, formula: Formula, backend: str = "wmc", exact: bool = True):
-    _check_classification(program, backend)
-    if backend == "wmc":
-        return wmc_mod.marginal_wmc(program, formula, exact=exact)
-    return semantics.marginal(program, formula, exact=exact)
+    """P(formula) by `backend`; raises ValidationError on an invalid program."""
+    _validate(program)
+    return _marginal(program, formula, backend, exact)
 
 
 def conditional(
@@ -58,15 +57,30 @@ def conditional(
     backend: str = "wmc",
     exact: bool = True,
 ):
+    """P(formula | evidence) by `backend`; raises ValidationError on an invalid program."""
+    _validate(program)
+    return _conditional(program, formula, evidence, backend, exact)
+
+
+def _marginal(program: Program, formula: Formula, backend: str, exact: bool):
+    _check_classification(program, backend)
+    if backend == "wmc":
+        return wmc_mod.marginal_wmc(program, formula, exact=exact)
+    return semantics.marginal(program, formula, exact=exact)
+
+
+def _conditional(
+    program: Program, formula: Formula, evidence: Iterable[Literal], backend: str, exact: bool
+):
     _check_classification(program, backend)
     evidence = frozenset(evidence)
     if backend == "wmc":
         return wmc_mod.conditional(program, formula, evidence, exact=exact)
     evidence_formula = conjunction(evidence)
-    denominator = marginal(program, evidence_formula, backend, exact)
+    denominator = _marginal(program, evidence_formula, backend, exact)
     if denominator == 0:
         raise ZeroEvidenceError("evidence has probability zero")
-    numerator = marginal(program, And((formula, evidence_formula)), backend, exact)
+    numerator = _marginal(program, And((formula, evidence_formula)), backend, exact)
     return numerator / denominator
 
 
@@ -79,7 +93,7 @@ def answer_intervention(
 ):
     """Marginal of `formula` on the surgically modified program."""
     _validate(program)
-    return marginal(intervene(program, frozenset(interventions)), formula, backend, exact)
+    return _marginal(intervene(program, frozenset(interventions)), formula, backend, exact)
 
 
 def answer_counterfactual(
@@ -95,4 +109,5 @@ def answer_counterfactual(
 
         return abduction_action_prediction(program, query, exact=exact)
     transformed, renamed_query, evidence = twin(program, query)
-    return conditional(transformed, renamed_query, evidence, backend, exact)
+    # the twin of a valid program is valid
+    return _conditional(transformed, renamed_query, evidence, backend, exact)

@@ -3,13 +3,18 @@
 Statements are terminated by ``.``; comments start with ``%`` and run to the
 end of the line.  Probability literals are decimal (``0.35``), integer, or
 explicit rationals (``2/7``); all are kept exact.
+
+ProbLog and LPAD text share one statement grammar.  An LPAD statement is
+``p::a [:- body].`` or ``a[:p] {; b[:p]} [:- body].``; a ProbLog statement
+is the same grammar restricted to facts ``p::a.`` and rules with one
+unannotated head, ``a [:- body].``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .model import (
     Clause,
@@ -17,6 +22,7 @@ from .model import (
     Literal,
     Program,
     RandomFact,
+    ValidationError,
     Var,
     Not,
     And,
@@ -44,116 +50,130 @@ class ParseError(WhatifError):
         super().__init__(message + where)
 
 
+# Whitespace and comments match no group; the last group catches any bad character.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+|%[^\n]*)
+      \s+|%[^\n]*
     | (?P<number>\d+\.\d+|\d+)
     | (?P<atom>[a-z][a-zA-Z0-9_]*)
     | (?P<op>::|:-|\\\+|[.:;,()/|~])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-
-class Token(NamedTuple):
-    kind: str  # "number" | "atom" | "op" | "eof"
-    text: str
-    start: int
-
-
-def _span(text: str, start: int, end: int) -> SourceSpan:
-    """Position of text[start:end]; computed only when an error is raised."""
-    line_start = text.rfind("\n", 0, start) + 1
-    return SourceSpan(start, end, text.count("\n", 0, start) + 1, start - line_start + 1)
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ParseError(f"unexpected character {text[pos]!r}", _span(text, pos, pos + 1))
-        if match.lastgroup != "ws":
-            tokens.append(Token(match.lastgroup, match.group(), pos))
-        pos = match.end()
-    tokens.append(Token("eof", "", pos))
-    return tokens
+# (kind, text, start); kind is "number", "atom", "op" or "eof"
+_Token = tuple[str, str, int]
 
 
 class _TokenStream:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
         self.index = 0
+        self.tokens: list[_Token] = [
+            (match.lastgroup, match.group(), match.start())
+            for match in _TOKEN_RE.finditer(text)
+            if match.lastgroup
+        ]
+        for token in self.tokens:
+            if token[0] == "bad":
+                raise self.error(f"unexpected character {token[1]!r}", token)
+        self.tokens.append(("eof", "", len(text)))
 
-    def error(self, message: str, token: Token) -> ParseError:
-        return ParseError(message, _span(self.text, token.start, token.start + len(token.text)))
+    def error(self, message: str, token: Optional[_Token] = None) -> ParseError:
+        """A ParseError spanning `token`, by default the next one."""
+        _, chars, start = token or self.tokens[self.index]
+        line_start = self.text.rfind("\n", 0, start) + 1
+        line = self.text.count("\n", 0, start) + 1
+        column = start - line_start + 1
+        return ParseError(message, SourceSpan(start, start + len(chars), line, column))
 
-    def peek(self) -> Token:
+    def peek(self) -> _Token:
         return self.tokens[self.index]
 
-    def next(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind != "eof":
+    def accept(self, op: str) -> bool:
+        """Consume the next token if it is the operator `op`."""
+        # only an op token's text can equal an operator
+        if self.tokens[self.index][1] == op:
             self.index += 1
-        return token
-
-    def at(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "op" and token.text == text
-
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            token = self.peek()
-            raise self.error(f"expected {text!r}, found {token.text or 'end of input'!r}", token)
-        return self.next()
+    def expect(self, op: str) -> None:
+        if not self.accept(op):
+            raise self.error(f"expected {op!r}, found {self.peek()[1] or 'end of input'!r}")
 
-    def expect_atom(self) -> Token:
-        token = self.peek()
-        if token.kind != "atom":
-            raise self.error(f"expected atom, found {token.text or 'end of input'!r}", token)
-        return self.next()
+    def atom(self) -> _Token:
+        token = self.tokens[self.index]
+        if token[0] != "atom":
+            raise self.error(f"expected atom, found {token[1] or 'end of input'!r}")
+        self.index += 1
+        return token
 
+    def probability(self) -> Fraction:
+        token = self.tokens[self.index]
+        kind, chars, _ = token
+        if kind != "number":
+            raise self.error(f"expected probability, found {chars!r}")
+        self.index += 1
+        if "." in chars:
+            whole, frac = chars.split(".")
+            value = Fraction(int(whole + frac), 10 ** len(frac))
+        else:
+            value = Fraction(int(chars))
+            if self.accept("/"):
+                kind, denom, _ = self.peek()
+                if kind != "number" or "." in denom:
+                    raise self.error("expected integer denominator")
+                self.index += 1
+                value /= int(denom)
+        if not 0 <= value <= 1:
+            raise self.error(f"probability {value} outside [0,1]", token)
+        return value
 
-def _parse_probability(stream: _TokenStream) -> Fraction:
-    token = stream.peek()
-    if token.kind != "number":
-        raise stream.error(f"expected probability, found {token.text!r}", token)
-    stream.next()
-    if "." in token.text:
-        whole, frac = token.text.split(".")
-        value = Fraction(int(whole + frac), 10 ** len(frac))
-    else:
-        value = Fraction(int(token.text))
-        if stream.accept("/"):
-            denom = stream.peek()
-            if denom.kind != "number" or "." in denom.text:
-                raise stream.error("expected integer denominator", denom)
-            stream.next()
-            value /= int(denom.text)
-    if not 0 <= value <= 1:
-        raise stream.error(f"probability {value} outside [0,1]", token)
-    return value
-
-
-def _parse_literal(stream: _TokenStream) -> Literal:
-    if stream.accept("\\+"):
-        return Literal(stream.expect_atom().text, False)
-    return Literal(stream.expect_atom().text, True)
+    def end(self) -> None:
+        """Reject anything left after a complete formula or literal list."""
+        kind, chars, _ = self.peek()
+        if kind != "eof":
+            raise self.error(f"unexpected trailing input {chars!r}")
 
 
 def _parse_body(stream: _TokenStream) -> frozenset[Literal]:
-    literals = [_parse_literal(stream)]
-    while stream.accept(","):
-        literals.append(_parse_literal(stream))
-    return frozenset(literals)
+    literals = []
+    while True:
+        positive = not stream.accept("\\+")
+        literals.append(Literal(stream.atom()[1], positive))
+        if not stream.accept(","):
+            return frozenset(literals)
+
+
+_Head = list[tuple[_Token, Optional[Fraction]]]
+
+
+def _statements(
+    stream: _TokenStream, lpad: bool
+) -> Iterator[tuple[_Token, _Head, frozenset[Literal]]]:
+    """Yield ``(first token, head, body)`` per statement.
+
+    The head lists ``(atom token, probability)`` pairs; the probability is
+    None for an unannotated atom.  Without `lpad`, a statement is a fact
+    ``p::a.`` or a rule with one unannotated head atom.
+    """
+    while (first := stream.peek())[0] != "eof":
+        if first[0] == "number":
+            prob = stream.probability()
+            stream.expect("::")
+            head: _Head = [(stream.atom(), prob)]
+        else:
+            head = []
+            while not head or lpad and stream.accept(";"):
+                atom = stream.atom()
+                head.append((atom, stream.probability() if lpad and stream.accept(":") else None))
+        body: frozenset[Literal] = frozenset()
+        if (lpad or head[0][1] is None) and stream.accept(":-"):
+            body = _parse_body(stream)
+        stream.expect(".")
+        yield first, head, body
 
 
 # --- ProbLog --------------------------------------------------------------
@@ -163,30 +183,21 @@ def parse_problog(text: str) -> Program:
     stream = _TokenStream(text)
     clauses: list[Clause] = []
     facts: list[RandomFact] = []
-    fact_atoms: dict[str, Token] = {}
-    head_atoms: dict[str, Token] = {}
-    while stream.peek().kind != "eof":
-        token = stream.peek()
-        if token.kind == "number":
-            prob = _parse_probability(stream)
-            stream.expect("::")
-            atom = stream.expect_atom()
-            stream.expect(".")
-            if atom.text in fact_atoms:
-                raise stream.error(f"duplicate random fact for {atom.text}", atom)
-            fact_atoms[atom.text] = atom
-            facts.append(RandomFact(atom.text, prob))
+    fact_atoms: set[str] = set()
+    head_atoms: dict[str, _Token] = {}
+    for _, ((atom, prob),), body in _statements(stream, lpad=False):
+        name = atom[1]
+        if prob is None:
+            head_atoms[name] = atom
+            clauses.append(Clause(name, body))
+        elif name in fact_atoms:
+            raise stream.error(f"duplicate random fact for {name}", atom)
         else:
-            head = stream.expect_atom()
-            body: frozenset[Literal] = frozenset()
-            if stream.accept(":-"):
-                body = _parse_body(stream)
-            stream.expect(".")
-            head_atoms[head.text] = head
-            clauses.append(Clause(head.text, body))
-    for atom, token in head_atoms.items():
-        if atom in fact_atoms:
-            raise stream.error(f"atom {atom} used both as random fact and rule head", token)
+            fact_atoms.add(name)
+            facts.append(RandomFact(name, prob))
+    for name, atom in head_atoms.items():
+        if name in fact_atoms:
+            raise stream.error(f"atom {name} used both as random fact and rule head", atom)
     return Program(tuple(clauses), tuple(facts))
 
 
@@ -222,36 +233,13 @@ def parse_lpad(text: str) -> LpadProgram:
     """Parse LPAD text: ``h1:0.3; h2:0.5 :- b1, \\+b2.`` plus ProbLog-style sugar."""
     stream = _TokenStream(text)
     clauses: list[LpadClause] = []
-    while stream.peek().kind != "eof":
-        token = stream.peek()
-        if token.kind == "number":  # pi::h :- body sugar
-            prob = _parse_probability(stream)
-            stream.expect("::")
-            atom = stream.expect_atom()
-            head = ((atom.text, prob),)
-        else:
-            head = _parse_lpad_head(stream)
-        body: frozenset[Literal] = frozenset()
-        if stream.accept(":-"):
-            body = _parse_body(stream)
-        stream.expect(".")
-        total = sum((p for _, p in head), Fraction(0))
-        if total > 1:
-            raise stream.error(f"head probabilities sum to {total} > 1", token)
-        clauses.append(LpadClause(head, body))
+    for first, head, body in _statements(stream, lpad=True):
+        pairs = tuple((atom[1], Fraction(1) if prob is None else prob) for atom, prob in head)
+        try:
+            clauses.append(LpadClause(pairs, body))
+        except ValidationError as err:
+            raise stream.error(str(err), first) from err
     return LpadProgram(tuple(clauses))
-
-
-def _parse_lpad_head(stream: _TokenStream) -> tuple[tuple[str, Fraction], ...]:
-    head: list[tuple[str, Fraction]] = []
-    while True:
-        atom = stream.expect_atom()
-        prob = Fraction(1)
-        if stream.accept(":"):
-            prob = _parse_probability(stream)
-        head.append((atom.text, prob))
-        if not stream.accept(";"):
-            return tuple(head)
 
 
 def print_lpad(program: LpadProgram) -> str:
@@ -271,12 +259,10 @@ def print_lpad(program: LpadProgram) -> str:
 # --- formulas and literal lists ------------------------------------------
 
 def parse_formula(text: str) -> Formula:
-    """Parse a query formula: ``;`` disjunction, ``,`` conjunction, ``\\+`` negation."""
+    """Parse a query formula: ``;``/``|`` or, ``,`` and, ``\\+``/``~`` negation."""
     stream = _TokenStream(text)
     formula = _parse_disjunction(stream)
-    token = stream.peek()
-    if token.kind != "eof":
-        raise stream.error(f"unexpected trailing input {token.text!r}", token)
+    stream.end()
     return formula
 
 
@@ -301,17 +287,14 @@ def _parse_unary(stream: _TokenStream) -> Formula:
         inner = _parse_disjunction(stream)
         stream.expect(")")
         return inner
-    return Var(stream.expect_atom().text)
+    return Var(stream.atom()[1])
 
 
 def parse_literals(text: str) -> frozenset[Literal]:
     """Parse a comma-separated literal list, e.g. ``sprinkler,\\+wet``."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return frozenset()
     stream = _TokenStream(text)
     literals = _parse_body(stream)
-    token = stream.peek()
-    if token.kind != "eof":
-        raise stream.error(f"unexpected trailing input {token.text!r}", token)
+    stream.end()
     return literals

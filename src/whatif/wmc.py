@@ -182,7 +182,10 @@ def wmc(
 
 
 def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
-    """Marginal probability via the counting backend."""
+    """Marginal probability via the counting backend.
+
+    Expects a validated program (`model.validate_program`); it is not checked here.
+    """
     cnf, root, _ = encode_query(program, formula)
     return wmc(cnf, [root], exact=exact)
 
@@ -193,7 +196,10 @@ def conditional(
     evidence: Iterable[Literal],
     exact: bool = True,
 ):
-    """P(formula | evidence) as a ratio of weighted counts."""
+    """P(formula | evidence) as a ratio of weighted counts.
+
+    Expects a validated program (`model.validate_program`); it is not checked here.
+    """
     cnf, root, assumptions = encode_query(program, formula, evidence)
     shared = counter(cnf, exact, mark=root)
     denominator = wmc(cnf, assumptions, shared=shared)

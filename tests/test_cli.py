@@ -147,6 +147,14 @@ def test_translate_round_trip(capsys, sprinkler_file, tmp_path, sprinkler):
     assert marginal(back, Var("slippery")) == marginal(sprinkler, Var("slippery"))
 
 
+def test_translate_reports_where_an_lpad_head_repeats_an_atom(capsys, tmp_path):
+    lpad_file = tmp_path / "repeat.lpad"
+    lpad_file.write_text("a:0.5; a:0.5.")
+    code, _, err = run(capsys, "translate", str(lpad_file), "--to", "problog")
+    assert code == 1
+    assert "duplicate head atoms in one clause at line 1, column 1" in err
+
+
 def test_dump_cnf(capsys, sprinkler_file, tmp_path):
     target = tmp_path / "twin.cnf"
     code, out, _ = run(

@@ -153,3 +153,7 @@ def test_api_programs_are_validated(backend):
             answer_counterfactual(program, CounterfactualQuery(formula, (), do), backend)
         with pytest.raises(ValidationError, match=message):
             answer_intervention(program, formula, do, backend)
+        with pytest.raises(ValidationError, match=message):
+            marginal(program, formula, backend)
+        with pytest.raises(ValidationError, match=message):
+            conditional(program, formula, (), backend)

@@ -62,6 +62,27 @@ def test_syntax_error_has_position():
         (parse_problog, "0.5::u. 0.2::u.", (1, 14, 13, 14)),
         (parse_formula, "a, (b ; c", (1, 10, 9, 9)),
         (parse_literals, "a, \\+b c", (1, 8, 7, 8)),
+        # one row per message and entry point that can raise it
+        (parse_lpad, "a.\nb:0.5; $c.", (2, 8, 10, 11)),  # unexpected character
+        (parse_formula, "a ; b & c", (1, 7, 6, 7)),
+        (parse_literals, "a, #b", (1, 4, 3, 4)),
+        (parse_lpad, "a:b.", (1, 3, 2, 3)),  # expected probability
+        (parse_problog, "1/0.5::a.", (1, 3, 2, 5)),  # expected integer denominator
+        (parse_lpad, "a:1/x.", (1, 5, 4, 5)),
+        (parse_lpad, "b.\na:3/2.", (2, 3, 5, 6)),  # probability outside [0,1]
+        (parse_problog, "0.5::u.\n:- u.", (2, 1, 8, 10)),  # expected atom
+        (parse_lpad, "a :- b, .", (1, 9, 8, 9)),
+        (parse_formula, "a, \\+", (1, 6, 5, 5)),
+        (parse_literals, "a, , b", (1, 4, 3, 4)),
+        (parse_lpad, "a:0.5 b:0.5.", (1, 7, 6, 7)),  # expected '.'
+        (parse_problog, "0.5 u.", (1, 5, 4, 5)),  # expected '::'
+        (parse_lpad, "0.5 a.", (1, 5, 4, 5)),
+        (parse_formula, "(a ; b) c", (1, 9, 8, 9)),  # unexpected trailing input
+        (parse_problog, "a :- u.\n0.5::u. u :- b.", (2, 9, 16, 17)),  # fact and rule head
+        (parse_lpad, "a:0.5; b:0.25 :- c.\nd:0.7; e:0.7.", (2, 1, 20, 21)),  # head sum > 1
+        (parse_lpad, "a:0.5; a:0.5.", (1, 1, 0, 1)),  # duplicate head atom
+        (parse_literals, "  a b", (1, 5, 4, 5)),  # spans count the leading whitespace
+        (parse_literals, "\n\na, $", (3, 4, 5, 6)),
     ],
 )
 def test_error_span(parse, text, position):

@@ -6,12 +6,12 @@ string, the result or the error (type, message and span).  Half of the
 strings are mutated well-formed statements, formulas or literal lists, half
 are random token soup with whitespace, comments and bad characters.
 
-    python3 benchmarks/parser_differential.py OLD/src NEW/src --count 100000
+    python3 benchmarks/parser_differential.py OLD/src NEW/src
 
-Prints per entry point how many strings gave equal results or equal errors,
-and how many differ: in the error's span only, in the error's type only (same
-message), or otherwise; then the first differing strings.  Exits 1 on any
-difference.
+Each entry point gets COUNT strings drawn with SEED.  Prints per entry point
+how many strings gave equal results or equal errors, and how many differ: in
+the error's span only, in the error's type only (same message), or otherwise;
+then the first SHOW differing strings.  Exits 1 on any difference.
 """
 from __future__ import annotations
 
@@ -21,6 +21,10 @@ import os
 import random
 import subprocess
 import sys
+
+SEED = 1
+COUNT = 100_000  # strings per entry point
+SHOW = 20  # differing strings to print
 
 ENTRY_POINTS = ("parse_problog", "parse_lpad", "parse_formula", "parse_literals")
 
@@ -78,9 +82,9 @@ def _any_piece(rng: random.Random) -> str:
     return rng.choice(rng.choice((ATOMS, NUMBERS, OPS, OPS, BAD)))
 
 
-def strings(seed: int, count: int, entry: str):
-    rng = random.Random(f"{seed}:{entry}")
-    for _ in range(count):
+def strings(entry: str):
+    rng = random.Random(f"{SEED}:{entry}")
+    for _ in range(COUNT):
         if rng.random() < 0.5:
             pieces = _well_formed(rng, entry)
             for _ in range(rng.randrange(3)):
@@ -116,12 +120,12 @@ def _describe(value) -> object:
     return ["formula", repr(value)]
 
 
-def _worker(seed: int, count: int) -> None:
+def _worker() -> None:
     from whatif import parser
 
     for entry in ENTRY_POINTS:
         parse = getattr(parser, entry)
-        for text in strings(seed, count, entry):
+        for text in strings(entry):
             try:
                 outcome = ["ok", _describe(parse(text))]
             except Exception as exc:  # compared, not handled: every error type counts
@@ -144,10 +148,10 @@ def _compare(before: list, after: list) -> str:
     return "other"
 
 
-def _outcomes(src: str, seed: int, count: int):
+def _outcomes(src: str):
     """Stream the worker's lines for the tree at `src`, one parsed line at a time."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    command = [sys.executable, __file__, "--worker", "--seed", str(seed), "--count", str(count)]
+    command = [sys.executable, __file__, "--worker"]
     with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True) as worker:
         for line in worker.stdout:
             yield json.loads(line)
@@ -159,25 +163,22 @@ def main(argv=None) -> int:
     cli = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     cli.add_argument("old_src", nargs="?", help="source tree of the reference parser")
     cli.add_argument("new_src", nargs="?", help="source tree of the parser under test")
-    cli.add_argument("--seed", type=int, default=1)
-    cli.add_argument("--count", type=int, default=100_000, help="strings per entry point")
-    cli.add_argument("--show", type=int, default=20, help="differing strings to print")
     cli.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = cli.parse_args(argv)
     if args.worker:
-        _worker(args.seed, args.count)
+        _worker()
         return 0
     if not (args.old_src and args.new_src):
         cli.error("give the two source trees to compare")
-    old = _outcomes(args.old_src, args.seed, args.count)
-    new = _outcomes(args.new_src, args.seed, args.count)
+    old = _outcomes(args.old_src)
+    new = _outcomes(args.new_src)
     kinds = ("equal results", "equal errors", "span only", "error type only", "other")
     tally = {entry: dict.fromkeys(kinds, 0) for entry in ENTRY_POINTS}
     shown = []
     for (entry, text, before), (_, _, after) in zip(old, new, strict=True):
         kind = _compare(before, after)
         tally[entry][kind] += 1
-        if not kind.startswith("equal") and len(shown) < args.show:
+        if not kind.startswith("equal") and len(shown) < SHOW:
             shown.append((entry, text, before, after))
     for entry, counts in tally.items():
         print(entry, json.dumps(counts))

@@ -33,7 +33,10 @@ def _check_classification(program: Program, backend: str) -> None:
             raise ValidationError("WMC backend requires an acyclic program")
         warnings.warn(
             "program is cyclic (stratified); results are formal only",
-            stacklevel=4,  # the caller of the public entry point
+            # names the caller of a public entry point that calls _marginal or
+            # _conditional directly; the enumerate and oracle backends'
+            # inner _marginal calls in _conditional warn from this module
+            stacklevel=4,
         )
 
 

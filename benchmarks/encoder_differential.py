@@ -1,0 +1,116 @@
+"""Differential check of the WMC encoding and the answers between two source trees.
+
+Runs the `querybench` cases of both workloads for SEEDS under each tree.  Per
+case it records the variable and clause counts of the CNF that
+`wmc.encode_query` builds for the case's twin program, the rational answer
+of every backend the workload uses, and the float answer of `wmc`.  It then
+checks that the rational answers are equal, that the float answers agree
+within REL_TOL relative, that the variable counts are equal and that the new
+clause count is at most the old one.
+
+    python3 benchmarks/encoder_differential.py OLD/src NEW/src
+
+Prints one line per workload and seed with the cases checked, the clause
+counts summed over them and the largest float difference, then the first
+SHOW differing cases.  Exits 1 on any difference.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+SEEDS = (1, 2)
+REL_TOL = 1e-12
+SHOW = 20  # differing cases to print
+
+QUERYBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "querybench")
+
+
+def _worker() -> None:
+    from whatif import transforms, wmc
+    from whatif.counterfactual import answer_counterfactual
+    from whatif.parser import parse_problog
+    from workloads import WORKLOADS, generate
+
+    for name, workload in WORKLOADS.items():
+        for seed in SEEDS:
+            for case in generate(name, seed):
+                program = parse_problog(case.text)
+                cnf, _, _ = wmc.encode_query(*transforms.twin(program, case.query))
+                answers = {}
+                for backend in workload.backends:
+                    answers[backend] = str(answer_counterfactual(program, case.query, backend))
+                answers["wmc float"] = answer_counterfactual(program, case.query, exact=False)
+                row = [name, seed, case.key, cnf.var_count, len(cnf.clauses), answers]
+                print(json.dumps(row))
+
+
+def _rows(src: str):
+    """Stream the worker's rows for the tree at `src`."""
+    path = os.pathsep.join([os.path.abspath(src), os.path.abspath(QUERYBENCH)])
+    command = [sys.executable, __file__, "--worker"]
+    env = dict(os.environ, PYTHONPATH=path)
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True) as worker:
+        for line in worker.stdout:
+            yield json.loads(line)
+    if worker.returncode:
+        raise subprocess.CalledProcessError(worker.returncode, command)
+
+
+def _differences(old: list, new: list) -> list[str]:
+    _, _, key, old_vars, old_clauses, before = old
+    _, _, new_key, new_vars, new_clauses, after = new
+    if key != new_key:
+        return ["different case"]
+    found = []
+    if old_vars != new_vars:
+        found.append(f"variables {old_vars} -> {new_vars}")
+    if new_clauses > old_clauses:
+        found.append(f"clauses {old_clauses} -> {new_clauses}")
+    for backend in before:
+        if backend != "wmc float" and before[backend] != after[backend]:
+            found.append(f"{backend} {before[backend]} -> {after[backend]}")
+    x, y = before["wmc float"], after["wmc float"]
+    if abs(x - y) > REL_TOL * max(abs(x), abs(y)):
+        found.append(f"wmc float {x!r} -> {y!r}")
+    return found
+
+
+def main(argv=None) -> int:
+    cli = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    cli.add_argument("old_src", nargs="?", help="source tree of the reference encoder")
+    cli.add_argument("new_src", nargs="?", help="source tree of the encoder under test")
+    cli.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = cli.parse_args(argv)
+    if args.worker:
+        _worker()
+        return 0
+    if not (args.old_src and args.new_src):
+        cli.error("give the two source trees to compare")
+    tally: dict[tuple, list] = {}  # (workload, seed) -> [cases, old clauses, new clauses, max rel]
+    shown, differing = [], 0
+    for old, new in zip(_rows(args.old_src), _rows(args.new_src), strict=True):
+        counts = tally.setdefault((old[0], old[1]), [0, 0, 0, 0.0])
+        x, y = old[5]["wmc float"], new[5]["wmc float"]
+        counts[0] += 1
+        counts[1] += old[4]
+        counts[2] += new[4]
+        counts[3] = max(counts[3], abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0)
+        found = _differences(old, new)
+        if found:
+            differing += 1
+            if len(shown) < SHOW:
+                shown.append(f"{old[0]} seed {old[1]} case {old[2]}: " + "; ".join(found))
+    for (name, seed), (cases, old_clauses, new_clauses, rel) in tally.items():
+        print(f"{name} seed {seed}: {cases} cases, clauses {old_clauses} -> {new_clauses}, "
+              f"largest float difference {rel:.3g} relative")
+    print("\n".join(shown))
+    print(f"{differing} differing cases")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -175,28 +175,6 @@ class GridSpec:
     i_count: int = 0
     backends: tuple[str, ...] = ("wmc",)
 
-    @classmethod
-    def from_config(cls, text: str) -> "GridSpec":
-        """Parse ``key=value`` lines; list values are comma separated."""
-        values: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-        def ints(key, default):
-            return tuple(int(x) for x in values[key].split(",")) if key in values else default
-        spec = cls()
-        return cls(
-            ns=ints("n", spec.ns),
-            ks=ints("k", spec.ks),
-            seeds=ints("seeds", spec.seeds),
-            e_count=int(values.get("e", spec.e_count)),
-            i_count=int(values.get("i", spec.i_count)),
-            backends=tuple(values["backends"].split(",")) if "backends" in values else spec.backends,
-        )
-
 
 CSV_COLUMNS = ["n", "k", "seed", "e", "i", "backend", "status", "wall_time_s", "answer"]
 
@@ -253,8 +231,6 @@ def run_experiment(
                     process.join()
                 elif receiver.poll():
                     status, wall, answer = receiver.recv()
-                    if status == "TIMEOUT":
-                        wall = float(time_limit_s)
                 else:
                     status, wall, answer = "ERROR", 0.0, "worker died"
                 receiver.close()

@@ -7,6 +7,7 @@ stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -68,18 +69,22 @@ def _build_parser() -> argparse.ArgumentParser:
     translate.add_argument("program", type=Path)
     translate.add_argument("--to", choices=("problog", "lpad"), required=True)
 
+    # a grid flag left out takes the `benchgen.GridSpec` default
     bench = commands.add_parser("bench", help="run the scaling benchmark grid")
-    bench.add_argument("--grid", type=Path, help="key=value config file")
-    bench.add_argument("--n", default=None, help="comma-separated tree sizes")
-    bench.add_argument("--k", default=None, help="comma-separated hub counts")
-    bench.add_argument("--seeds", default=None, help="comma-separated seeds")
-    bench.add_argument("--evidence-count", type=int, default=None)
-    bench.add_argument("--intervention-count", type=int, default=None)
-    bench.add_argument("--backends", default=None)
+    bench.add_argument("--n", dest="ns", type=_ints, help="comma-separated tree sizes")
+    bench.add_argument("--k", dest="ks", type=_ints, help="comma-separated hub counts")
+    bench.add_argument("--seeds", type=_ints, help="comma-separated seeds")
+    bench.add_argument("--evidence-count", dest="e_count", type=int)
+    bench.add_argument("--intervention-count", dest="i_count", type=int)
+    bench.add_argument("--backends", type=lambda text: tuple(text.split(",")))
     bench.add_argument("--time-limit", type=float, default=60.0)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", type=Path, help="CSV output path (default stdout)")
     return parser
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _format_probability(value) -> str:
@@ -129,17 +134,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = benchgen.GridSpec.from_config(args.grid.read_text()) if args.grid else benchgen.GridSpec()
-    def ints(text):
-        return tuple(int(x) for x in text.split(","))
-    spec = benchgen.GridSpec(
-        ns=ints(args.n) if args.n else spec.ns,
-        ks=ints(args.k) if args.k else spec.ks,
-        seeds=ints(args.seeds) if args.seeds else spec.seeds,
-        e_count=args.evidence_count if args.evidence_count is not None else spec.e_count,
-        i_count=args.intervention_count if args.intervention_count is not None else spec.i_count,
-        backends=tuple(args.backends.split(",")) if args.backends else spec.backends,
-    )
+    grid = {f.name: getattr(args, f.name) for f in dataclasses.fields(benchgen.GridSpec)}
+    spec = benchgen.GridSpec(**{name: value for name, value in grid.items() if value is not None})
     rows = benchgen.run_experiment(spec, args.time_limit, jobs=args.jobs)
     text = benchgen.rows_to_csv(rows)
     if args.out:

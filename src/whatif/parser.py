@@ -99,14 +99,18 @@ class _TokenStream:
             return True
         return False
 
+    def expected(self, what: str) -> ParseError:
+        """A ParseError at the next token, which is not `what`."""
+        return self.error(f"expected {what}, found {self.peek()[1] or 'end of input'!r}")
+
     def expect(self, op: str) -> None:
         if not self.accept(op):
-            raise self.error(f"expected {op!r}, found {self.peek()[1] or 'end of input'!r}")
+            raise self.expected(repr(op))
 
     def atom(self) -> _Token:
         token = self.tokens[self.index]
         if token[0] != "atom":
-            raise self.error(f"expected atom, found {token[1] or 'end of input'!r}")
+            raise self.expected("atom")
         self.index += 1
         return token
 
@@ -114,7 +118,7 @@ class _TokenStream:
         token = self.tokens[self.index]
         kind, chars, _ = token
         if kind != "number":
-            raise self.error(f"expected probability, found {chars!r}")
+            raise self.expected("probability")
         self.index += 1
         if "." in chars:
             whole, frac = chars.split(".")
@@ -125,6 +129,8 @@ class _TokenStream:
                 kind, denom, _ = self.peek()
                 if kind != "number" or "." in denom:
                     raise self.error("expected integer denominator")
+                if not int(denom):
+                    raise self.error("zero denominator")
                 self.index += 1
                 value /= int(denom)
         if not 0 <= value <= 1:

@@ -1,4 +1,5 @@
-"""Source-to-source rewrites: interventions and the twin-network construction."""
+"""Source-to-source rewrites: interventions, the twin-network construction and
+the pruning of a program to the part a query depends on."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -92,82 +93,30 @@ def twin(
     return transformed, renamed_query, evidence
 
 
-_FACT_KEY = frozenset({frozenset()})  # the key of an atom that has a fact clause
+def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) -> Program:
+    """The part of `program` that decides `formula` and `evidence`.
 
-
-def relevant(
-    program: Program, formula: Formula, evidence: Iterable[Literal]
-) -> tuple[Program, Formula, frozenset[Literal]]:
-    """The part of an acyclic program that decides `formula` and `evidence`.
-
-    Prune: keep only the internal atoms the formula and the evidence depend
-    on, their clauses, and the facts those mention.  Merge: visit the kept
-    atoms bottom-up and replace an atom by an earlier one with the same set
-    of bodies (after renaming), in the clauses, the formula and the
-    evidence; under Clark completion the two are equal in every world.
-    Atoms absent from the program are rule-less internals.  If the kept
-    part has a cycle, the input is returned unchanged for the encoder to
-    reject.
+    Keeps the internal atoms the formula and the evidence depend on, their
+    clauses, and the facts those clauses mention; the weights of every other
+    external sum to 1.  Atoms absent from the program become rule-less
+    internals.  Nothing is merged or renamed: the encoder
+    (`wmc.to_weighted_cnf`) gives atoms with equal bodies one variable, and
+    rejects a cycle that is kept here.
     """
-    evidence = frozenset(evidence)
     externals = program.externals
     by_head = program.clauses_by_head()
-    roots = sorted(formula_atoms(formula) | {lit.atom for lit in evidence})
-    kept_externals = {atom for atom in roots if atom in externals}
-    body_atoms: dict[str, set[str]] = {}  # visited internal atom -> atoms of its bodies
-
-    def visit(atom: str) -> list[str]:
-        atoms = body_atoms[atom] = {l.atom for c in by_head.get(atom, ()) for l in c.body}
-        return sorted(atoms, reverse=True)  # popped in sorted order
-
-    order: list[str] = []  # post-order: body atoms before heads
-    for root in roots:
-        if root in externals or root in body_atoms:
+    reached = formula_atoms(formula) | {lit.atom for lit in evidence}
+    stack = list(reached)
+    while stack:
+        atom = stack.pop()
+        if atom in externals:
             continue
-        path = {root}
-        stack = [(root, visit(root))]
-        while stack:
-            atom, pending = stack[-1]
-            if not pending:
-                stack.pop()
-                path.discard(atom)
-                order.append(atom)
-                continue
-            child = pending.pop()
-            if child in externals:
-                kept_externals.add(child)
-            elif child in path:
-                return program, formula, evidence
-            elif child not in body_atoms:
-                path.add(child)
-                stack.append((child, visit(child)))
-
-    renamed: dict[str, str] = {}
-    first: dict[frozenset, str] = {}  # set of renamed bodies -> representative
-    clauses: list[Clause] = []
-    for atom in order:
-        own = by_head.get(atom, [])
-        key = frozenset(
-            frozenset((renamed.get(l.atom, l.atom), l.positive) for l in c.body) for c in own
-        )
-        if frozenset() in key:  # a fact clause decides the head alone
-            key, own = _FACT_KEY, [Clause(atom)]
-        head = first.setdefault(key, atom)
-        if head != atom:
-            renamed[atom] = head
-        elif renamed.keys().isdisjoint(body_atoms[atom]):
-            clauses.extend(own)
-        else:
-            clauses.extend(Clause(atom, _rename_body(c.body, renamed)) for c in own)
-    if renamed:
-        formula = rename_formula(formula, renamed)
-        evidence = _rename_body(evidence, renamed)
-    facts = tuple(f for f in program.facts if f.atom in kept_externals)
-    alphabet = Alphabet(frozenset(first.values()), frozenset(kept_externals))
-    return Program(tuple(clauses), facts, alphabet), formula, evidence
-
-
-def _rename_body(literals: frozenset[Literal], mapping: dict[str, str]) -> frozenset[Literal]:
-    return frozenset(
-        Literal(mapping[l.atom], l.positive) if l.atom in mapping else l for l in literals
-    )
+        for clause in by_head.get(atom, ()):
+            for lit in clause.body:
+                if lit.atom not in reached:
+                    reached.add(lit.atom)
+                    stack.append(lit.atom)
+    internals = frozenset(reached - externals)
+    clauses = tuple(c for c in program.clauses if c.head in internals)
+    facts = tuple(f for f in program.facts if f.atom in reached)
+    return Program(clauses, facts, Alphabet(internals, frozenset(reached & externals)))

@@ -6,13 +6,15 @@ exact; float mode runs the same counter on float weights.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `marginal_wmc`, `whatif query --dump-cnf` and the counter benchmark use it.
-It first shrinks the program with `transforms.relevant`, which keeps only the
-ancestors of the query and evidence atoms and the facts they mention (the
-weights of every other external sum to 1), and merges atoms whose sets of
-bodies are equal once their body atoms are merged, since Clark completion
-makes such atoms equal in every world.  On a twin program this merges the two
-copies of every atom that no intervention reaches (the node merging of Balke
-& Pearl's twin networks).  Clark completion and the query's Tseitin clauses
+It first prunes the program with `transforms.relevant` to the ancestors of
+the query and evidence atoms and the facts they mention (the weights of
+every other external sum to 1).  `to_weighted_cnf` then gives one variable
+to atoms whose sets of bodies are equal once their body atoms share
+variables, since Clark completion makes such atoms equal in every world.  On
+a twin program this merges the two copies of every atom that no
+intervention reaches (the node merging of Balke & Pearl's twin networks);
+the query and the evidence need no renaming, as their atoms are looked up
+in the same variable map.  Clark completion and the query's Tseitin clauses
 are written by one definer, `_define`.
 
 `conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search over one
@@ -50,6 +52,7 @@ from .transforms import relevant
 HAVE_COMPILED_COUNTER = False
 
 _FREE = (Fraction(1), Fraction(1))  # the weights of a variable that is not a fact
+_FACT_KEY = frozenset({frozenset()})  # the key of every atom with a fact clause
 
 
 @dataclass
@@ -75,7 +78,16 @@ class WeightedCnf:
 
 
 def to_weighted_cnf(program: Program) -> WeightedCnf:
-    """Clark-completion encoding; model weights are in bijection with worlds."""
+    """Clark-completion encoding; model weights are in bijection with worlds.
+
+    Internal atoms are visited bottom-up and keyed by their set of bodies,
+    written as CNF literals; an atom whose key matches an earlier atom's
+    shares that atom's variable, since Clark completion makes the two equal
+    in every world.  A fact clause decides the key alone, so every atom with
+    one shares one true variable, and every rule-less atom one false one.
+    Variables are numbered as they are defined: externals in sorted order,
+    then each new key's head and the auxiliaries of its bodies.
+    """
     classification = check_unique_supported_models(program)
     if classification is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
@@ -83,24 +95,28 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
         raise ValidationError("WMC backend requires an acyclic program")
 
     cnf = WeightedCnf(0, [], {}, {})
-    for atom in sorted(program.externals) + sorted(program.internals):
-        cnf.var_map[atom] = cnf.new_var()
     probs = program.external_probs()
-    for atom in program.externals:
+    for atom in sorted(program.externals):
+        cnf.var_map[atom] = cnf.new_var()
         cnf.weights[cnf.var_map[atom]] = (probs[atom], 1 - probs[atom])
 
     by_head = program.clauses_by_head()
-    for atom in sorted(program.internals):
-        head = cnf.var_map[atom]
-        bodies = sorted(
-            (clause.sorted_body() for clause in by_head.get(atom, ())),
-            key=lambda lits: [(l.atom, l.positive) for l in lits],
+    defined: dict[frozenset, int] = {}  # set of bodies -> the variable of its atoms
+    for (atom,) in reversed(program.stratification.components):  # acyclic: singletons
+        key = frozenset(
+            frozenset(cnf.literal(lit) for lit in clause.body) for clause in by_head.get(atom, ())
         )
-        if any(not body for body in bodies):  # a fact clause makes the head true
+        if frozenset() in key:  # a fact clause makes the head true
+            key = _FACT_KEY
+        if key in defined:
+            cnf.var_map[atom] = defined[key]
+            continue
+        head = cnf.var_map[atom] = defined[key] = cnf.new_var()
+        if key == _FACT_KEY:
             cnf.clauses.append((head,))
             continue
         # with no bodies this is the unit clause (-head,)
-        disjuncts = [_join(cnf, [cnf.literal(l) for l in body], True) for body in bodies]
+        disjuncts = [_join(cnf, sorted(body), True) for body in sorted(key, key=sorted)]
         _define(cnf, head, disjuncts, False)
     return cnf
 
@@ -147,10 +163,10 @@ def encode_query(
 ) -> tuple[WeightedCnf, int, list[int]]:
     """The CNF counted for P(formula | evidence), its root and evidence literals."""
     program.external_probs()  # checked before relevant() drops unused externals
+    evidence = sorted(evidence)
     # relevant() adds absent atoms as rule-less internals
-    program, formula, evidence = relevant(program, formula, evidence)
-    cnf, root = add_formula(to_weighted_cnf(program), formula)
-    return cnf, root, [cnf.literal(lit) for lit in sorted(evidence)]
+    cnf, root = add_formula(to_weighted_cnf(relevant(program, formula, evidence)), formula)
+    return cnf, root, [cnf.literal(lit) for lit in evidence]
 
 
 def counter(cnf: WeightedCnf, exact: bool = True, mark: int = 0) -> ModelCounter:

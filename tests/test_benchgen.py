@@ -95,15 +95,6 @@ def test_sample_query_too_many_literals():
         sample_query(instance, 5, 0, 0)
 
 
-def test_grid_spec_from_config():
-    spec = GridSpec.from_config("n = 20,40\nk=1,3 # hubs\nseeds=1,2,3\ne=2\ni=-2\nbackends=wmc,enumerate\n")
-    assert spec.ns == (20, 40)
-    assert spec.ks == (1, 3)
-    assert spec.seeds == (1, 2, 3)
-    assert spec.e_count == 2 and spec.i_count == -2
-    assert spec.backends == ("wmc", "enumerate")
-
-
 def test_run_experiment_small_grid():
     grid = GridSpec(ns=(3,), ks=(1,), seeds=(1, 2), e_count=1, i_count=-1)
     rows = run_experiment(grid, time_limit_s=30.0, jobs=2)

@@ -96,6 +96,14 @@ def test_syntax_error_exit_code(capsys, tmp_path):
     assert "syntax" in err
 
 
+def test_zero_denominator_is_a_syntax_error(capsys, tmp_path):
+    bad = tmp_path / "zero.pl"
+    bad.write_text("0.5::u.\n1/0::a.")
+    code, _, err = run(capsys, "query", str(bad), "--query", "a")
+    assert code == 1
+    assert "zero denominator at line 2, column 3" in err
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "query", str(tmp_path / "none.pl"), "--query", "a")
     assert code == 3
@@ -187,8 +195,8 @@ def test_dump_cnf_holds_the_query_clauses(capsys, sprinkler_file, tmp_path):
     query = CounterfactualQuery(
         parse_formula("wet ; rain"), parse_literals(argv[1]), parse_literals(argv[3])
     )
-    reduced, formula, _ = relevant(*twin(program, query))
-    plain = to_weighted_cnf(reduced)
+    transformed, formula, evidence = twin(program, query)
+    plain = to_weighted_cnf(relevant(transformed, formula, evidence))
     counted, _ = add_formula(plain, formula)
     # the disjunction's Tseitin variable and clauses come on top of the twin's
     assert target.read_text() == dump_dimacs(counted)

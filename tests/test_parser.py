@@ -83,6 +83,9 @@ def test_syntax_error_has_position():
         (parse_lpad, "a:0.5; a:0.5.", (1, 1, 0, 1)),  # duplicate head atom
         (parse_literals, "  a b", (1, 5, 4, 5)),  # spans count the leading whitespace
         (parse_literals, "\n\na, $", (3, 4, 5, 6)),
+        (parse_problog, "1/0::a.", (1, 3, 2, 3)),  # zero denominator
+        (parse_problog, "0/0::a.", (1, 3, 2, 3)),
+        (parse_lpad, "b.\na:1/00.", (2, 5, 7, 9)),
     ],
 )
 def test_error_span(parse, text, position):
@@ -90,6 +93,11 @@ def test_error_span(parse, text, position):
         parse(text)
     span = err.value.span
     assert (span.line, span.column, span.start, span.end) == position
+
+
+def test_end_of_input_is_named():
+    with pytest.raises(ParseError, match="expected probability, found 'end of input'"):
+        parse_lpad("a:")
 
 
 def test_fact_and_head_conflict():

@@ -23,7 +23,7 @@ from whatif.model import (
 from whatif.parser import parse_problog
 from whatif.semantics import Classification, check_unique_supported_models, marginal
 from whatif.transforms import intervene, relevant, twin
-from whatif.wmc import conditional, marginal_wmc
+from whatif.wmc import conditional, marginal_wmc, to_weighted_cnf
 
 
 def test_intervene_negative_sprinkler(sprinkler):
@@ -123,27 +123,37 @@ def test_twin_suffix_collision_rejected():
         twin(program, CounterfactualQuery(Var("b")))
 
 
+def _shared(cnf, atoms):
+    """The number of distinct variables `atoms` have in `cnf`."""
+    return len({cnf.var_map[atom] for atom in atoms})
+
+
 def test_relevant_merges_sprinkler_twin(sprinkler, sprinkler_query):
-    reduced, query, evidence = relevant(*twin(sprinkler, sprinkler_query))
-    copies = Counter(head.split("__")[0] for head in {c.head for c in reduced.clauses})
+    transformed, query, evidence = twin(sprinkler, sprinkler_query)
+    reduced = relevant(transformed, query, evidence)
+    cnf = to_weighted_cnf(reduced)
+    heads = {c.head for c in reduced.clauses}
+    copies = Counter(base for base, _ in {(h.split("__")[0], cnf.var_map[h]) for h in heads})
     # sprinkler__i, intervened to false, keeps no clause
     assert copies == {"szn_spr_sum": 1, "rain": 1, "sprinkler": 1, "wet": 2, "slippery": 2}
+    assert cnf.var_map["rain__e"] == cnf.var_map["rain__i"]
     assert reduced.externals == {"u1", "u2", "u3", "u4"}
-    assert query == Var("slippery__i")
-    assert evidence == {Literal("slippery__e"), Literal("sprinkler__e")}
+    # the query and evidence atoms keep variables of their own
+    shared = Counter(cnf.var_map.values())
+    assert all(shared[cnf.var_map[a]] == 1 for a in ("slippery__i", "slippery__e", "sprinkler__e"))
     assert conditional(reduced, query, evidence) == Fraction(1, 10)
 
 
 def test_relevant_drops_unmentioned_facts():
     program = parse_problog("0.5::u. 0.3::w. 0.2::x. a :- u. b :- w. c :- a, x.")
-    reduced, query, evidence = relevant(program, Var("a"), {Literal("b", False)})
+    reduced = relevant(program, Var("a"), {Literal("b", False)})
     assert set(reduced.clauses) == {Clause("a", frozenset({Literal("u")})),
                                     Clause("b", frozenset({Literal("w")}))}
     assert {f.atom for f in reduced.facts} == {"u", "w"}
     assert reduced.alphabet == Alphabet(frozenset({"a", "b"}), frozenset({"u", "w"}))
-    assert (query, evidence) == (Var("a"), {Literal("b", False)})
+    assert to_weighted_cnf(reduced).var_count == 4  # nothing merges
     # an external named only by the formula is kept
-    reduced, _, _ = relevant(program, Var("x"), ())
+    reduced = relevant(program, Var("x"), ())
     assert reduced.facts == (RandomFact("x", Fraction(1, 5)),) and not reduced.clauses
 
 
@@ -154,55 +164,71 @@ def test_relevant_intervention_on_ruleless_atom(positive, kept, answer):
         Var("c"), frozenset({Literal("a")}), frozenset({Literal("b", positive)})
     )
     transformed, formula, evidence = twin(program, query)
-    reduced, formula, evidence = relevant(transformed, formula, evidence)
-    # do(not b) leaves both copies of b rule-less, so a and b need one copy each
-    assert len(transformed.internals) == 6 and len(reduced.internals) == kept
+    reduced = relevant(transformed, formula, evidence)
+    cnf = to_weighted_cnf(reduced)
+    # do(not b) leaves both copies of b rule-less, so a and b need one variable each
+    assert len(transformed.internals) == 6 and _shared(cnf, reduced.internals) == kept
     assert formula_atoms(formula) | {l.atom for l in evidence} <= reduced.internals
     assert conditional(reduced, formula, evidence) == answer
     assert answer_counterfactual(program, query, "oracle") == answer
 
 
 def test_relevant_query_atom_absent_from_program(sprinkler):
-    reduced, query, evidence = relevant(sprinkler, Var("ghost") | Var("rain"), ())
+    query = Var("ghost") | Var("rain")
+    reduced = relevant(sprinkler, query, ())
     assert "ghost" in reduced.internals
     assert all(c.head != "ghost" for c in reduced.clauses)
-    assert conditional(reduced, query, evidence) == marginal(sprinkler, Var("rain"))
+    assert conditional(reduced, query, ()) == marginal(sprinkler, Var("rain"))
     # two absent atoms are the same rule-less atom
-    _, query, _ = relevant(sprinkler, Var("ghost") & Not(Var("spook")), ())
-    assert formula_atoms(query) == {"ghost"}
+    cnf = to_weighted_cnf(relevant(sprinkler, Var("ghost") & Not(Var("spook")), ()))
+    assert cnf.var_map["ghost"] == cnf.var_map["spook"]
 
 
 def test_relevant_merge_keys():
     program = parse_problog("0.5::u. a :- u. b :- \\+u. c. c :- u. d. e :- c. f :- d.")
     # a body literal's sign is part of the key
-    reduced, query, evidence = relevant(program, Var("a"), {Literal("b")})
-    assert reduced.internals == {"a", "b"} and conditional(program, query, evidence) == 0
+    reduced = relevant(program, Var("a"), {Literal("b")})
+    cnf = to_weighted_cnf(reduced)
+    assert reduced.internals == {"a", "b"} and _shared(cnf, "ab") == 2
+    assert conditional(program, Var("a"), {Literal("b")}) == 0
     # a fact clause decides the key alone
-    reduced, query, _ = relevant(program, Var("e") & Var("f"), ())
-    assert reduced.internals == {"c", "e"} and query == Var("e") & Var("e")
+    reduced = relevant(program, Var("e") & Var("f"), ())
+    cnf = to_weighted_cnf(reduced)
+    assert reduced.internals == {"c", "d", "e", "f"}
+    assert cnf.var_map["c"] == cnf.var_map["d"] and cnf.var_map["e"] == cnf.var_map["f"]
+    assert cnf.var_count == 3
 
 
 def test_relevant_merge_makes_evidence_contradictory():
     program = parse_problog("0.5::u. a :- u. b :- u. c :- a.")
-    reduced, _, evidence = relevant(program, Var("c"), {Literal("a"), Literal("b", False)})
-    assert evidence == {Literal("a"), Literal("a", False)}
-    assert reduced.internals == {"a", "c"}
+    evidence = {Literal("a"), Literal("b", False)}
+    cnf = to_weighted_cnf(relevant(program, Var("c"), evidence))
+    # a and \+b become opposite literals of one variable
+    assert sorted(cnf.literal(lit) for lit in evidence) == [-cnf.var_map["a"], cnf.var_map["a"]]
+    assert _shared(cnf, "abc") == 2
     for exact in (True, False):
         with pytest.raises(ZeroEvidenceError):
-            conditional(program, Var("c"), {Literal("a"), Literal("b", False)}, exact=exact)
+            conditional(program, Var("c"), evidence, exact=exact)
 
 
 def test_relevant_leaves_a_relevant_cycle_to_the_encoder():
     program = parse_problog("0.5::u. a :- b. b :- a. a :- u. c :- a. d :- u.")
-    assert relevant(program, Var("c"), ()) == (program, Var("c"), frozenset())
+    reduced = relevant(program, Var("c"), ())
+    assert reduced.internals == {"a", "b", "c"}
+    with pytest.raises(ValidationError):
+        to_weighted_cnf(reduced)
     with pytest.raises(ValidationError):
         conditional(program, Var("c"), ())
     negative = parse_problog("0.5::u. a :- \\+b, u. b :- \\+a. c :- a.")
-    assert relevant(negative, Var("c"), ())[0] is negative
+    assert relevant(negative, Var("c"), ()) == negative
     with pytest.raises(NegativeCycleError):
         marginal_wmc(negative, Var("c"))
     # a cycle the query does not reach is pruned on a direct call
     assert conditional(program, Var("d"), ()) == Fraction(1, 2)
+    # so is a negative one beside a reached positive one, which alone is rejected
+    both = parse_problog("0.5::u. a :- b. b :- a. a :- u. c :- a. e :- \\+f. f :- \\+e.")
+    with pytest.raises(ValidationError):
+        marginal_wmc(both, Var("c"))
 
 
 def test_irrelevant_cycle_still_rejected_by_answer_counterfactual():

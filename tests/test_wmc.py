@@ -1,7 +1,7 @@
 import itertools
 import random
 import sys
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from whatif.model import (
     Var,
     ValidationError,
     ZeroEvidenceError,
+    formula_atoms,
 )
 from whatif import _counter_py, wmc as wmc_mod
 from whatif._counter_py import ModelCounter
@@ -41,6 +42,12 @@ def test_single_rule_completion():
     assert cnf.weights[cnf.var_map["u"]] == (Fraction(1, 2), Fraction(1, 2))
     assert cnf.weights[cnf.var_map["a"]] == (Fraction(1), Fraction(1))
     assert wmc(cnf, [cnf.var_map["a"]]) == Fraction(1, 2)
+
+
+def test_atoms_with_equal_bodies_share_a_variable():
+    cnf = to_weighted_cnf(parse_problog("0.5::u. a :- u. b :- u."))
+    assert cnf.var_map["a"] == cnf.var_map["b"] != cnf.var_map["u"]
+    assert cnf.var_count == 2
 
 
 def test_ruleless_internal_is_false():
@@ -405,8 +412,8 @@ def test_float_underflow_recounts_the_same_cnf(monkeypatch):
     assert len(encoded) == 1
 
 
-def _plain_conditional(program, formula, evidence):
-    """P(formula | evidence) counted on `program` as given, with no reduction."""
+def _fresh_conditional(program, formula, evidence):
+    """P(formula | evidence) from two fresh searches over the CNF of `program`."""
     cnf = to_weighted_cnf(program)
     assumptions = [cnf.literal(lit) for lit in sorted(evidence)]
     with_query, root = add_formula(cnf, formula)
@@ -415,19 +422,23 @@ def _plain_conditional(program, formula, evidence):
 
 def test_reduced_twin_equals_plain_twin():
     # conditional counts the reduced twin in one marked search; the references
-    # make two fresh searches, on the plain twin and on the reduced one
+    # are enumeration over the plain twin and two fresh searches on the reduced one
     rng = random.Random(33)
     shrunk = renamed = compound = 0
     for case in range(300):
         program = random_acyclic_program(rng)
         query = random_counterfactual_query(rng, program)
         transformed, formula, evidence = twin(program, query)
-        expected = _plain_conditional(transformed, formula, evidence)
+        expected = counterfactual.conditional(transformed, formula, evidence, "enumerate")
         answer = conditional(transformed, formula, evidence)
         assert type(answer) is Fraction and answer == expected, case
         reduced = relevant(transformed, formula, evidence)
-        assert _plain_conditional(*reduced) == expected, case
-        shrunk += to_weighted_cnf(reduced[0]).var_count < to_weighted_cnf(transformed).var_count
-        renamed += reduced[1:] != (formula, evidence)  # a query or evidence atom merged
-        compound += isinstance(reduced[1], (And, Or))  # the query has Tseitin clauses
+        assert _fresh_conditional(reduced, formula, evidence) == expected, case
+        cnf = to_weighted_cnf(reduced)
+        shared = Counter(cnf.var_map.values())  # atoms per atom variable
+        shrunk += len(shared) < len(transformed.internals | transformed.externals)
+        # a query or evidence atom shares its variable with another atom
+        named = formula_atoms(formula) | {lit.atom for lit in evidence}
+        renamed += any(shared[cnf.var_map[atom]] > 1 for atom in named)
+        compound += isinstance(formula, (And, Or))  # the query has Tseitin clauses
     assert shrunk >= 250 and renamed >= 50 and compound >= 100, (shrunk, renamed, compound)

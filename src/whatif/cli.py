@@ -103,12 +103,15 @@ def _cmd_query(args) -> int:
     exact = args.precision == "rational" or (
         args.precision == "auto" and len(program.externals) <= RATIONAL_LIMIT
     )
+    if args.dump_cnf:  # before answering, so a program wmc cannot encode prints no answer
+        try:
+            counted, _, _ = wmc_mod.encode_query(*transforms.twin(program, query))
+        except WhatifError as exc:
+            raise type(exc)(f"--dump-cnf: {exc}") from exc
+        args.dump_cnf.write_text(wmc_mod.dump_dimacs(counted))
     answer = counterfactual.answer_counterfactual(
         program, query, backend=args.backend, exact=exact
     )
-    if args.dump_cnf:
-        counted, _, _ = wmc_mod.encode_query(*transforms.twin(program, query))
-        args.dump_cnf.write_text(wmc_mod.dump_dimacs(counted))
     print(_format_probability(answer))
     return 0
 

@@ -1,9 +1,15 @@
 """Logic-program layer: dependency analysis, minimal models, world enumeration.
 
 The dependency analysis (`Stratification`) runs once per `Program` instance,
-which caches it as `Program.stratification`; programs are immutable.  The
-externals' weight table that every world's probability is computed from
-(`WorldWeights`) is cached the same way, as `Program.world_weights`.
+which caches it as `Program.stratification`; programs are immutable.  On
+first use it also compiles the clauses into blocks of set rules, in the
+topological order of the SCC condensation: consecutive one-atom SCCs share
+one block that a single pass evaluates, and each larger SCC gets a block of
+its own that is iterated to its least fixpoint (stratified bottom-up
+evaluation, Apt, Blair & Walker 1988).  `minimal_model` then only runs set
+operations over these rules.  The externals' weight table that every world's
+probability is computed from (`WorldWeights`) is cached the same way, as
+`Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against; it is exact when run in rational mode.
@@ -18,7 +24,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .model import (
-    Clause,
     Formula,
     NegativeCycleError,
     Program,
@@ -94,11 +99,20 @@ def _sccs(vertices: frozenset[str], successors: Mapping[str, list[str]]) -> list
     return components
 
 
-class Stratification:
-    """Classification and strata of one program, from one run of `_sccs`.
+Rule = tuple[str, frozenset[str], frozenset[str]]  # (head, positive body, negative body)
 
-    The strata (the clauses grouped by SCC, in topological order) are built
-    on first use: only `minimal_model` needs them.
+
+class Stratification:
+    """Classification and compiled rules of one program, from one run of `_sccs`.
+
+    The blocks are built on first use, since only `minimal_model` needs them:
+    one `(recursive, rules)` pair per block, in topological order, where each
+    rule is `(head, positive body atoms, negative body atoms)`.  A block is
+    recursive when its SCC has more than one atom, and so a cycle (a positive
+    one, unless the program is rejected).  A one-atom SCC is not, even with a
+    self-loop: a rule such as ``a :- a, u.`` can only fire once `a` is true.
+    Consecutive non-recursive SCCs merge into one block, in which every rule
+    comes after the rules of the atoms its body depends on.
     """
 
     def __init__(self, program: Program) -> None:
@@ -118,12 +132,21 @@ class Stratification:
         self._clauses = program.clauses  # not the program, which holds this object
 
     @cached_property
-    def strata(self) -> list[list[Clause]]:
-        by_head: dict[str, list[Clause]] = {}
+    def blocks(self) -> list[tuple[bool, tuple[Rule, ...]]]:
+        by_head: dict[str, dict[Rule, None]] = {}  # a dict drops duplicate rules, keeps order
         for clause in self._clauses:
-            by_head.setdefault(clause.head, []).append(clause)
-        return [[c for head in comp for c in by_head.get(head, ())]
-                for comp in reversed(self.components)]
+            pos = frozenset(lit.atom for lit in clause.body if lit.positive)
+            neg = frozenset(lit.atom for lit in clause.body if not lit.positive)
+            by_head.setdefault(clause.head, {})[clause.head, pos, neg] = None
+        blocks: list[tuple[bool, list[Rule]]] = []
+        for component in reversed(self.components):
+            rules = [rule for head in component for rule in by_head.get(head, ())]
+            recursive = len(component) > 1
+            if blocks and not recursive and not blocks[-1][0]:
+                blocks[-1][1].extend(rules)
+            elif rules:
+                blocks.append((recursive, rules))
+        return [(recursive, tuple(rules)) for recursive, rules in blocks]
 
 
 def check_unique_supported_models(program: Program) -> Classification:
@@ -134,24 +157,35 @@ def check_unique_supported_models(program: Program) -> Classification:
 def minimal_model(program: Program, world: WorldAssignment) -> dict[str, bool]:
     """Perfect model of the program joined with the given external assignment.
 
-    Strata follow the SCC condensation in topological order; within a stratum
-    a least fixpoint is computed with lower strata and externals held fixed.
+    Runs the program's compiled blocks in order over the set of true atoms,
+    which starts as the world's true externals.  A rule fires when its head
+    is not yet true, its positive body is true and its negative body is
+    false; a non-recursive block makes one pass, a recursive one repeats its
+    pass until nothing fires.  Besides atoms of its own SCC, which it reads
+    only positively, a rule reads atoms that earlier rules have settled, so
+    negation never reads an atom that may still change.  Returns every
+    internal atom, in the order of `program.internals`.
     """
     if check_unique_supported_models(program) is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
-    values: dict[str, bool] = {a: bool(world.get(a, False)) for a in program.externals}
-    values.update(dict.fromkeys(program.internals, False))
-    for clauses in program.stratification.strata:
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                if values[clause.head]:
-                    continue
-                if all(values[lit.atom] == lit.positive for lit in clause.body):
-                    values[clause.head] = True
-                    changed = True
-    return {atom: values[atom] for atom in program.internals}
+    true = {atom for atom, value in world.items() if value}
+    true &= program.externals
+    model = dict.fromkeys(program.internals, False)
+    for recursive, rules in program.stratification.blocks:
+        while _fire(rules, true, model) and recursive:
+            pass
+    return model
+
+
+def _fire(rules: tuple[Rule, ...], true: set[str], model: dict[str, bool]) -> bool:
+    """One pass over `rules`, adding each head that fires to `true` and `model`."""
+    fired = False
+    for head, pos, neg in rules:
+        if head not in true and pos <= true and true.isdisjoint(neg):
+            true.add(head)
+            model[head] = True
+            fired = True
+    return fired
 
 
 def worlds(program: Program) -> Iterator[dict[str, bool]]:

@@ -56,6 +56,47 @@ def random_acyclic_program(
     return Program(tuple(clauses), facts, alphabet)
 
 
+def random_stratified_program(
+    rng: random.Random,
+    max_internals: int = 7,
+    max_externals: int = 3,
+    max_clauses: int = 12,
+    max_body: int = 3,
+) -> Program:
+    """Stratified by construction, and often cyclic.
+
+    Each internal gets a level; a body reads internals of its head's level
+    only positively (self-loops such as ``a :- a, u.`` and positive cycles)
+    and lower levels with either sign.  Bodies may be empty (fact clauses),
+    a clause may repeat or share its body with another head, and the
+    alphabet holds every internal, so some have no rule.
+    """
+    internals = [f"a{i}" for i in range(rng.randint(1, max_internals))]
+    externals = [f"u{i}" for i in range(rng.randint(0, max_externals))]
+    level = {atom: rng.randrange(3) for atom in internals}
+    clauses: list[Clause] = []
+    for _ in range(rng.randint(0, max_clauses)):
+        roll = rng.random()
+        if clauses and roll < 0.1:
+            clauses.append(rng.choice(clauses))
+            continue
+        head = rng.choice(internals)
+        if clauses and roll < 0.2:
+            body = rng.choice(clauses).body
+            if all(level.get(lit.atom, -1) < level[head]
+                   or (lit.positive and level[lit.atom] == level[head]) for lit in body):
+                clauses.append(Clause(head, body))
+            continue
+        pool = [a for a in internals if level[a] <= level[head]] + externals
+        body = set()
+        for _ in range(rng.randint(0, max_body)):
+            atom = rng.choice(pool)
+            body.add(Literal(atom, level.get(atom, -1) == level[head] or rng.random() < 0.6))
+        clauses.append(Clause(head, frozenset(body)))
+    facts = tuple(RandomFact(u, random_probability(rng)) for u in externals)
+    return Program(tuple(clauses), facts, Alphabet(frozenset(internals), frozenset(externals)))
+
+
 def random_formula(rng: random.Random, atoms: list[str], depth: int = 2) -> Formula:
     if depth == 0 or rng.random() < 0.4:
         return Var(rng.choice(atoms))

@@ -203,6 +203,21 @@ def test_dump_cnf_holds_the_query_clauses(capsys, sprinkler_file, tmp_path):
     assert len(counted.clauses) > len(plain.clauses)
 
 
+def test_dump_cnf_of_a_cyclic_program_fails_before_answering(capsys, tmp_path):
+    program = tmp_path / "cyc.pl"
+    program.write_text("0.5::u. a :- b. b :- a. a :- u. c :- a.")
+    target = tmp_path / "cyc.cnf"
+    with pytest.warns(UserWarning, match="cyclic"):
+        code, out, _ = run(capsys, "query", str(program), "--query", "c", "--backend", "enumerate")
+    assert code == 0 and out.strip() == "1/2"
+    for backend in ("enumerate", "oracle", "wmc"):
+        code, out, err = run(capsys, "query", str(program), "--query", "c",
+                             "--backend", backend, "--dump-cnf", str(target))
+        assert code == 2 and out == ""
+        assert "--dump-cnf" in err and "acyclic" in err
+        assert not target.exists()
+
+
 def test_bench_subcommand(capsys, tmp_path):
     out_file = tmp_path / "rows.csv"
     code, out, _ = run(

@@ -1,9 +1,10 @@
 import random
+from functools import cached_property
 from fractions import Fraction
 
 import pytest
 
-from generators import random_acyclic_program, random_formula
+from generators import random_acyclic_program, random_formula, random_stratified_program
 from whatif import semantics
 from whatif.model import (
     And, CounterfactualQuery, Literal, Not, Or, Program, RandomFact, Var, NegativeCycleError,
@@ -88,6 +89,55 @@ def test_minimal_model_rejects_negative_cycle():
 def test_minimal_model_stratified_cycle():
     program = parse_problog("a :- b. b :- a. c :- \\+a.")
     assert minimal_model(program, {}) == {"a": False, "b": False, "c": True}
+
+
+def reference_model(program, world):
+    """The stratum-by-stratum fixpoint over `Clause` objects that the compiled blocks replaced."""
+    by_head = program.clauses_by_head()
+    values = {atom: bool(world.get(atom, False)) for atom in program.externals}
+    values.update(dict.fromkeys(program.internals, False))
+    for component in reversed(program.stratification.components):
+        clauses = [clause for head in component for clause in by_head.get(head, ())]
+        changed = True
+        while changed:
+            changed = False
+            for clause in clauses:
+                if not values[clause.head] and all(
+                    values[lit.atom] == lit.positive for lit in clause.body
+                ):
+                    values[clause.head] = changed = True
+    return {atom: values[atom] for atom in program.internals}
+
+
+def test_minimal_model_equals_the_stratum_by_stratum_fixpoint():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        program = random_stratified_program(rng)
+        assert check_unique_supported_models(program) is not Classification.NEGATIVE_CYCLE
+        clauses = program.clauses
+        for clause in clauses:
+            body_atoms = {lit.atom for lit in clause.body}
+            seen.add("fact" if not clause.body else "self-loop" if clause.head in body_atoms
+                     else "rule")
+            if any(c.head in body_atoms and clause.head in {l.atom for l in c.body}
+                   for c in clauses if c.head != clause.head):
+                seen.add("two-cycle")
+        if len(set(clauses)) < len(clauses):
+            seen.add("duplicate clause")
+        if len({c.body for c in clauses}) < len({(c.head, c.body) for c in clauses}):
+            seen.add("shared body")
+        if program.internals - {c.head for c in clauses}:
+            seen.add("rule-less internal")
+        shuffled = Program(tuple(rng.sample(clauses, len(clauses))), program.facts,
+                           program.alphabet)
+        for world in worlds(program):
+            expected = reference_model(program, world)
+            for variant in (program, shuffled):
+                model = minimal_model(variant, world)
+                assert model == expected and list(model) == list(expected), (variant, world)
+    assert seen == {"fact", "self-loop", "rule", "two-cycle", "duplicate clause",
+                    "shared body", "rule-less internal"}
 
 
 def test_world_probability(sprinkler):
@@ -192,3 +242,31 @@ def test_dependency_analysis_runs_once_per_program(monkeypatch):
     copy = Program(cyclic.clauses, cyclic.facts, cyclic.alphabet)
     assert check_unique_supported_models(copy) is Classification.STRATIFIED_CYCLIC
     assert len(runs) == 3  # one per instance, equal or not
+
+
+def test_rules_are_compiled_once_per_program(monkeypatch):
+    builds = []
+    original = semantics.Stratification.blocks.func
+
+    def counted(self):
+        builds.append(self)
+        return original(self)
+
+    counted_blocks = cached_property(counted)
+    counted_blocks.__set_name__(semantics.Stratification, "blocks")
+    monkeypatch.setattr(semantics.Stratification, "blocks", counted_blocks)
+    program = parse_problog(SIX_EXTERNALS)
+    assert marginal(program, Var("c")) == marginal(program, Var("c"))  # 2 x 64 models
+    assert len(builds) == 1
+
+    builds.clear()
+    query = CounterfactualQuery(Var("c"), frozenset({Literal("b")}), frozenset({Literal("a")}))
+    abduction_action_prediction(parse_problog(SIX_EXTERNALS), query)
+    assert len(builds) == 2  # the program and the acted program
+
+    builds.clear()
+    cyclic = parse_problog("0.5::u. a :- b. b :- a. c :- u, \\+a.")
+    copy = Program(cyclic.clauses, cyclic.facts, cyclic.alphabet)
+    for world in worlds(cyclic):
+        assert minimal_model(cyclic, world) == minimal_model(copy, world)
+    assert len(builds) == 2  # one per instance, equal or not

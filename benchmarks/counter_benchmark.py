@@ -4,9 +4,10 @@ Builds the CNF of a counterfactual query for each (n, k) cell with
 `wmc.encode_query`, as the wmc backend does.  Then times what
 `wmc.conditional` counts: the denominator P(e) and the numerator P(q ∧ e)
 from one float-mode counter, whose search for the first also yields the
-second.  The counter builds its root occurrence map on the first count, so
+second.  The counter builds its clause database on the first count, so
 that build is timed too.  Reports the best of `--repeats` runs on a fresh
-counter each time, and both counts.
+counter each time, the cache entries and the bytes of the cache's keys and
+values after the pair (`ModelCounter.cache_bytes`), and both counts.
 
 Each cell's ratio of the two counts must equal `wmc.conditional`'s float
 answer exactly (same CNF, same search); the script exits with status 1 if
@@ -32,7 +33,7 @@ def build_case(n: int, k: int, seed: int):
 
 
 def time_pair(cnf, assumptions, root, repeats: int):
-    """Best time of the denominator and numerator counts, and the two counts."""
+    """Best time of the denominator and numerator counts, the last counter and the two counts."""
     times = []
     for _ in range(repeats):
         counter = wmc_mod.counter(cnf, exact=False, mark=root)
@@ -40,7 +41,7 @@ def time_pair(cnf, assumptions, root, repeats: int):
         denominator = counter.count(assumptions)
         numerator = counter.count(assumptions + [root])
         times.append(time.perf_counter() - start)
-    return min(times), denominator, numerator
+    return min(times), counter, denominator, numerator
 
 
 def main() -> int:
@@ -52,17 +53,20 @@ def main() -> int:
     args = parser.parse_args()
 
     mismatches = 0
-    print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9} "
-          f"{'P(e)':>12} {'P(q,e)':>12} check")
+    print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9} {'entries':>8} "
+          f"{'cache_MB':>8} {'P(e)':>12} {'P(q,e)':>12} check")
     for n in (int(x) for x in args.n.split(",")):
         for k in (int(x) for x in args.k.split(",")):
             twinned, (cnf, root, assumptions) = build_case(n, k, args.seed)
-            seconds, denominator, numerator = time_pair(cnf, assumptions, root, args.repeats)
+            seconds, counter, denominator, numerator = time_pair(
+                cnf, assumptions, root, args.repeats
+            )
             # a float P(e) of 0 gives no ratio, while conditional recounts exactly
             ratio = numerator / denominator if denominator else None
             agrees = ratio == wmc_mod.conditional(*twinned, exact=False)
             mismatches += not agrees
             print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {seconds:>9.4f} "
+                  f"{len(counter.cache):>8} {counter.cache_bytes / 2**20:>8.2f} "
                   f"{denominator:>12.6g} {numerator:>12.6g} {'ok' if agrees else 'MISMATCH'}")
     if mismatches:
         print(f"{mismatches} cell(s) differ from wmc.conditional", file=sys.stderr)

@@ -1,33 +1,50 @@
 """Pure-Python weighted model counter.
 
-DPLL-style search with component caching.  A component is a pair (clauses,
-variables).  Expanding one assigns its seed literals (the assumptions at the
-root, the branch literal below it) and runs unit propagation as a FIFO queue
-over the component's occurrence map `literal → clause indices`, with a count
-of not-yet-false literals and a satisfied flag per clause; each literal's
-weight is multiplied in as it is assigned.  One breadth-first pass over the
-same occurrence map then collects the unsatisfied clauses, shortened to their
-unassigned literals, into connected components, and multiplies in the weight
-of each variable left in no clause.
+DPLL-style search with component caching over one clause database per
+counter, in the manner of sharpSAT (Thurley, SAT 2006) and Cachet (Sang et
+al., SAT 2004).  The first `count` builds the database once: the clauses of
+two or more literals, the occurrence map `literal → clause ids`, the
+assignment (`state`), all lists indexed by literal (literal -v wraps to its
+own slot at the end), and two counters per clause, its literals not yet
+false (`free`) and its literals true (`sat`).
+
+Expanding a component assigns its seed literals (the assumptions and the
+unit clauses at the root, the branch literal below it) and runs unit
+propagation as a FIFO queue.  Each assigned literal updates both counters of
+every clause it occurs in, multiplies in its weight and goes on the
+expansion's trail.  When the node of an expansion finishes, `_search`
+undoes the trail, so every node sees the assignments of its ancestors and
+its own, and no clause is copied or shortened.
+
+One breadth-first pass over the occurrence map then splits the expansion's
+unassigned variables into connected components, through the clauses with no
+true literal, and multiplies in the weight sum of each variable left in no
+such clause.  On the way it counts each variable's degree: its occurrences
+in the component's clauses.  A component is its sorted variable ids and its
+sorted clause ids.  Under the node's assignment these two fix the residual
+clauses (each clause's literals over those variables), so both are packed
+into one `bytes` key.
 
 Each search node is a generator (`_node`) over the components of one
-expansion.  It looks each component up in an LRU cache keyed by its clause
-set and capped at `CACHE_CAP` entries.  On a miss it builds the component's
-occurrence map once, picks the variable of highest degree (ties to the
-lowest index), and yields the two branches, positive first; it is sent back
-each branch's count and stores their sum.  `_search` drives the nodes on a
-plain list, so the search depth is not limited by the interpreter's
-recursion limit.
+expansion.  It looks each component up in an LRU cache whose keys and
+values together hold at most `CACHE_BYTES` bytes (`_entry_bytes`).  On a
+miss it picks the variable of highest degree (ties to the lowest index) and
+yields the two branches, positive first; it is sent back each branch's count
+and stores their sum.  `_search` drives the nodes on a plain list, so the
+search depth is not limited by the interpreter's recursion limit.
 
 A counter may carry one *marked literal* m (in the counterfactual backend,
 the root literal of the query).  A search under assumptions A then yields
 the pair count(A), count(A ∪ {m}) at once: every value in the search is a
 pair (t, q), where q is t restricted to m being true.  Only the end of
-`_expand` treats m specially: q = t when m is assigned true, or when m's
-variable is not in the node at all or still in one of its components; q = 0
-when m is assigned false; and when m's variable is left in no clause, t
-takes its weight sum and q only m's weight.  Products and branch sums act on
-both halves, and the cache stores pairs; propagation, cache keys and the
+`_expand` treats m specially: q = 0 when this expansion assigned m false;
+when m's variable is left in no clause, t takes its weight sum and q only
+m's weight; otherwise q = t (m true, or m's variable not in the node or still
+in one of its components).  "This expansion" matters: a ¬m assigned by an
+ancestor is that ancestor's zero, and reading it from the shared assignment
+here would cache a component's pair with q = 0 under one context and hand it
+to another where m is true or free.  Products and branch sums act on both
+halves, and the cache stores pairs; propagation, cache keys and the
 branching rule are those of an unmarked search.  A node whose factor t is 0
 is not expanded further: with non-negative weights, as probabilities are,
 its q is 0 too.  `count(A)` returns t and keeps q, so a following
@@ -37,19 +54,24 @@ Works with any numeric weight type; exact when weights are `Fraction`.
 """
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from array import array
+from collections import OrderedDict
+from fractions import Fraction
+from sys import getsizeof
 from typing import Iterable, Sequence
 
-CACHE_CAP = 1 << 20  # cache entries kept before the least recently used is evicted
+CACHE_BYTES = 1 << 28  # bytes of cache keys and values kept before the least recently used go
 
 
-def _prepare(clauses):
-    """The occurrence map `literal → clause indices` and the clause lengths."""
-    occ = defaultdict(list)
-    for idx, clause in enumerate(clauses):
-        for lit in clause:
-            occ[lit].append(idx)
-    return occ, [len(clause) for clause in clauses]
+def _number_bytes(number) -> int:
+    if isinstance(number, Fraction):
+        return getsizeof(number) + getsizeof(number.numerator) + getsizeof(number.denominator)
+    return getsizeof(number)
+
+
+def _entry_bytes(key: bytes, value: tuple) -> int:
+    """Bytes held by one cache entry: its key, its pair and the pair's two counts."""
+    return getsizeof(key) + getsizeof(value) + _number_bytes(value[0]) + _number_bytes(value[1])
 
 
 class ModelCounter:
@@ -60,22 +82,22 @@ class ModelCounter:
     """
 
     def __init__(self, clauses: Sequence[Sequence[int]], weights: dict[int, tuple], mark: int = 0):
-        self.wsum = {v: wt + wf for v, (wt, wf) in weights.items()}
-        self.lit_weight = {}
-        for var, (wt, wf) in weights.items():
-            self.lit_weight[var] = wt
-            self.lit_weight[-var] = wf
-        self.cache: OrderedDict[frozenset, tuple] = OrderedDict()
+        self.weights = weights
+        self.cache: OrderedDict[bytes, tuple] = OrderedDict()
+        self.cache_bytes = 0  # held by the cache's keys and values, see `_entry_bytes`
         self.one = next(iter(weights.values()))[0] * 0 + 1 if weights else 1
         self.zero = self.one * 0
         self.clauses = clauses
-        self.root = None  # (unit literals, prepared root or None if a clause is empty)
+        self.root = None  # (unit literals, variables, or None if a clause is empty)
         self.mark = mark
         self.marked = None  # (assumptions, count with `mark` true) of the last search
 
     def _build_root(self):
-        # Unit clauses seed the root's propagation queue; an empty clause is
-        # never satisfied.
+        """The unit literals and variables of the root; builds the clause database.
+
+        Unit clauses seed the root's propagation queue; an empty clause is
+        never satisfied.
+        """
         units, body = [], []
         for clause in map(tuple, self.clauses):
             if len(clause) > 1:
@@ -84,7 +106,29 @@ class ModelCounter:
                 units.append(clause[0])
             else:
                 return units, None
-        return units, (body, list(self.wsum), *_prepare(body))
+        places = max(self.weights, default=0) + 1  # per variable
+        slots = 2 * places - 1  # per literal; literal -v is slot slots - v
+        self.lit_weight = [self.one] * slots
+        self.wsum = [self.one] * places
+        for var, (wt, wf) in self.weights.items():
+            self.lit_weight[var], self.lit_weight[-var] = wt, wf
+            self.wsum[var] = wt + wf
+        self.occ = [[] for _ in range(slots)]
+        for idx, clause in enumerate(body):
+            for lit in clause:
+                self.occ[lit].append(idx)
+        self.occ_var = [self.occ[v] + self.occ[-v] for v in range(places)]
+        self.body = body
+        self.clause_vars = [tuple(map(abs, clause)) for clause in body]
+        self.free = [len(clause) for clause in body]  # literals not yet false
+        self.sat = [0] * len(body)  # literals true
+        self.state = bytearray(slots)  # per literal: 1 true, 2 false, 0 unassigned
+        self.degree = [0] * places  # per variable, set by the component pass
+        self.stamp = [0] * places  # the number of the component pass that last reached it
+        self.passes = 0
+        # ids of both kinds are packed into the cache keys in the smallest unsigned type
+        self.id_code = "H" if max(places, len(body)) <= 1 << 16 else "I"
+        return units, sorted(self.weights)
 
     def count(self, assumptions: Iterable[int] = ()):
         assumptions = tuple(assumptions)
@@ -92,88 +136,114 @@ class ModelCounter:
             return self.marked[1]
         if self.root is None:
             self.root = self._build_root()
-        units, root = self.root
-        if root is None:
+        units, variables = self.root
+        if variables is None:
             return self.zero
-        total, marked = self._search(*self._expand(*root, [*units, *assumptions]))
+        try:
+            total, marked = self._search(variables, [*units, *assumptions])
+        except BaseException:
+            self.root = None  # an interrupted search leaves assignments behind; rebuild
+            raise
         self.marked = (assumptions, marked)
         return total
 
-    def _expand(self, clauses, variables, occ, lens, seeds):
-        """Assign `seeds`, propagate, and split what is left into components.
+    def _expand(self, variables, seeds):
+        """Assign `seeds`, propagate, and split the rest of `variables` into components.
 
-        Returns the weight of the assigned and freed variables, that weight
-        restricted to the marked literal true, and the components (weights
-        zero and no components on a conflict).
+        Returns the trail of literals assigned, their weight times that of
+        the freed variables, that weight restricted to the marked literal
+        true, and the components (weights zero and no components on a
+        conflict).
         """
+        state, occ, free, sat, body = self.state, self.occ, self.free, self.sat, self.body
         weight = self.lit_weight
-        true: set[int] = set()
-        left = lens[:]
-        satisfied = bytearray(len(clauses))
+        mark = self.mark
+        mark_was_false = state[mark] == 2  # slot 0 is never set, so no mark reads False
+        trail = []
         factor = self.one
         queue = list(seeds)
         for lit in queue:  # units found below are appended while iterating
-            if lit in true:
+            value = state[lit]
+            if value == 1:
                 continue
-            if -lit in true:
-                return self.zero, self.zero, ()
-            true.add(lit)
+            if value:
+                return trail, self.zero, self.zero, ()
+            state[lit] = 1
+            state[-lit] = 2
+            trail.append(lit)
             factor *= weight[lit]
-            for idx in occ.get(lit, ()):
-                satisfied[idx] = 1
-            for idx in occ.get(-lit, ()):
-                if satisfied[idx]:
-                    continue
-                n = left[idx] - 1
-                left[idx] = n
-                if n == 1:
-                    for other in clauses[idx]:
-                        if -other not in true:
+            for idx in occ[lit]:
+                sat[idx] += 1
+            conflict = False  # the counters of every clause are updated even so, for the undo
+            for idx in occ[-lit]:
+                n = free[idx] - 1
+                free[idx] = n
+                if n < 2 and not sat[idx]:
+                    if not n:
+                        conflict = True
+                        continue
+                    for other in body[idx]:
+                        if not state[other]:
                             queue.append(other)
                             break
-                elif not n:
-                    return self.zero, self.zero, ()
+            if conflict:
+                return trail, self.zero, self.zero, ()
 
-        # Components of the unsatisfied clauses, found through the component's
-        # occurrence map; `satisfied` also marks the clauses already taken.
-        wsum = self.wsum
-        mark = self.mark
+        # Components of the clauses with no true literal.  A clause taken
+        # into a component is marked by a `sat` of -1 until the pass ends, a
+        # variable reached by a `stamp` of this pass's number.
+        occ_var, clause_vars, wsum = self.occ_var, self.clause_vars, self.wsum
+        stamp, degree = self.stamp, self.degree
+        self.passes = tick = self.passes + 1
         mark_var = abs(mark)
         mark_free = False
-        seen: set[int] = set()
         components = []
+        taken = []
         for start in variables:
-            if start in seen or start in true or -start in true:
+            if stamp[start] == tick or state[start]:
                 continue
-            seen.add(start)
+            stamp[start] = tick
+            degree[start] = 0
             group = [start]
             members = []
             for var in group:  # breadth-first; grows while iterating
-                for occurrences in (occ.get(var, ()), occ.get(-var, ())):
-                    for idx in occurrences:
-                        if satisfied[idx]:
+                for idx in occ_var[var]:
+                    if sat[idx]:
+                        continue
+                    sat[idx] = -1
+                    members.append(idx)
+                    for other in clause_vars[idx]:
+                        if state[other]:
                             continue
-                        satisfied[idx] = 1
-                        clause = clauses[idx]
-                        if left[idx] != lens[idx]:
-                            clause = tuple([lit for lit in clause if -lit not in true])
-                        members.append(clause)
-                        for lit in clause:
-                            other = abs(lit)
-                            if other not in seen:
-                                seen.add(other)
-                                group.append(other)
+                        if stamp[other] == tick:
+                            degree[other] += 1
+                        else:
+                            stamp[other] = tick
+                            degree[other] = 1
+                            group.append(other)
             if members:
-                components.append((members, group))
+                components.append((group, members))
+                taken += members
             elif start == mark_var:
                 mark_free = True
             else:
                 factor *= wsum[start]
+        for idx in taken:
+            sat[idx] = 0
         if mark_free:
-            return factor * wsum[mark_var], factor * weight[mark], components
-        if -mark in true:
-            return factor, self.zero, components
-        return factor, factor, components
+            return trail, factor * wsum[mark_var], factor * weight[mark], components
+        if state[mark] == 2 and not mark_was_false:
+            return trail, factor, self.zero, components
+        return trail, factor, factor, components
+
+    def _undo(self, trail):
+        state, occ, free, sat = self.state, self.occ, self.free, self.sat
+        for lit in trail:
+            state[lit] = state[-lit] = 0
+            for idx in occ[lit]:
+                sat[idx] -= 1
+            for idx in occ[-lit]:
+                free[idx] += 1
 
     def _node(self, factor, marked, components):
         """The pair (`factor`, `marked`) times the count pairs of `components`.
@@ -181,43 +251,54 @@ class ModelCounter:
         Yields the arguments of `_expand` for each branch it needs counted
         and is sent back that branch's count pair.
         """
-        cache = self.cache
-        for clauses, variables in components:
+        cache, degree = self.cache, self.degree
+        for variables, members in components:
             if not factor:
                 break
-            key = frozenset(clauses)
+            variables.sort()
+            members.sort()
+            key = array(self.id_code, variables)
+            key.append(0)  # no variable is 0, so this ends the variables
+            key.extend(members)
+            key = key.tobytes()
             value = cache.get(key)
             if value is None:
-                occ, lens = _prepare(clauses)
-                branch, degree = 0, -1
-                for var in variables:
-                    d = len(occ.get(var, ())) + len(occ.get(-var, ()))
-                    if d > degree or (d == degree and var < branch):
-                        branch, degree = var, d
-                positive = yield clauses, variables, occ, lens, (branch,)
-                negative = yield clauses, variables, occ, lens, (-branch,)
+                # the first of the highest degree; the passes below this node
+                # so far reached only the variables of earlier components
+                branch = max(variables, key=degree.__getitem__)
+                positive = yield variables, (branch,)
+                negative = yield variables, (-branch,)
                 value = (negative[0] + positive[0], negative[1] + positive[1])
                 cache[key] = value
-                if len(cache) > CACHE_CAP:
-                    cache.popitem(last=False)
+                self.cache_bytes += _entry_bytes(key, value)
+                while self.cache_bytes > CACHE_BYTES:
+                    self.cache_bytes -= _entry_bytes(*cache.popitem(last=False))
             else:
                 cache.move_to_end(key)
             factor *= value[0]
             marked *= value[1]
         return factor, marked
 
-    def _search(self, factor, marked, components):
-        """Run the root node and every node below it on a list, not the call stack."""
-        stack = [self._node(factor, marked, components)]
+    def _search(self, variables, seeds):
+        """Run the root node and every node below it on a list, not the call stack.
+
+        Each entry holds a node and the trail of its expansion, undone when
+        the node finishes.
+        """
+        trail, *root = self._expand(variables, seeds)
+        stack = [(self._node(*root), trail)]
         value = None  # the count pair sent to the top node
         while True:
+            node, trail = stack[-1]
             try:
-                branch = stack[-1].send(value)
+                branch = node.send(value)
             except StopIteration as done:
+                self._undo(trail)
                 stack.pop()
                 if not stack:
                     return done.value
                 value = done.value
             else:
-                stack.append(self._node(*self._expand(*branch)))
+                trail, *expanded = self._expand(*branch)
+                stack.append((self._node(*expanded), trail))
                 value = None

@@ -103,15 +103,26 @@ def _cmd_query(args) -> int:
     exact = args.precision == "rational" or (
         args.precision == "auto" and len(program.externals) <= RATIONAL_LIMIT
     )
-    if args.dump_cnf:  # before answering, so a program wmc cannot encode prints no answer
-        try:
-            counted, _, _ = wmc_mod.encode_query(*transforms.twin(program, query))
-        except WhatifError as exc:
+    dumped = []  # the CNF written for --dump-cnf, once it is
+
+    def dump(cnf: wmc_mod.WeightedCnf) -> None:
+        args.dump_cnf.write_text(wmc_mod.dump_dimacs(cnf))
+        dumped.append(cnf)
+
+    try:
+        if args.dump_cnf and args.backend != "wmc":
+            # these backends count no CNF: encode it apart, before answering,
+            # so a program wmc cannot encode prints no answer
+            dump(wmc_mod.encode_query(*transforms.twin(program, query))[0])
+        # the wmc backend calls `dump` with the CNF it counts, before the count
+        answer = counterfactual.answer_counterfactual(
+            program, query, backend=args.backend, exact=exact,
+            on_cnf=dump if args.dump_cnf else None,
+        )
+    except WhatifError as exc:
+        if args.dump_cnf and not dumped:
             raise type(exc)(f"--dump-cnf: {exc}") from exc
-        args.dump_cnf.write_text(wmc_mod.dump_dimacs(counted))
-    answer = counterfactual.answer_counterfactual(
-        program, query, backend=args.backend, exact=exact
-    )
+        raise
     print(_format_probability(answer))
     return 0
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import warnings
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 from .model import (
     And,
@@ -73,12 +73,17 @@ def _marginal(program: Program, formula: Formula, backend: str, exact: bool):
 
 
 def _conditional(
-    program: Program, formula: Formula, evidence: Iterable[Literal], backend: str, exact: bool
+    program: Program,
+    formula: Formula,
+    evidence: Iterable[Literal],
+    backend: str,
+    exact: bool,
+    on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
 ):
     _check_classification(program, backend)
     evidence = frozenset(evidence)
     if backend == "wmc":
-        return wmc_mod.conditional(program, formula, evidence, exact=exact)
+        return wmc_mod.conditional(program, formula, evidence, exact=exact, on_cnf=on_cnf)
     evidence_formula = conjunction(evidence)
     denominator = _marginal(program, evidence_formula, backend, exact)
     if denominator == 0:
@@ -104,8 +109,15 @@ def answer_counterfactual(
     query: CounterfactualQuery,
     backend: str = "wmc",
     exact: bool = True,
+    *,
+    on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
 ):
-    """Twin-network evaluation: duplicate, intervene on one copy, condition on the other."""
+    """Twin-network evaluation: duplicate, intervene on one copy, condition on the other.
+
+    With the wmc backend, `on_cnf`, if given, is called with the CNF that is
+    counted (`wmc.encode_query`), before counting; the other backends count
+    no CNF and do not call it.
+    """
     _validate(program)
     if backend == "oracle":
         from .oracle import abduction_action_prediction
@@ -113,4 +125,4 @@ def answer_counterfactual(
         return abduction_action_prediction(program, query, exact=exact)
     transformed, renamed_query, evidence = twin(program, query)
     # the twin of a valid program is valid
-    return _conditional(transformed, renamed_query, evidence, backend, exact)
+    return _conditional(transformed, renamed_query, evidence, backend, exact, on_cnf)

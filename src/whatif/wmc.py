@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ._counter_py import ModelCounter
 from .model import (
@@ -211,12 +211,18 @@ def conditional(
     formula: Formula,
     evidence: Iterable[Literal],
     exact: bool = True,
+    *,
+    on_cnf: Optional[Callable[[WeightedCnf], None]] = None,
 ):
     """P(formula | evidence) as a ratio of weighted counts.
 
-    Expects a validated program (`model.validate_program`); it is not checked here.
+    `on_cnf`, if given, is called with the CNF that is counted, before
+    counting.  Expects a validated program (`model.validate_program`); it is
+    not checked here.
     """
     cnf, root, assumptions = encode_query(program, formula, evidence)
+    if on_cnf is not None:
+        on_cnf(cnf)
     shared = counter(cnf, exact, mark=root)
     denominator = wmc(cnf, assumptions, shared=shared)
     if denominator == 0 and not exact:

@@ -5,6 +5,7 @@ from whatif.cli import main
 from whatif.model import CounterfactualQuery, Var
 from whatif.parser import parse_formula, parse_literals, parse_problog, parse_lpad, print_problog
 from whatif.transforms import relevant, twin
+from whatif import wmc as wmc_mod
 from whatif.wmc import add_formula, dump_dimacs, to_weighted_cnf
 from whatif.semantics import marginal
 from whatif.lpad import lpad_distribution, lpad_of_problog
@@ -201,6 +202,33 @@ def test_dump_cnf_holds_the_query_clauses(capsys, sprinkler_file, tmp_path):
     # the disjunction's Tseitin variable and clauses come on top of the twin's
     assert target.read_text() == dump_dimacs(counted)
     assert len(counted.clauses) > len(plain.clauses)
+
+
+@pytest.mark.parametrize("backend", ["wmc", "enumerate"])
+def test_dump_cnf_encodes_the_query_once(monkeypatch, capsys, sprinkler_file, tmp_path, backend):
+    # with wmc the file holds the CNF that is counted; the other backends encode it only for the file
+    encoded, counted = [], []
+    encode_query, wmc = wmc_mod.encode_query, wmc_mod.wmc
+
+    def encode_counted(*args):
+        encoded.append(encode_query(*args))
+        return encoded[-1]
+
+    def wmc_counted(cnf, *args, **kwargs):
+        counted.append(cnf)
+        return wmc(cnf, *args, **kwargs)
+
+    monkeypatch.setattr(wmc_mod, "encode_query", encode_counted)
+    monkeypatch.setattr(wmc_mod, "wmc", wmc_counted)
+    target = tmp_path / "twin.cnf"
+    code, out, _ = run(capsys, "query", str(sprinkler_file), "--query", "slippery",
+                       "--evidence", "sprinkler,slippery", "--do", "\\+sprinkler",
+                       "--backend", backend, "--dump-cnf", str(target))
+    assert code == 0 and out.strip() == "1/10"
+    assert len(encoded) == 1
+    (cnf, _, _), = encoded
+    assert target.read_text() == dump_dimacs(cnf)
+    assert counted == ([cnf, cnf] if backend == "wmc" else [])
 
 
 def test_dump_cnf_of_a_cyclic_program_fails_before_answering(capsys, tmp_path):

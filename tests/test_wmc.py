@@ -204,15 +204,19 @@ def _brute_force(n, clauses, weights, assumptions):
 
 
 class _CountingCache(OrderedDict):
-    """A counter's cache that counts its evictions."""
+    """A counter's cache that counts its evictions and hits."""
 
     def __init__(self):
         super().__init__()
-        self.evictions = 0
+        self.evictions = self.hits = 0
 
     def popitem(self, last=True):
         self.evictions += 1
         return super().popitem(last)
+
+    def move_to_end(self, key, last=True):
+        self.hits += 1
+        return super().move_to_end(key, last)
 
 
 def _counting(counter):
@@ -220,13 +224,22 @@ def _counting(counter):
     return counter
 
 
-# the default cap, and a cap of one entry, which evicts on almost every miss
-CACHE_CAPS = pytest.mark.parametrize("cap", [_counter_py.CACHE_CAP, 1], ids=["default-cap", "cap-1"])
+def _check_cache_bytes(counter, cap):
+    """The cache's byte total is that of its entries and within `cap`."""
+    held = sum(_counter_py._entry_bytes(key, value) for key, value in counter.cache.items())
+    assert counter.cache_bytes == held <= cap
 
 
-@CACHE_CAPS
+# the default byte bound, and a bound of one byte, which evicts every entry
+# as soon as it is stored
+CACHE_BOUNDS = pytest.mark.parametrize(
+    "cap", [_counter_py.CACHE_BYTES, 1], ids=["default-cap", "cap-1"]
+)
+
+
+@CACHE_BOUNDS
 def test_counter_equals_brute_force(monkeypatch, cap):
-    monkeypatch.setattr(_counter_py, "CACHE_CAP", cap)
+    monkeypatch.setattr(_counter_py, "CACHE_BYTES", cap)
     rng = random.Random(2305)
     shapes = set()
     evictions = 0
@@ -235,7 +248,7 @@ def test_counter_equals_brute_force(monkeypatch, cap):
         expected = _brute_force(n, clauses, weights, assumptions)
         counter = _counting(ModelCounter(clauses, weights))
         assert counter.count(assumptions) == expected
-        assert len(counter.cache) <= cap
+        _check_cache_bytes(counter, cap)
         evictions += counter.cache.evictions
         shapes.add("empty" if not clauses else "nonempty")
         shapes.update(
@@ -255,10 +268,10 @@ def test_counter_equals_brute_force(monkeypatch, cap):
     assert (evictions > 0) == (cap == 1), evictions
 
 
-@CACHE_CAPS
+@CACHE_BOUNDS
 def test_marked_pair_equals_brute_force(monkeypatch, cap):
     # count(A) searches once; count(A + [m]) must then come from that search
-    monkeypatch.setattr(_counter_py, "CACHE_CAP", cap)
+    monkeypatch.setattr(_counter_py, "CACHE_BYTES", cap)
     rng = random.Random(2306)
     shapes = set()
     evictions = 0
@@ -281,8 +294,9 @@ def test_marked_pair_equals_brute_force(monkeypatch, cap):
         del counter._expand  # any other assumptions search again, on the same cache
         unmarked = assumptions + [-mark]
         assert counter.count(unmarked) == _brute_force(n, clauses, weights, unmarked)
+        _check_cache_bytes(counter, cap)
         assert counter.count(assumptions) == expected
-        assert len(counter.cache) <= cap
+        _check_cache_bytes(counter, cap)
         evictions += counter.cache.evictions
         shapes.update(
             name
@@ -303,6 +317,82 @@ def test_marked_pair_equals_brute_force(monkeypatch, cap):
         "split",
     }
     assert (evictions > 0) == (cap == 1), evictions
+
+
+def _path(n):
+    """The clauses (i or i+1) over n+1 variables, their weights and their count."""
+    weights = {v: (Fraction(1, v + 1), Fraction(v, v + 1)) for v in range(1, n + 2)}
+    clauses = [(i, i + 1) for i in range(1, n + 1)]
+    # weights of the prefixes whose last variable is true / false
+    ends_true, ends_false = weights[1]
+    for v in range(2, n + 2):
+        wt, wf = weights[v]
+        ends_true, ends_false = (ends_true + ends_false) * wt, ends_true * wf
+    return clauses, weights, ends_true + ends_false
+
+
+def test_cache_bound_of_a_few_entries_evicts_the_least_recent(monkeypatch):
+    clauses, weights, expected = _path(40)
+    counter = _counting(ModelCounter(clauses, weights))
+    assert counter.count() == expected
+    stored = list(counter.cache)  # oldest first; nothing was evicted
+    assert counter.cache.evictions == 0 and len(stored) > 20
+    cap = 1500  # a few entries of the path's, about 300 bytes each
+    monkeypatch.setattr(_counter_py, "CACHE_BYTES", cap)
+    counter = _counting(ModelCounter(clauses, weights))
+    assert counter.count() == expected
+    _check_cache_bytes(counter, cap)
+    assert counter.cache.evictions > 0 and 1 < len(counter.cache) < len(stored)
+    assert list(counter.cache) == stored[-len(counter.cache):]  # the most recent ones
+
+
+def test_variable_ids_past_16_bits_pack_into_the_cache_key():
+    n = 70_000  # the xor of the last two variables; the others are free, of weight sum 1
+    weights = {v: (0.25, 0.75) for v in range(1, n + 1)}
+    counter = ModelCounter([(n - 1, n), (1 - n, -n)], weights)
+    assert counter.count() == 0.375
+    assert counter.count([n]) == 0.1875
+    assert len(counter.cache) == 1
+
+
+def test_interrupted_search_leaves_the_counter_usable():
+    clauses, weights, expected = _path(40)
+    counter = ModelCounter(clauses, weights)
+    expand, calls = counter._expand, []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 10:
+            raise KeyboardInterrupt
+        return expand(*args)
+
+    counter._expand = interrupted
+    with pytest.raises(KeyboardInterrupt):
+        counter.count()
+    del counter._expand  # the next search starts from no assignment
+    assert counter.count() == expected
+
+
+@pytest.mark.parametrize("m_in_second_branch", ["true", "free"])
+def test_marked_pair_of_a_component_counted_first_under_the_marked_literal_false(
+    m_in_second_branch,
+):
+    # x has the highest degree, so the root branches on it.  Its positive
+    # branch propagates m false; its negative branch makes m true, or leaves
+    # m in no clause.  Both leave the component {a, b} with the same clauses
+    # and variables, so the negative branch takes that component's pair from
+    # the cache, where it was stored below the assignment of m false.  That
+    # pair must still count m as true, not as 0.
+    x, m, a, b, y = 1, 2, 3, 4, 5
+    if m_in_second_branch == "true":
+        clauses = [(-x, -m), (x, m), (x, m, a), (a, b), (-a, -b)]
+    else:
+        clauses = [(-x, -m), (x, y), (x, y, a), (a, b), (-a, -b)]
+    weights = {v: (Fraction(v, 7), Fraction(1, v + 1)) for v in range(1, 6)}
+    counter = _counting(ModelCounter(clauses, weights, mark=m))
+    assert counter.count() == _brute_force(5, clauses, weights, [])
+    assert counter.count([m]) == _brute_force(5, clauses, weights, [m])
+    assert counter.cache.hits == 1  # the lookup of {a, b} in the negative branch
 
 
 def test_counter_invariant_under_permutation_and_renaming():

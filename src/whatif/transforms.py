@@ -100,8 +100,9 @@ def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) ->
     clauses, and the facts those clauses mention; the weights of every other
     external sum to 1.  Atoms absent from the program become rule-less
     internals.  Nothing is merged or renamed: the encoder
-    (`wmc.to_weighted_cnf`) gives atoms with equal bodies one variable, and
-    rejects a cycle that is kept here.
+    (`wmc.to_weighted_cnf`) gives atoms with equal bodies one variable, an
+    atom whose one rule is `h :- v.` the variable of v, and rejects a cycle
+    that is kept here.
     """
     externals = program.externals
     by_head = program.clauses_by_head()

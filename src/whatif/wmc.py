@@ -1,8 +1,9 @@
 """Weighted model counting backend.
 
-Translates an acyclic program into a weighted CNF via Clark completion with
-auxiliary variables, and counts with a DPLL-style counter.  Rational mode is
-exact; float mode runs the same counter on float weights.
+Translates an acyclic program into a weighted CNF via Clark completion, with
+auxiliary variables for the bodies of atoms with two or more rules, and
+counts with a DPLL-style counter.  Rational mode is exact; float mode runs
+the same counter on float weights.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `marginal_wmc`, `whatif query --dump-cnf` and the counter benchmark use it.
@@ -12,10 +13,13 @@ every other external sum to 1).  `to_weighted_cnf` then gives one variable
 to atoms whose sets of bodies are equal once their body atoms share
 variables, since Clark completion makes such atoms equal in every world.  On
 a twin program this merges the two copies of every atom that no
-intervention reaches (the node merging of Balke & Pearl's twin networks);
-the query and the evidence need no renaming, as their atoms are looked up
-in the same variable map.  Clark completion and the query's Tseitin clauses
-are written by one definer, `_define`.
+intervention reaches (the node merging of Balke & Pearl's twin networks).
+An atom with one rule is that rule's body conjunction, with no auxiliary,
+and an atom whose one rule is `h :- v.` takes v's variable, so chains of
+such rules cost no variable and no clause.  The query and the evidence need
+no renaming, as their atoms are looked up in the same variable map.  Clark
+completion and the query's Tseitin clauses are written by one definer,
+`_define`.
 
 `conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search over one
 counter whose marked literal is the query's root literal; the Tseitin
@@ -85,6 +89,10 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
     shares that atom's variable, since Clark completion makes the two equal
     in every world.  A fact clause decides the key alone, so every atom with
     one shares one true variable, and every rule-less atom one false one.
+    Each variable v is also the key {{v}}, so an atom whose one rule's body
+    is the positive literal v takes v's variable.  Any other atom with one
+    body is defined as that body's conjunction; only an atom with two or
+    more bodies gets an auxiliary per body of two or more literals.
     Variables are numbered as they are defined: externals in sorted order,
     then each new key's head and the auxiliaries of its bodies.
     """
@@ -96,12 +104,14 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
 
     cnf = WeightedCnf(0, [], {}, {})
     probs = program.external_probs()
+    # set of bodies -> the variable of its atoms; {{v}} -> v itself
+    defined: dict[frozenset, int] = {}
     for atom in sorted(program.externals):
-        cnf.var_map[atom] = cnf.new_var()
-        cnf.weights[cnf.var_map[atom]] = (probs[atom], 1 - probs[atom])
+        var = cnf.var_map[atom] = cnf.new_var()
+        cnf.weights[var] = (probs[atom], 1 - probs[atom])
+        defined[frozenset({frozenset({var})})] = var
 
     by_head = program.clauses_by_head()
-    defined: dict[frozenset, int] = {}  # set of bodies -> the variable of its atoms
     for (atom,) in reversed(program.stratification.components):  # acyclic: singletons
         key = frozenset(
             frozenset(cnf.literal(lit) for lit in clause.body) for clause in by_head.get(atom, ())
@@ -112,12 +122,15 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
             cnf.var_map[atom] = defined[key]
             continue
         head = cnf.var_map[atom] = defined[key] = cnf.new_var()
+        defined[frozenset({frozenset({head})})] = head
         if key == _FACT_KEY:
             cnf.clauses.append((head,))
-            continue
-        # with no bodies this is the unit clause (-head,)
-        disjuncts = [_join(cnf, sorted(body), True) for body in sorted(key, key=sorted)]
-        _define(cnf, head, disjuncts, False)
+        elif len(key) == 1:  # the head is its one body's conjunction, with no auxiliary
+            (body,) = key
+            _define(cnf, head, sorted(body), True)
+        else:  # with no bodies this is the unit clause (-head,)
+            disjuncts = [_join(cnf, sorted(body), True) for body in sorted(key, key=sorted)]
+            _define(cnf, head, disjuncts, False)
     return cnf
 
 

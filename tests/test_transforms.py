@@ -138,9 +138,13 @@ def test_relevant_merges_sprinkler_twin(sprinkler, sprinkler_query):
     assert copies == {"szn_spr_sum": 1, "rain": 1, "sprinkler": 1, "wet": 2, "slippery": 2}
     assert cnf.var_map["rain__e"] == cnf.var_map["rain__i"]
     assert reduced.externals == {"u1", "u2", "u3", "u4"}
-    # the query and evidence atoms keep variables of their own
-    shared = Counter(cnf.var_map.values())
-    assert all(shared[cnf.var_map[a]] == 1 for a in ("slippery__i", "slippery__e", "sprinkler__e"))
+    # a one-literal rule's head takes that literal's variable, so the query
+    # and evidence atoms slippery__* share theirs with wet__*, and
+    # szn_spr_sum__* with u1; sprinkler__e, a conjunction, keeps its own
+    assert cnf.var_map["slippery__i"] == cnf.var_map["wet__i"]
+    assert cnf.var_map["slippery__e"] == cnf.var_map["wet__e"] != cnf.var_map["wet__i"]
+    assert cnf.var_map["szn_spr_sum__e"] == cnf.var_map["u1"]
+    assert Counter(cnf.var_map.values())[cnf.var_map["sprinkler__e"]] == 1
     assert conditional(reduced, query, evidence) == Fraction(1, 10)
 
 
@@ -151,7 +155,7 @@ def test_relevant_drops_unmentioned_facts():
                                     Clause("b", frozenset({Literal("w")}))}
     assert {f.atom for f in reduced.facts} == {"u", "w"}
     assert reduced.alphabet == Alphabet(frozenset({"a", "b"}), frozenset({"u", "w"}))
-    assert to_weighted_cnf(reduced).var_count == 4  # nothing merges
+    assert to_weighted_cnf(reduced).var_count == 2  # a takes u's variable, b w's
     # an external named only by the formula is kept
     reduced = relevant(program, Var("x"), ())
     assert reduced.facts == (RandomFact("x", Fraction(1, 5)),) and not reduced.clauses
@@ -195,8 +199,9 @@ def test_relevant_merge_keys():
     reduced = relevant(program, Var("e") & Var("f"), ())
     cnf = to_weighted_cnf(reduced)
     assert reduced.internals == {"c", "d", "e", "f"}
-    assert cnf.var_map["c"] == cnf.var_map["d"] and cnf.var_map["e"] == cnf.var_map["f"]
-    assert cnf.var_count == 3
+    # and e, f take the variable of their one body literal
+    assert cnf.var_map["c"] == cnf.var_map["d"] == cnf.var_map["e"] == cnf.var_map["f"]
+    assert cnf.var_count == 2
 
 
 def test_relevant_merge_makes_evidence_contradictory():
@@ -205,7 +210,7 @@ def test_relevant_merge_makes_evidence_contradictory():
     cnf = to_weighted_cnf(relevant(program, Var("c"), evidence))
     # a and \+b become opposite literals of one variable
     assert sorted(cnf.literal(lit) for lit in evidence) == [-cnf.var_map["a"], cnf.var_map["a"]]
-    assert _shared(cnf, "abc") == 2
+    assert _shared(cnf, "abc") == 1
     for exact in (True, False):
         with pytest.raises(ZeroEvidenceError):
             conditional(program, Var("c"), evidence, exact=exact)

@@ -8,11 +8,14 @@ import pytest
 
 from generators import random_acyclic_program, random_counterfactual_query, random_formula
 from whatif.model import (
+    Alphabet,
     And,
+    Clause,
     CounterfactualQuery,
     Literal,
     Not,
     Or,
+    Program,
     Var,
     ValidationError,
     ZeroEvidenceError,
@@ -39,15 +42,93 @@ from whatif.counterfactual import answer_counterfactual
 def test_single_rule_completion():
     program = parse_problog("a :- u. 0.5::u.")
     cnf = to_weighted_cnf(program)
-    assert cnf.weights[cnf.var_map["u"]] == (Fraction(1, 2), Fraction(1, 2))
-    assert cnf.weights[cnf.var_map["a"]] == (Fraction(1), Fraction(1))
+    # a one-literal rule's head takes that literal's variable and weights
+    assert cnf.var_map["a"] == cnf.var_map["u"]
+    assert cnf.weights[cnf.var_map["a"]] == (Fraction(1, 2), Fraction(1, 2))
     assert wmc(cnf, [cnf.var_map["a"]]) == Fraction(1, 2)
 
 
 def test_atoms_with_equal_bodies_share_a_variable():
     cnf = to_weighted_cnf(parse_problog("0.5::u. a :- u. b :- u."))
-    assert cnf.var_map["a"] == cnf.var_map["b"] != cnf.var_map["u"]
-    assert cnf.var_count == 2
+    assert cnf.var_map["a"] == cnf.var_map["b"] == cnf.var_map["u"]
+    assert cnf.var_count == 1
+
+
+def test_single_body_has_no_auxiliary():
+    cnf = to_weighted_cnf(parse_problog("0.5::u. 0.5::v. a :- u, v."))
+    u, v, a = (cnf.var_map[atom] for atom in "uva")
+    assert cnf.var_count == 3
+    assert sorted(cnf.clauses) == sorted([(-a, u), (-a, v), (a, -u, -v)])
+    assert wmc(cnf, [a]) == Fraction(1, 4)
+
+
+def test_negative_one_literal_body_keeps_its_own_variable():
+    cnf = to_weighted_cnf(parse_problog("0.5::u. b :- u. c :- \\+u."))
+    u, b, c = (cnf.var_map[atom] for atom in "ubc")
+    assert b == u != c and cnf.var_count == 2
+    assert sorted(cnf.clauses) == sorted([(-c, -u), (c, u)])
+    assert wmc(cnf, [c]) == Fraction(1, 2)
+
+
+def test_chain_of_one_literal_rules_is_one_variable():
+    links = 50
+    text = "0.3::u. a1 :- u.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(2, links + 1))
+    program = parse_problog(text)
+    cnf = to_weighted_cnf(program)
+    assert cnf.var_count == 1 and cnf.clauses == []
+    assert set(cnf.var_map.values()) == {1}
+    assert marginal_wmc(program, Var(f"a{links}")) == Fraction(3, 10)
+
+
+def _with_copy(program, atom, copy):
+    """`program` with the clause `copy :- atom.` appended."""
+    clauses = program.clauses + (Clause(copy, frozenset({Literal(atom)})),)
+    alphabet = Alphabet(program.internals | {copy}, program.externals)
+    return Program(clauses, program.facts, alphabet)
+
+
+def test_one_literal_copy_of_the_query_changes_neither_answer_nor_cnf():
+    rng = random.Random(41)
+    for case in range(80):
+        program = random_acyclic_program(rng)
+        drawn = random_counterfactual_query(rng, program)
+        atom = rng.choice(sorted(program.internals))
+        copied = _with_copy(program, atom, "q2")
+        answers, sizes = [], []
+        for base, name in ((program, atom), (copied, "q2")):
+            query = CounterfactualQuery(Var(name), drawn.evidence, drawn.interventions)
+            answer = answer_counterfactual(base, query)
+            assert type(answer) is Fraction
+            assert answer == answer_counterfactual(base, query, "enumerate"), case
+            cnf, _, _ = wmc_mod.encode_query(*twin(base, query))
+            answers.append(answer)
+            sizes.append((cnf.var_count, len(cnf.clauses)))
+        assert answers[0] == answers[1] and sizes[0] == sizes[1], case
+
+
+def test_marked_literal_in_no_clause():
+    # s and q take u's variable, and r is pruned unless the evidence names
+    # it, so the query's root literal is u, which then occurs in no clause
+    program = parse_problog("0.3::u. q :- u. s :- q. r :- \\+u.")
+    s, q, r = Literal("s"), Literal("q"), Literal("r")
+    cases = [
+        (frozenset(), frozenset(), Fraction(3, 10), 0),
+        (frozenset({s}), frozenset(), Fraction(1), 0),
+        (frozenset({Literal("s", False)}), frozenset({r}), Fraction(0), 0),
+        (frozenset({Literal("r", False)}), frozenset(), Fraction(1), 2),
+        (frozenset(), frozenset({Literal("q", False)}), Fraction(0), 1),
+        (frozenset({Literal("s", False)}), frozenset({q}), Fraction(1), 1),
+    ]
+    for evidence, interventions, expected, clauses in cases:
+        query = CounterfactualQuery(Var("s"), evidence, interventions)
+        cnf, root, _ = wmc_mod.encode_query(*twin(program, query))
+        assert len(cnf.clauses) == clauses
+        if not clauses:
+            assert cnf.var_count == 1 and abs(root) == 1
+        for backend in counterfactual.BACKENDS:
+            assert answer_counterfactual(program, query, backend) == expected
+            approx = answer_counterfactual(program, query, backend, exact=False)
+            assert type(approx) is float and abs(approx - expected) < 1e-12
 
 
 def test_ruleless_internal_is_false():

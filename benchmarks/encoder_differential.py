@@ -2,8 +2,9 @@
 
 Runs the `querybench` cases of both workloads for SEEDS under each tree.  Per
 case it records the variable and clause counts of the CNF that
-`wmc.encode_query` builds for the case's twin program, the rational answer
-of every backend the workload uses, and the float answer of `wmc`.  It then
+`wmc.encode_query` builds for the case's twin program, a digest of that CNF
+(its clauses, weights and variable map, in order), the rational answer of
+every backend the workload uses, and the float answer of `wmc`.  It then
 checks that the rational answers are equal, that the float answers agree
 within REL_TOL relative, and that the new variable and clause counts are at
 most the old ones.
@@ -11,12 +12,15 @@ most the old ones.
     python3 benchmarks/encoder_differential.py OLD/src NEW/src
 
 Prints one line per workload and seed with the cases checked, the variable
-and clause counts summed over them and the largest float difference, then
-the first SHOW differing cases.  Exits 1 on any difference.
+and clause counts summed over them, how many cases' CNFs are identical and
+the largest float difference, then the first SHOW differing cases.  Exits 1
+on any difference; a CNF that is not identical is reported, not a
+difference.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -40,11 +44,13 @@ def _worker() -> None:
             for case in generate(name, seed):
                 program = parse_problog(case.text)
                 cnf, _, _ = wmc.encode_query(*transforms.twin(program, case.query))
+                layout = (cnf.clauses, list(cnf.weights.items()), list(cnf.var_map.items()))
+                digest = hashlib.sha256(repr(layout).encode()).hexdigest()
                 answers = {}
                 for backend in workload.backends:
                     answers[backend] = str(answer_counterfactual(program, case.query, backend))
                 answers["wmc float"] = answer_counterfactual(program, case.query, exact=False)
-                row = [name, seed, case.key, cnf.var_count, len(cnf.clauses), answers]
+                row = [name, seed, case.key, cnf.var_count, len(cnf.clauses), digest, answers]
                 print(json.dumps(row))
 
 
@@ -61,8 +67,8 @@ def _rows(src: str):
 
 
 def _differences(old: list, new: list) -> list[str]:
-    _, _, key, old_vars, old_clauses, before = old
-    _, _, new_key, new_vars, new_clauses, after = new
+    _, _, key, old_vars, old_clauses, _, before = old
+    _, _, new_key, new_vars, new_clauses, _, after = new
     if key != new_key:
         return ["different case"]
     found = []
@@ -90,26 +96,29 @@ def main(argv=None) -> int:
         return 0
     if not (args.old_src and args.new_src):
         cli.error("give the two source trees to compare")
-    # (workload, seed) -> [cases, old vars, new vars, old clauses, new clauses, max rel]
+    # (workload, seed) -> [cases, old vars, new vars, old clauses, new clauses,
+    #                      identical CNFs, max rel]
     tally: dict[tuple, list] = {}
     shown, differing = [], 0
     for old, new in zip(_rows(args.old_src), _rows(args.new_src), strict=True):
-        counts = tally.setdefault((old[0], old[1]), [0, 0, 0, 0, 0, 0.0])
-        x, y = old[5]["wmc float"], new[5]["wmc float"]
+        counts = tally.setdefault((old[0], old[1]), [0, 0, 0, 0, 0, 0, 0.0])
+        x, y = old[6]["wmc float"], new[6]["wmc float"]
         counts[0] += 1
         counts[1] += old[3]
         counts[2] += new[3]
         counts[3] += old[4]
         counts[4] += new[4]
-        counts[5] = max(counts[5], abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0)
+        counts[5] += old[5] == new[5]
+        counts[6] = max(counts[6], abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0)
         found = _differences(old, new)
         if found:
             differing += 1
             if len(shown) < SHOW:
                 shown.append(f"{old[0]} seed {old[1]} case {old[2]}: " + "; ".join(found))
-    for (name, seed), (cases, *sums, rel) in tally.items():
+    for (name, seed), (cases, *sums, identical, rel) in tally.items():
         print(f"{name} seed {seed}: {cases} cases, variables {sums[0]} -> {sums[1]}, "
-              f"clauses {sums[2]} -> {sums[3]}, largest float difference {rel:.3g} relative")
+              f"clauses {sums[2]} -> {sums[3]}, {identical} identical CNFs, "
+              f"largest float difference {rel:.3g} relative")
     print("\n".join(shown))
     print(f"{differing} differing cases")
     return 1 if differing else 0

@@ -23,7 +23,12 @@ from .transforms import intervene, twin
 BACKENDS = ("wmc", "enumerate", "oracle")
 
 
-def _check_classification(program: Program, backend: str) -> None:
+def _check_classification(program: Program, backend: str, stacklevel: int) -> None:
+    """Reject a program `backend` cannot answer; warn when it is stratified cyclic.
+
+    The warning names the frame `stacklevel` counts, as for `warnings.warn`,
+    from the caller of this function.
+    """
     classification = check_unique_supported_models(program)
     if classification is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
@@ -33,10 +38,7 @@ def _check_classification(program: Program, backend: str) -> None:
             raise ValidationError("WMC backend requires an acyclic program")
         warnings.warn(
             "program is cyclic (stratified); results are formal only",
-            # names the caller of a public entry point that calls _marginal or
-            # _conditional directly; the enumerate and oracle backends'
-            # inner _marginal calls in _conditional warn from this module
-            stacklevel=4,
+            stacklevel=stacklevel + 1,
         )
 
 
@@ -62,11 +64,14 @@ def conditional(
 ):
     """P(formula | evidence) by `backend`; raises ValidationError on an invalid program."""
     _validate(program)
+    _check_classification(program, backend, stacklevel=2)
     return _conditional(program, formula, evidence, backend, exact)
 
 
 def _marginal(program: Program, formula: Formula, backend: str, exact: bool):
-    _check_classification(program, backend)
+    # names the caller of the public entry point; the enumerate and oracle
+    # backends' inner calls in _conditional warn from this module
+    _check_classification(program, backend, stacklevel=3)
     if backend == "wmc":
         return wmc_mod.marginal_wmc(program, formula, exact=exact)
     return semantics.marginal(program, formula, exact=exact)
@@ -80,7 +85,7 @@ def _conditional(
     exact: bool,
     on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
 ):
-    _check_classification(program, backend)
+    """The backend's P(formula | evidence); the caller has classified the program."""
     evidence = frozenset(evidence)
     if backend == "wmc":
         return wmc_mod.conditional(program, formula, evidence, exact=exact, on_cnf=on_cnf)
@@ -124,5 +129,10 @@ def answer_counterfactual(
 
         return abduction_action_prediction(program, query, exact=exact)
     transformed, renamed_query, evidence = twin(program, query)
+    # The twin's dependency graph is two renamed copies of the program's, one
+    # of them with clauses erased and facts added, so an edge inside an SCC of
+    # the twin is a renamed edge inside an SCC of the program, and the two
+    # classify alike.  The check follows twin() so that its errors come first.
+    _check_classification(program, backend, stacklevel=2)
     # the twin of a valid program is valid
     return _conditional(transformed, renamed_query, evidence, backend, exact, on_cnf)

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .semantics import Stratification, WorldWeights
@@ -34,8 +34,13 @@ class ValidationError(WhatifError):
     """A program or query violates a structural invariant."""
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(NamedTuple):
+    """An atom or its negation; a named tuple, so equal to ``(atom, positive)``.
+
+    Its hash is that tuple's hash, the one a frozen dataclass with these
+    fields had, so sets of literals keep their iteration order.
+    """
+
     atom: str
     positive: bool = True
 

@@ -11,6 +11,7 @@ unannotated head, ``a [:- body].``.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,131 +51,146 @@ class ParseError(WhatifError):
         super().__init__(message + where)
 
 
-# Whitespace and comments match no group; the last group catches any bad character.
+# Operators, each before any other operator it starts with.
+_OPS = ("::", ":-", "\\+", ".", ":", ";", ",", "(", ")", "/", "|", "~")
+
+# The one group holds every token: a number, an atom, an operator or, last,
+# any other character, a bad token.  Whitespace and comments leave it empty.
 _TOKEN_RE = re.compile(
-    r"""
-      \s+|%[^\n]*
-    | (?P<number>\d+\.\d+|\d+)
-    | (?P<atom>[a-z][a-zA-Z0-9_]*)
-    | (?P<op>::|:-|\\\+|[.:;,()/|~])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"\s+|%[^\n]*|(\d+\.\d+|\d+|[a-z][a-zA-Z0-9_]*|" + "|".join(map(re.escape, _OPS)) + r"|.)"
 )
 
-# (kind, text, start); kind is "number", "atom", "op" or "eof"
-_Token = tuple[str, str, int]
+
+def _is_number(token: str) -> bool:
+    return token[:1].isdecimal()  # what \d matches
+
+
+def _is_atom(token: str) -> bool:
+    return "a" <= token[:1] <= "z"
+
+
+def _is_bad(token: str) -> bool:
+    return not (_is_number(token) or _is_atom(token) or token in _OPS)
 
 
 class _TokenStream:
+    """The token texts of `text`, ending with the empty end-of-input token.
+
+    A token's kind is read off its text.  Token offsets are not kept: `error`
+    scans the text again to find the one it reports.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.index = 0
-        self.tokens: list[_Token] = [
-            (match.lastgroup, match.group(), match.start())
-            for match in _TOKEN_RE.finditer(text)
-            if match.lastgroup
-        ]
-        for token in self.tokens:
-            if token[0] == "bad":
-                raise self.error(f"unexpected character {token[1]!r}", token)
-        self.tokens.append(("eof", "", len(text)))
+        self.tokens: list[str] = list(filter(None, _TOKEN_RE.findall(text)))
+        if any(map(_is_bad, set(self.tokens))):
+            index = next(i for i, token in enumerate(self.tokens) if _is_bad(token))
+            raise self.error(f"unexpected character {self.tokens[index]!r}", index)
+        self.tokens.append("")
 
-    def error(self, message: str, token: Optional[_Token] = None) -> ParseError:
-        """A ParseError spanning `token`, by default the next one."""
-        _, chars, start = token or self.tokens[self.index]
+    def error(self, message: str, index: Optional[int] = None) -> ParseError:
+        """A ParseError spanning the token at `index`, by default the next one."""
+        if index is None:
+            index = self.index
+        starts = (match.start() for match in _TOKEN_RE.finditer(self.text) if match.group(1))
+        start = next(itertools.islice(starts, index, None), len(self.text))
         line_start = self.text.rfind("\n", 0, start) + 1
         line = self.text.count("\n", 0, start) + 1
         column = start - line_start + 1
-        return ParseError(message, SourceSpan(start, start + len(chars), line, column))
+        end = start + len(self.tokens[index])
+        return ParseError(message, SourceSpan(start, end, line, column))
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.index]
 
     def accept(self, op: str) -> bool:
         """Consume the next token if it is the operator `op`."""
         # only an op token's text can equal an operator
-        if self.tokens[self.index][1] == op:
+        if self.tokens[self.index] == op:
             self.index += 1
             return True
         return False
 
     def expected(self, what: str) -> ParseError:
         """A ParseError at the next token, which is not `what`."""
-        return self.error(f"expected {what}, found {self.peek()[1] or 'end of input'!r}")
+        return self.error(f"expected {what}, found {self.peek() or 'end of input'!r}")
 
     def expect(self, op: str) -> None:
         if not self.accept(op):
             raise self.expected(repr(op))
 
-    def atom(self) -> _Token:
+    def atom(self) -> str:
         token = self.tokens[self.index]
-        if token[0] != "atom":
+        if not _is_atom(token):
             raise self.expected("atom")
         self.index += 1
         return token
 
     def probability(self) -> Fraction:
-        token = self.tokens[self.index]
-        kind, chars, _ = token
-        if kind != "number":
+        at = self.index
+        chars = self.tokens[at]
+        if not _is_number(chars):
             raise self.expected("probability")
         self.index += 1
         if "." in chars:
             whole, frac = chars.split(".")
-            value = Fraction(int(whole + frac), 10 ** len(frac))
+            numerator, denominator = int(whole + frac), 10 ** len(frac)
         else:
-            value = Fraction(int(chars))
+            numerator, denominator = int(chars), 1
             if self.accept("/"):
-                kind, denom, _ = self.peek()
-                if kind != "number" or "." in denom:
+                denom = self.peek()
+                if not _is_number(denom) or "." in denom:
                     raise self.error("expected integer denominator")
                 if not int(denom):
                     raise self.error("zero denominator")
                 self.index += 1
-                value /= int(denom)
-        if not 0 <= value <= 1:
-            raise self.error(f"probability {value} outside [0,1]", token)
+                denominator = int(denom)
+        value = Fraction(numerator, denominator)
+        if numerator > denominator:
+            raise self.error(f"probability {value} outside [0,1]", at)
         return value
 
     def end(self) -> None:
         """Reject anything left after a complete formula or literal list."""
-        kind, chars, _ = self.peek()
-        if kind != "eof":
-            raise self.error(f"unexpected trailing input {chars!r}")
+        if self.peek():
+            raise self.error(f"unexpected trailing input {self.peek()!r}")
 
 
 def _parse_body(stream: _TokenStream) -> frozenset[Literal]:
     literals = []
     while True:
         positive = not stream.accept("\\+")
-        literals.append(Literal(stream.atom()[1], positive))
+        literals.append(Literal(stream.atom(), positive))
         if not stream.accept(","):
             return frozenset(literals)
 
 
-_Head = list[tuple[_Token, Optional[Fraction]]]
+_Head = list[tuple[int, Optional[Fraction]]]
 
 
 def _statements(
     stream: _TokenStream, lpad: bool
-) -> Iterator[tuple[_Token, _Head, frozenset[Literal]]]:
-    """Yield ``(first token, head, body)`` per statement.
+) -> Iterator[tuple[int, _Head, frozenset[Literal]]]:
+    """Yield ``(first token's index, head, body)`` per statement.
 
-    The head lists ``(atom token, probability)`` pairs; the probability is
-    None for an unannotated atom.  Without `lpad`, a statement is a fact
-    ``p::a.`` or a rule with one unannotated head atom.
+    The head lists ``(atom token's index, probability)`` pairs; the
+    probability is None for an unannotated atom.  Without `lpad`, a statement
+    is a fact ``p::a.`` or a rule with one unannotated head atom.
     """
-    while (first := stream.peek())[0] != "eof":
-        if first[0] == "number":
+    while stream.peek():
+        first = stream.index
+        if _is_number(stream.peek()):
             prob = stream.probability()
             stream.expect("::")
-            head: _Head = [(stream.atom(), prob)]
+            head: _Head = [(stream.index, prob)]
+            stream.atom()
         else:
             head = []
             while not head or lpad and stream.accept(";"):
-                atom = stream.atom()
-                head.append((atom, stream.probability() if lpad and stream.accept(":") else None))
+                at = stream.index
+                stream.atom()
+                head.append((at, stream.probability() if lpad and stream.accept(":") else None))
         body: frozenset[Literal] = frozenset()
         if (lpad or head[0][1] is None) and stream.accept(":-"):
             body = _parse_body(stream)
@@ -190,9 +206,9 @@ def parse_problog(text: str) -> Program:
     clauses: list[Clause] = []
     facts: list[RandomFact] = []
     fact_atoms: set[str] = set()
-    head_atoms: dict[str, _Token] = {}
+    head_atoms: dict[str, int] = {}  # atom -> the index of a token naming it as a head
     for _, ((atom, prob),), body in _statements(stream, lpad=False):
-        name = atom[1]
+        name = stream.tokens[atom]
         if prob is None:
             head_atoms[name] = atom
             clauses.append(Clause(name, body))
@@ -240,7 +256,9 @@ def parse_lpad(text: str) -> LpadProgram:
     stream = _TokenStream(text)
     clauses: list[LpadClause] = []
     for first, head, body in _statements(stream, lpad=True):
-        pairs = tuple((atom[1], Fraction(1) if prob is None else prob) for atom, prob in head)
+        pairs = tuple(
+            (stream.tokens[atom], Fraction(1) if prob is None else prob) for atom, prob in head
+        )
         try:
             clauses.append(LpadClause(pairs, body))
         except ValidationError as err:
@@ -293,7 +311,7 @@ def _parse_unary(stream: _TokenStream) -> Formula:
         inner = _parse_disjunction(stream)
         stream.expect(")")
         return inner
-    return Var(stream.atom()[1])
+    return Var(stream.atom())
 
 
 def parse_literals(text: str) -> frozenset[Literal]:

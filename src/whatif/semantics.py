@@ -1,15 +1,19 @@
 """Logic-program layer: dependency analysis, minimal models, world enumeration.
 
 The dependency analysis (`Stratification`) runs once per `Program` instance,
-which caches it as `Program.stratification`; programs are immutable.  On
-first use it also compiles the clauses into blocks of set rules, in the
-topological order of the SCC condensation: consecutive one-atom SCCs share
-one block that a single pass evaluates, and each larger SCC gets a block of
-its own that is iterated to its least fixpoint (stratified bottom-up
-evaluation, Apt, Blair & Walker 1988).  `minimal_model` then only runs set
-operations over these rules.  The externals' weight table that every world's
-probability is computed from (`WorldWeights`) is cached the same way, as
-`Program.world_weights`.
+which caches it as `Program.stratification`; programs are immutable.  It
+reads the dependency edges (body atom to head, over internal atoms) straight
+off the clauses into per-atom successor lists, runs Tarjan's algorithm over
+them once, and classifies the program from the SCCs: a negative edge inside
+an SCC is a cycle through negation, and an SCC of two or more atoms or a
+self-loop is a cycle.  On first use it also compiles the clauses into
+blocks of set rules, in the topological order of the SCC condensation:
+consecutive one-atom SCCs share one block that a single pass evaluates, and
+each larger SCC gets a block of its own that is iterated to its least
+fixpoint (stratified bottom-up evaluation, Apt, Blair & Walker 1988).
+`minimal_model` then only runs set operations over these rules.  The
+externals' weight table that every world's probability is computed from
+(`WorldWeights`) is cached the same way, as `Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against; it is exact when run in rational mode.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+import sys
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -33,36 +37,23 @@ from .model import (
 WorldAssignment = Mapping[str, bool]
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Edges run from body atom to head atom, over internal atoms only."""
-
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str, bool]]  # (source, target, positive)
-
-
 class Classification(enum.Enum):
     ACYCLIC = "acyclic"
     STRATIFIED_CYCLIC = "stratified_cyclic"
     NEGATIVE_CYCLE = "negative_cycle"
 
 
-def dependency_graph(program: Program) -> DependencyGraph:
-    edges = set()
-    for clause in program.clauses:
-        for lit in clause.body:
-            if lit.atom in program.internals:
-                edges.add((lit.atom, clause.head, lit.positive))
-    return DependencyGraph(program.internals, frozenset(edges))
-
-
 def _sccs(vertices: frozenset[str], successors: Mapping[str, list[str]]) -> list[list[str]]:
-    """Tarjan's algorithm, iterative; returns SCCs in reverse topological order."""
+    """Tarjan's algorithm, iterative; returns SCCs in reverse topological order.
+
+    A vertex whose SCC is complete gets the index `done`, above every other
+    index, so it never lowers a lowlink and no on-stack set is needed.
+    """
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     components: list[list[str]] = []
+    done = sys.maxsize
 
     for root in sorted(vertices):
         if root in index:
@@ -70,28 +61,26 @@ def _sccs(vertices: frozenset[str], successors: Mapping[str, list[str]]) -> list
         work = [(root, iter(successors.get(root, ())))]
         index[root] = lowlink[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
         while work:
             vertex, it = work[-1]
             for succ in it:
                 if succ not in index:
                     index[succ] = lowlink[succ] = len(index)
                     stack.append(succ)
-                    on_stack.add(succ)
                     work.append((succ, iter(successors.get(succ, ()))))
                     break
-                if succ in on_stack:
-                    lowlink[vertex] = min(lowlink[vertex], index[succ])
+                if index[succ] < lowlink[vertex]:
+                    lowlink[vertex] = index[succ]
             else:  # every successor done: vertex is finished
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[vertex])
-                if lowlink[vertex] == index[vertex]:
+                low = lowlink[vertex]
+                if work and low < lowlink[parent := work[-1][0]]:
+                    lowlink[parent] = low
+                if low == index[vertex]:
                     component = []
                     while True:
                         member = stack.pop()
-                        on_stack.discard(member)
+                        index[member] = done
                         component.append(member)
                         if member == vertex:
                             break
@@ -105,6 +94,13 @@ Rule = tuple[str, frozenset[str], frozenset[str]]  # (head, positive body, negat
 class Stratification:
     """Classification and compiled rules of one program, from one run of `_sccs`.
 
+    Each internal atom's successors are the heads of the clauses whose body
+    mentions it, deduplicated and sorted, so the SCCs come out in one order
+    whatever the order of the clauses or of set iteration, and
+    `wmc.to_weighted_cnf` numbers variables in that order.  Only the edges
+    through negation are kept as pairs, to tell a negative cycle from a
+    positive one.
+
     The blocks are built on first use, since only `minimal_model` needs them:
     one `(recursive, rules)` pair per block, in topological order, where each
     rule is `(head, positive body atoms, negative body atoms)`.  A block is
@@ -116,19 +112,31 @@ class Stratification:
     """
 
     def __init__(self, program: Program) -> None:
-        graph = dependency_graph(program)
-        successors: dict[str, list[str]] = {}
-        for src, dst, _ in sorted(graph.edges):
-            successors.setdefault(src, []).append(dst)
-        self.components = _sccs(graph.vertices, successors)
-        component_of = {v: i for i, comp in enumerate(self.components) for v in comp}
-        # an edge inside one SCC lies on a cycle
-        signs = {pos for src, dst, pos in graph.edges if component_of[src] == component_of[dst]}
-        self.classification = (
-            Classification.NEGATIVE_CYCLE if False in signs
-            else Classification.STRATIFIED_CYCLIC if signs
-            else Classification.ACYCLIC
+        internals = program.internals
+        successors: dict[str, set[str]] = {}
+        negative: list[tuple[str, str]] = []
+        for clause in program.clauses:
+            head = clause.head
+            for atom, positive in clause.body:
+                if atom in internals:
+                    successors.setdefault(atom, set()).add(head)
+                    if not positive:
+                        negative.append((atom, head))
+        self.components = _sccs(
+            internals, {atom: sorted(heads) for atom, heads in successors.items()}
         )
+        # an edge inside one SCC lies on a cycle: an SCC of two or more atoms, or a self-loop
+        if len(self.components) == sum(map(len, self.components)) and not any(
+            atom in heads for atom, heads in successors.items()
+        ):
+            self.classification = Classification.ACYCLIC
+        else:
+            component_of = {v: i for i, comp in enumerate(self.components) for v in comp}
+            self.classification = (
+                Classification.NEGATIVE_CYCLE
+                if any(component_of[src] == component_of[dst] for src, dst in negative)
+                else Classification.STRATIFIED_CYCLIC
+            )
         self._clauses = program.clauses  # not the program, which holds this object
 
     @cached_property

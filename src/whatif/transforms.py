@@ -41,17 +41,6 @@ def intervene(program: Program, interventions: Iterable[Literal]) -> Program:
     return Program(tuple(clauses), program.facts, Alphabet(internals, program.externals))
 
 
-def _rename(atom: str, internals: frozenset[str], suffix: str) -> str:
-    return atom + suffix if atom in internals else atom
-
-
-def _rename_clause(clause: Clause, internals: frozenset[str], suffix: str) -> Clause:
-    body = frozenset(
-        Literal(_rename(lit.atom, internals, suffix), lit.positive) for lit in clause.body
-    )
-    return Clause(clause.head + suffix, body)
-
-
 def twin(
     program: Program, query: CounterfactualQuery
 ) -> tuple[Program, Formula, frozenset[Literal]]:
@@ -66,18 +55,26 @@ def twin(
     query_atoms |= formula_atoms(query.query)
     program = ensure_internals(program, query_atoms - program.externals)
 
-    for atom in sorted(program.internals | program.externals):
-        if atom.endswith(EVIDENCE_SUFFIX) or atom.endswith(INTERVENTION_SUFFIX):
-            raise ValidationError(
-                f"atom {atom} collides with the twin-copy suffix convention"
-            )
+    suffixes = (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX)
+    colliding = [a for a in program.internals | program.externals if a.endswith(suffixes)]
+    if colliding:
+        raise ValidationError(
+            f"atom {min(colliding)} collides with the twin-copy suffix convention"
+        )
 
     internals = program.internals
+    literals = {lit for clause in program.clauses for lit in clause.body}
     clauses = []
-    for suffix in (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX):
-        clauses.extend(_rename_clause(c, internals, suffix) for c in program.clauses)
+    for suffix in suffixes:
+        # each distinct body literal is renamed once per copy
+        renamed = {
+            lit: Literal(lit.atom + suffix, lit.positive) if lit.atom in internals else lit
+            for lit in literals
+        }.__getitem__
+        clauses.extend(Clause(c.head + suffix, frozenset(map(renamed, c.body)))
+                       for c in program.clauses)
     twin_alphabet = Alphabet(
-        frozenset(a + s for a in internals for s in (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX)),
+        frozenset(a + s for a in internals for s in suffixes),
         program.externals,
     )
     twinned = Program(tuple(clauses), program.facts, twin_alphabet)

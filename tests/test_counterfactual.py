@@ -1,9 +1,14 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from generators import random_acyclic_program, random_counterfactual_query
+from generators import (
+    random_acyclic_program,
+    random_counterfactual_query,
+    random_stratified_program,
+)
 from whatif.counterfactual import (
     BACKENDS,
     answer_counterfactual,
@@ -25,6 +30,8 @@ from whatif.model import (
     ZeroEvidenceError,
 )
 from whatif.parser import parse_problog
+from whatif.semantics import Classification, check_unique_supported_models
+from whatif.transforms import twin
 
 
 def test_sprinkler_counterfactual_all_backends(sprinkler, sprinkler_query):
@@ -157,3 +164,68 @@ def test_api_programs_are_validated(backend):
             marginal(program, formula, backend)
         with pytest.raises(ValidationError, match=message):
             conditional(program, formula, (), backend)
+
+
+def _with_negative_cycle(rng: random.Random, program: Program) -> Program:
+    """Add ``a :- \\+b.`` and ``b :- a.`` over two internals of `program`, or ``a :- \\+a.``."""
+    a, b = rng.choice(sorted(program.internals)), rng.choice(sorted(program.internals))
+    cycle = [Clause(a, frozenset({Literal(b, False)}))]
+    if a != b:
+        cycle.append(Clause(b, frozenset({Literal(a)})))
+    return Program(program.clauses + tuple(cycle), program.facts, program.alphabet)
+
+
+def test_twin_classifies_as_its_program():
+    # answer_counterfactual classifies the program in place of its twin
+    rng = random.Random(23)
+    seen = set()
+    for index in range(300):
+        if index % 3 == 0:
+            program = random_acyclic_program(rng, max_internals=6, max_externals=5)
+        else:
+            program = random_stratified_program(rng)
+        query = random_counterfactual_query(rng, program)
+        if index % 3 == 2:  # the query is drawn first: its evidence check enumerates
+            program = _with_negative_cycle(rng, program)
+        classification = check_unique_supported_models(program)
+        assert check_unique_supported_models(twin(program, query)[0]) is classification
+        seen.add(classification)
+    assert seen == set(Classification)
+
+
+def test_suffix_error_comes_before_the_negative_cycle():
+    program = parse_problog("0.5::u. a__e :- \\+b. b :- \\+a__e. c :- u.")
+    query = CounterfactualQuery(Var("c"), (), {Literal("b")})
+    with pytest.raises(NegativeCycleError):
+        marginal(program, Var("c"), "enumerate")
+    for backend in ("wmc", "enumerate"):
+        with pytest.raises(ValidationError, match="a__e collides with the twin-copy suffix"):
+            answer_counterfactual(program, query, backend)
+
+
+def _first_warning_file(caught) -> str:
+    first = next(w for w in caught if issubclass(w.category, UserWarning))
+    assert "cyclic" in str(first.message)
+    return first.filename
+
+
+def test_cyclic_program_warning_names_the_caller():
+    # each entry point is called from this function's own frame, not through a helper
+    program = parse_problog("0.5::u. a :- b. b :- a. a :- u. c :- a.")
+    query = CounterfactualQuery(Var("c"), {Literal("a")}, {Literal("c", False)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answer_counterfactual(program, query, backend="enumerate")
+    assert _first_warning_file(caught) == __file__
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answer_intervention(program, Var("a"), {Literal("c", False)}, backend="enumerate")
+    assert _first_warning_file(caught) == __file__
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        marginal(program, Var("c"), backend="enumerate")
+    assert _first_warning_file(caught) == __file__
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        conditional(program, Var("c"), {Literal("a")}, "enumerate")
+    assert _first_warning_file(caught) == __file__

@@ -21,6 +21,24 @@ from whatif.model import (
 )
 
 
+def test_literal_is_a_named_tuple():
+    # the hash is the plain tuple's, which keeps frozenset orders, and so CNFs, stable
+    negative = Literal("a", False)
+    assert repr(negative) == "Literal(atom='a', positive=False)"
+    assert str(negative) == "\\+a" and str(Literal("a")) == "a"
+    assert Literal("a") == ("a", True) and Literal("a").positive is True
+    literals = [Literal("b"), Literal("a"), Literal("b", False), negative, Literal("a_b")]
+    assert sorted(literals) == sorted(literals, key=lambda lit: (lit.atom, lit.positive))
+    assert sorted(literals) == [negative, Literal("a"), Literal("a_b"), Literal("b", False),
+                                Literal("b")]
+    for atom, positive in (("a", True), ("a", False), ("x_y1", True)):
+        assert hash(Literal(atom, positive)) == hash((atom, positive))
+    with pytest.raises(AttributeError):
+        negative.atom = "b"
+    with pytest.raises(AttributeError):
+        negative.positive = True
+
+
 def test_sprinkler_is_valid(sprinkler):
     assert validate_program(sprinkler) == []
 

@@ -14,8 +14,8 @@ from whatif.parser import parse_problog
 from whatif.transforms import intervene
 from whatif.semantics import (
     Classification,
+    Stratification,
     check_unique_supported_models,
-    dependency_graph,
     marginal,
     minimal_model,
     world_probability,
@@ -24,30 +24,26 @@ from whatif.semantics import (
 
 
 def test_sprinkler_dependency_graph(sprinkler):
-    graph = dependency_graph(sprinkler)
-    positive_edges = {(s, d) for s, d, pos in graph.edges if pos}
-    assert positive_edges == {
-        ("szn_spr_sum", "sprinkler"),
-        ("szn_spr_sum", "rain"),
-        ("rain", "wet"),
-        ("sprinkler", "wet"),
-        ("wet", "slippery"),
-    }
-    negative_edges = {(s, d) for s, d, pos in graph.edges if not pos}
-    assert negative_edges == {("szn_spr_sum", "rain")}
+    # Tarjan's order from the sorted roots, each atom after every atom it feeds:
+    # rain -> wet -> slippery, sprinkler -> wet, szn_spr_sum -> rain, sprinkler
+    assert Stratification(sprinkler).components == [
+        ["slippery"], ["wet"], ["rain"], ["sprinkler"], ["szn_spr_sum"],
+    ]
+
+
+def test_components_visit_successors_in_sorted_order():
+    # the encoder numbers variables in this order, so it must not follow set order
+    program = parse_problog("c :- a. b :- a. e :- a. d :- a.")
+    assert Stratification(program).components == [["b"], ["c"], ["d"], ["e"], ["a"]]
 
 
 def test_two_cycle_detected():
     program = parse_problog("a :- b. b :- a.")
-    graph = dependency_graph(program)
-    assert ("a", "b", True) in graph.edges and ("b", "a", True) in graph.edges
     assert check_unique_supported_models(program) is Classification.STRATIFIED_CYCLIC
 
 
 def test_negative_self_loop():
     program = parse_problog("a :- \\+a.")
-    graph = dependency_graph(program)
-    assert ("a", "a", False) in graph.edges
     assert check_unique_supported_models(program) is Classification.NEGATIVE_CYCLE
 
 

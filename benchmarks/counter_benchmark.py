@@ -3,15 +3,17 @@
 Builds the CNF of a counterfactual query for each (n, k) cell with
 `wmc.encode_query`, as the wmc backend does.  Then times what
 `wmc.conditional` counts: the denominator P(e) and the numerator P(q ∧ e)
-from one float-mode counter, whose search for the first also yields the
-second.  The counter builds its clause database on the first count, so
-that build is timed too.  Reports the best of `--repeats` runs on a fresh
-counter each time, the cache entries and the bytes of the cache's keys and
-values after the pair (`ModelCounter.cache_bytes`), and both counts.
+from one counter, whose search for the first also yields the second.  The
+counter builds its clause database on the first count, so that build is
+timed too.  Reports the best of `--repeats` runs on a fresh counter each
+time, the cache entries and the bytes of the cache's keys and values after
+the pair (`ModelCounter.cache_bytes`), the bits of the counter's integer
+scale (`ModelCounter.scale`, the product of its weights' denominators), and
+both counts as floats.
 
-Each cell's ratio of the two counts must equal `wmc.conditional`'s float
-answer exactly (same CNF, same search); the script exits with status 1 if
-any cell differs.
+`float()` of each cell's exact ratio of the two counts must equal
+`wmc.conditional`'s float answer (same CNF, same search); the script exits
+with status 1 if any cell differs.
 
 Usage: python benchmarks/counter_benchmark.py [--n 20,40,60] [--k 1,3,5] [--repeats 3]
 """
@@ -36,7 +38,7 @@ def time_pair(cnf, assumptions, root, repeats: int):
     """Best time of the denominator and numerator counts, the last counter and the two counts."""
     times = []
     for _ in range(repeats):
-        counter = wmc_mod.counter(cnf, exact=False, mark=root)
+        counter = wmc_mod.counter(cnf, mark=root)
         start = time.perf_counter()
         denominator = counter.count(assumptions)
         numerator = counter.count(assumptions + [root])
@@ -54,20 +56,19 @@ def main() -> int:
 
     mismatches = 0
     print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9} {'entries':>8} "
-          f"{'cache_MB':>8} {'P(e)':>12} {'P(q,e)':>12} check")
+          f"{'cache_MB':>8} {'scale_bits':>10} {'P(e)':>12} {'P(q,e)':>12} check")
     for n in (int(x) for x in args.n.split(",")):
         for k in (int(x) for x in args.k.split(",")):
             twinned, (cnf, root, assumptions) = build_case(n, k, args.seed)
             seconds, counter, denominator, numerator = time_pair(
                 cnf, assumptions, root, args.repeats
             )
-            # a float P(e) of 0 gives no ratio, while conditional recounts exactly
-            ratio = numerator / denominator if denominator else None
-            agrees = ratio == wmc_mod.conditional(*twinned, exact=False)
+            agrees = float(numerator / denominator) == wmc_mod.conditional(*twinned, exact=False)
             mismatches += not agrees
             print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {seconds:>9.4f} "
                   f"{len(counter.cache):>8} {counter.cache_bytes / 2**20:>8.2f} "
-                  f"{denominator:>12.6g} {numerator:>12.6g} {'ok' if agrees else 'MISMATCH'}")
+                  f"{counter.scale.bit_length():>10} {float(denominator):>12.6g} "
+                  f"{float(numerator):>12.6g} {'ok' if agrees else 'MISMATCH'}")
     if mismatches:
         print(f"{mismatches} cell(s) differ from wmc.conditional", file=sys.stderr)
         return 1

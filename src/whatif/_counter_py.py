@@ -50,47 +50,46 @@ is not expanded further: with non-negative weights, as probabilities are,
 its q is 0 too.  `count(A)` returns t and keeps q, so a following
 `count(A + [m])` returns q without a second search.
 
-Works with any numeric weight type; exact when weights are `Fraction`.
+Every count is exact and in integers.  A variable's rational weights
+(wt, wf) are scaled by d, the least common multiple of their denominators,
+into the integers (wt·d, wf·d), and d is multiplied into one `scale`.  Every
+model assigns every variable once, so a count in these integers is the
+rational count times `scale`, and `count` returns their `Fraction`.
 """
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
 from fractions import Fraction
+from math import lcm
 from sys import getsizeof
 from typing import Iterable, Sequence
 
 CACHE_BYTES = 1 << 28  # bytes of cache keys and values kept before the least recently used go
 
 
-def _number_bytes(number) -> int:
-    if isinstance(number, Fraction):
-        return getsizeof(number) + getsizeof(number.numerator) + getsizeof(number.denominator)
-    return getsizeof(number)
-
-
 def _entry_bytes(key: bytes, value: tuple) -> int:
     """Bytes held by one cache entry: its key, its pair and the pair's two counts."""
-    return getsizeof(key) + getsizeof(value) + _number_bytes(value[0]) + _number_bytes(value[1])
+    return getsizeof(key) + getsizeof(value) + getsizeof(value[0]) + getsizeof(value[1])
 
 
 class ModelCounter:
     """Counts over a fixed clause set; one instance per query (mutable cache).
 
-    `mark` is the marked literal; 0, the default, marks none.  The clauses
-    are read on the first `count`.
+    `weights` maps each variable to its rational weights (wt, wf): `int`,
+    `Fraction` or `float`, each taken at its exact value.  `mark` is the
+    marked literal; 0, the default, marks none.  The clauses are read on the
+    first `count`.
     """
 
     def __init__(self, clauses: Sequence[Sequence[int]], weights: dict[int, tuple], mark: int = 0):
         self.weights = weights
         self.cache: OrderedDict[bytes, tuple] = OrderedDict()
         self.cache_bytes = 0  # held by the cache's keys and values, see `_entry_bytes`
-        self.one = next(iter(weights.values()))[0] * 0 + 1 if weights else 1
-        self.zero = self.one * 0
         self.clauses = clauses
         self.root = None  # (unit literals, variables, or None if a clause is empty)
         self.mark = mark
-        self.marked = None  # (assumptions, count with `mark` true) of the last search
+        self.marked = None  # (assumptions, scaled count with `mark` true) of the last search
 
     def _build_root(self):
         """The unit literals and variables of the root; builds the clause database.
@@ -108,11 +107,16 @@ class ModelCounter:
                 return units, None
         places = max(self.weights, default=0) + 1  # per variable
         slots = 2 * places - 1  # per literal; literal -v is slot slots - v
-        self.lit_weight = [self.one] * slots
-        self.wsum = [self.one] * places
+        self.lit_weight = [1] * slots
+        self.wsum = [1] * places
+        self.scale = 1  # the product of the variables' scales
         for var, (wt, wf) in self.weights.items():
-            self.lit_weight[var], self.lit_weight[-var] = wt, wf
-            self.wsum[var] = wt + wf
+            (nt, dt), (nf, df) = wt.as_integer_ratio(), wf.as_integer_ratio()
+            d = lcm(dt, df)
+            self.lit_weight[var] = t = nt * (d // dt)
+            self.lit_weight[-var] = f = nf * (d // df)
+            self.wsum[var] = t + f
+            self.scale *= d
         self.occ = [[] for _ in range(slots)]
         for idx, clause in enumerate(body):
             for lit in clause:
@@ -130,22 +134,22 @@ class ModelCounter:
         self.id_code = "H" if max(places, len(body)) <= 1 << 16 else "I"
         return units, sorted(self.weights)
 
-    def count(self, assumptions: Iterable[int] = ()):
+    def count(self, assumptions: Iterable[int] = ()) -> Fraction:
         assumptions = tuple(assumptions)
         if self.mark and self.marked and assumptions == self.marked[0] + (self.mark,):
-            return self.marked[1]
+            return Fraction(self.marked[1], self.scale)
         if self.root is None:
             self.root = self._build_root()
         units, variables = self.root
         if variables is None:
-            return self.zero
+            return Fraction(0)
         try:
             total, marked = self._search(variables, [*units, *assumptions])
         except BaseException:
             self.root = None  # an interrupted search leaves assignments behind; rebuild
             raise
         self.marked = (assumptions, marked)
-        return total
+        return Fraction(total, self.scale)
 
     def _expand(self, variables, seeds):
         """Assign `seeds`, propagate, and split the rest of `variables` into components.
@@ -160,14 +164,14 @@ class ModelCounter:
         mark = self.mark
         mark_was_false = state[mark] == 2  # slot 0 is never set, so no mark reads False
         trail = []
-        factor = self.one
+        factor = 1
         queue = list(seeds)
         for lit in queue:  # units found below are appended while iterating
             value = state[lit]
             if value == 1:
                 continue
             if value:
-                return trail, self.zero, self.zero, ()
+                return trail, 0, 0, ()
             state[lit] = 1
             state[-lit] = 2
             trail.append(lit)
@@ -187,7 +191,7 @@ class ModelCounter:
                             queue.append(other)
                             break
             if conflict:
-                return trail, self.zero, self.zero, ()
+                return trail, 0, 0, ()
 
         # Components of the clauses with no true literal.  A clause taken
         # into a component is marked by a `sat` of -1 until the pass ends, a
@@ -233,7 +237,7 @@ class ModelCounter:
         if mark_free:
             return trail, factor * wsum[mark_var], factor * weight[mark], components
         if state[mark] == 2 and not mark_was_false:
-            return trail, factor, self.zero, components
+            return trail, factor, 0, components
         return trail, factor, factor, components
 
     def _undo(self, trail):

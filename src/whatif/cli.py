@@ -29,7 +29,7 @@ EXIT_SYNTAX = 1
 EXIT_SEMANTIC = 2
 EXIT_RESOURCE = 3
 
-RATIONAL_LIMIT = 64  # default to float above this many externals
+RATIONAL_LIMIT = 64  # print a float, not a fraction, above this many externals
 
 
 def _build_parser() -> argparse.ArgumentParser:

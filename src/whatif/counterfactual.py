@@ -90,11 +90,11 @@ def _conditional(
     if backend == "wmc":
         return wmc_mod.conditional(program, formula, evidence, exact=exact, on_cnf=on_cnf)
     evidence_formula = conjunction(evidence)
-    denominator = _marginal(program, evidence_formula, backend, exact)
+    denominator = _marginal(program, evidence_formula, backend, True)
     if denominator == 0:
         raise ZeroEvidenceError("evidence has probability zero")
-    numerator = _marginal(program, And((formula, evidence_formula)), backend, exact)
-    return numerator / denominator
+    answer = _marginal(program, And((formula, evidence_formula)), backend, True) / denominator
+    return answer if exact else float(answer)
 
 
 def answer_intervention(

@@ -23,11 +23,12 @@ def abduction_action_prediction(
 ):
     """Pearl's three steps: condition the error terms, intervene, predict."""
     weights = program.world_weights
-    kept: list[tuple[dict[str, bool], Fraction]] = []
+    # each world's weight numerator; the common denominator cancels in the ratio
+    kept: list[tuple[dict[str, bool], int]] = []
     for world in worlds(program):
         model = minimal_model(program, world)
         if all(model.get(lit.atom, False) == lit.positive for lit in query.evidence):
-            kept.append((world, weights.weight(world, exact)))
+            kept.append((world, weights.numerator(world)))
     evidence_mass = sum(weight for _, weight in kept)
     if evidence_mass == 0:
         raise ZeroEvidenceError("evidence has probability zero")
@@ -38,4 +39,5 @@ def abduction_action_prediction(
         for world, weight in kept
         if evaluate(query.query, {**minimal_model(acted, world), **world})
     )
-    return predicted / evidence_mass
+    answer = Fraction(predicted, evidence_mass)
+    return answer if exact else float(answer)

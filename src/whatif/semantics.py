@@ -16,7 +16,9 @@ externals' weight table that every world's probability is computed from
 (`WorldWeights`) is cached the same way, as `Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
-backend is tested against; it is exact when run in rational mode.
+backend is tested against.  It sums the worlds' integer weight numerators
+and divides once, so its answer is exact; `exact=False` returns `float()` of
+it.
 """
 from __future__ import annotations
 
@@ -204,46 +206,42 @@ def worlds(program: Program) -> Iterator[dict[str, bool]]:
 
 
 class WorldWeights:
-    """Each external's weights when true and when false, in both precisions.
+    """Each external's integer weights when true and when false, over one denominator.
 
     With p = a / b, an external weighs a / b when true and (b - a) / b when
-    false, so a world's exact weight is the product of the integers a or
-    b - a over the product of the integers b: one `Fraction` per world.
+    false, so a world's weight is the product of the integers a or b - a
+    (`numerator`) over the product of the integers b (`denominator`).
     """
 
     def __init__(self, program: Program) -> None:
         probs = program.external_probs()
         self.atoms = tuple(program.externals)
         fractions = [probs[atom] for atom in self.atoms]
-        self.exact = [(p.numerator, p.denominator - p.numerator) for p in fractions]
+        self.pairs = [(p.numerator, p.denominator - p.numerator) for p in fractions]
         self.denominator = 1
         for p in fractions:
             self.denominator *= p.denominator
-        self.floats = [(float(p), 1 - float(p)) for p in fractions]
 
-    def weight(self, world: WorldAssignment, exact: bool = True):
-        if exact:
-            numerator = 1
-            for atom, (yes, no) in zip(self.atoms, self.exact):
-                numerator *= yes if world[atom] else no
-            return Fraction(numerator, self.denominator)
-        weight = 1.0
-        for atom, (yes, no) in zip(self.atoms, self.floats):
-            weight *= yes if world[atom] else no
-        return weight
+    def numerator(self, world: WorldAssignment) -> int:
+        numerator = 1
+        for atom, (yes, no) in zip(self.atoms, self.pairs):
+            numerator *= yes if world[atom] else no
+        return numerator
 
 
-def world_probability(program: Program, world: WorldAssignment, exact: bool = True):
-    return program.world_weights.weight(world, exact)
+def world_probability(program: Program, world: WorldAssignment) -> Fraction:
+    weights = program.world_weights
+    return Fraction(weights.numerator(world), weights.denominator)
 
 
 def marginal(program: Program, formula: Formula, exact: bool = True):
     """Probability of `formula` by enumeration over all possible worlds."""
-    total = Fraction(0) if exact else 0.0
+    total = 0
     weights = program.world_weights
     for world in worlds(program):
         model = minimal_model(program, world)
         model.update(world)
         if evaluate(formula, model):
-            total += weights.weight(world, exact)
-    return total
+            total += weights.numerator(world)
+    answer = Fraction(total, weights.denominator)
+    return answer if exact else float(answer)

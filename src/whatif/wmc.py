@@ -2,8 +2,9 @@
 
 Translates an acyclic program into a weighted CNF via Clark completion, with
 auxiliary variables for the bodies of atoms with two or more rules, and
-counts with a DPLL-style counter.  Rational mode is exact; float mode runs
-the same counter on float weights.
+counts with a DPLL-style counter in exact integer arithmetic.  Every answer
+is an exact `Fraction`; with `exact=False` an entry point returns `float()`
+of it.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `marginal_wmc`, `whatif query --dump-cnf` and the counter benchmark use it.
@@ -27,8 +28,7 @@ definitions are equivalences over auxiliaries of weight (1, 1), so the same
 CNF also gives P(e).  Its first `wmc` call searches under the evidence and
 returns P(e); the search carries the count restricted to the marked literal
 along, so the second call, with the root literal added, returns P(q ∧ e)
-without searching again.  A float P(e) of 0 may be an underflow, so the same
-CNF is then counted again in exact mode.
+without searching again.
 """
 from __future__ import annotations
 
@@ -182,21 +182,17 @@ def encode_query(
     return cnf, root, [cnf.literal(lit) for lit in evidence]
 
 
-def counter(cnf: WeightedCnf, exact: bool = True, mark: int = 0) -> ModelCounter:
+def counter(cnf: WeightedCnf, mark: int = 0) -> ModelCounter:
     """A counter over `cnf` with `mark` as its marked literal (0 marks none)."""
-    weights = cnf.weights
-    if not exact:
-        weights = {v: (float(wt), float(wf)) for v, (wt, wf) in weights.items()}
-    return ModelCounter(cnf.clauses, weights, mark)
+    return ModelCounter(cnf.clauses, cnf.weights, mark)
 
 
 def wmc(
     cnf: WeightedCnf,
     assumptions: Iterable[int] = (),
-    exact: bool = True,
     shared: Optional[ModelCounter] = None,
-):
-    """Weighted count of models consistent with the assumption literals.
+) -> Fraction:
+    """Exact weighted count of models consistent with the assumption literals.
 
     Searches a fresh counter, or `shared`, a `counter(cnf, ...)` kept across
     calls, whose cache and last marked count are then reused.
@@ -206,7 +202,7 @@ def wmc(
         if not 1 <= abs(lit) <= cnf.var_count:
             raise ValidationError(f"assumption references unknown variable: {lit}")
     if shared is None:
-        shared = counter(cnf, exact)
+        shared = counter(cnf)
     return shared.count(assumptions)
 
 
@@ -216,7 +212,8 @@ def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
     Expects a validated program (`model.validate_program`); it is not checked here.
     """
     cnf, root, _ = encode_query(program, formula)
-    return wmc(cnf, [root], exact=exact)
+    answer = wmc(cnf, [root])
+    return answer if exact else float(answer)
 
 
 def conditional(
@@ -236,12 +233,8 @@ def conditional(
     cnf, root, assumptions = encode_query(program, formula, evidence)
     if on_cnf is not None:
         on_cnf(cnf)
-    shared = counter(cnf, exact, mark=root)
+    shared = counter(cnf, mark=root)
     denominator = wmc(cnf, assumptions, shared=shared)
-    if denominator == 0 and not exact:
-        # a float count of 0 may be an underflow; an exact count of the same CNF decides
-        shared = counter(cnf, True, mark=root)
-        denominator = wmc(cnf, assumptions, shared=shared)
     if denominator == 0:
         raise ZeroEvidenceError("evidence has probability zero")
     # the count with the root literal true, kept by the search above

@@ -115,6 +115,18 @@ def test_float_mode_agreement(sprinkler, sprinkler_query):
     assert abs(approx - 0.1) < 1e-9
 
 
+def test_float_answers_are_float_of_the_exact_ones():
+    # every backend computes the exact answer and converts it once, so float
+    # mode rounds once and never differs from float() of rational mode
+    rng = random.Random(5)
+    for _ in range(300):
+        program = random_acyclic_program(rng)
+        query = random_counterfactual_query(rng, program)
+        for backend in BACKENDS:
+            approx = answer_counterfactual(program, query, backend, exact=False)
+            assert approx == float(answer_counterfactual(program, query, backend)), backend
+
+
 def test_conditional_classifies_for_every_backend():
     # the cycle is irrelevant to d, so only the classification rejects it
     program = parse_problog("0.5::u. a :- b. b :- a. d :- u.")

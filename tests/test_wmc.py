@@ -418,7 +418,8 @@ def test_cache_bound_of_a_few_entries_evicts_the_least_recent(monkeypatch):
     assert counter.count() == expected
     stored = list(counter.cache)  # oldest first; nothing was evicted
     assert counter.cache.evictions == 0 and len(stored) > 20
-    cap = 1500  # a few entries of the path's, about 300 bytes each
+    # the bytes of the last three entries stored
+    cap = sum(_counter_py._entry_bytes(key, counter.cache[key]) for key in stored[-3:])
     monkeypatch.setattr(_counter_py, "CACHE_BYTES", cap)
     counter = _counting(ModelCounter(clauses, weights))
     assert counter.count() == expected
@@ -581,6 +582,27 @@ def test_float_underflow_recounts_the_same_cnf(monkeypatch):
     monkeypatch.setattr(wmc_mod, "to_weighted_cnf", counted)
     assert answer_counterfactual(program, query, exact=False) == 1.0
     assert len(encoded) == 1
+
+
+def test_float_underflow_counts_in_one_search(monkeypatch):
+    # float mode counts the same integers as rational mode, so the tiny P(e)
+    # is not 0 and nothing is counted again
+    program, query = _underflow_case()
+    counts, searches = [], []
+    count, search = wmc_mod.wmc, ModelCounter._search
+
+    def counted_wmc(*args, **kwargs):
+        counts.append(args)
+        return count(*args, **kwargs)
+
+    def counted_search(self, *args):
+        searches.append(args)
+        return search(self, *args)
+
+    monkeypatch.setattr(wmc_mod, "wmc", counted_wmc)
+    monkeypatch.setattr(ModelCounter, "_search", counted_search)
+    assert answer_counterfactual(program, query, exact=False) == 1.0
+    assert len(counts) == 2 and len(searches) == 1
 
 
 def _fresh_conditional(program, formula, evidence):

@@ -22,10 +22,9 @@ from .model import (
     validate_program,
 )
 from .parser import parse_formula, parse_lpad, parse_problog, print_lpad, print_problog
-from .semantics import Classification, check_unique_supported_models, marginal, minimal_model
+from .semantics import Classification, check_unique_supported_models, minimal_model
 from .transforms import intervene, twin
-from .counterfactual import answer_counterfactual, answer_intervention
-from .oracle import abduction_action_prediction
+from .counterfactual import answer_counterfactual, answer_intervention, conditional, marginal
 from .lpad import LpadClause, LpadProgram, lpad_of_problog, prob_of_lpad
 
 __all__ = [
@@ -47,10 +46,10 @@ __all__ = [
     "Var",
     "WhatifError",
     "ZeroEvidenceError",
-    "abduction_action_prediction",
     "answer_counterfactual",
     "answer_intervention",
     "check_unique_supported_models",
+    "conditional",
     "intervene",
     "lpad_of_problog",
     "marginal",

@@ -42,8 +42,10 @@ def _check_classification(program: Program, backend: str, stacklevel: int) -> No
         )
 
 
-def _validate(program: Program) -> None:
-    """Reject a program built through the API that breaks a structural invariant."""
+def _validate(program: Program, backend: str) -> None:
+    """Reject an unknown backend, or a program that breaks a structural invariant."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose one of {', '.join(BACKENDS)}")
     diagnostics = validate_program(program)
     if diagnostics:
         raise ValidationError("; ".join(diagnostics))
@@ -51,7 +53,7 @@ def _validate(program: Program) -> None:
 
 def marginal(program: Program, formula: Formula, backend: str = "wmc", exact: bool = True):
     """P(formula) by `backend`; raises ValidationError on an invalid program."""
-    _validate(program)
+    _validate(program, backend)
     return _marginal(program, formula, backend, exact)
 
 
@@ -63,7 +65,7 @@ def conditional(
     exact: bool = True,
 ):
     """P(formula | evidence) by `backend`; raises ValidationError on an invalid program."""
-    _validate(program)
+    _validate(program, backend)
     _check_classification(program, backend, stacklevel=2)
     return _conditional(program, formula, evidence, backend, exact)
 
@@ -105,7 +107,7 @@ def answer_intervention(
     exact: bool = True,
 ):
     """Marginal of `formula` on the surgically modified program."""
-    _validate(program)
+    _validate(program, backend)
     return _marginal(intervene(program, frozenset(interventions)), formula, backend, exact)
 
 
@@ -123,7 +125,7 @@ def answer_counterfactual(
     counted (`wmc.encode_query`), before counting; the other backends count
     no CNF and do not call it.
     """
-    _validate(program)
+    _validate(program, backend)
     if backend == "oracle":
         from .oracle import abduction_action_prediction
 

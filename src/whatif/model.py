@@ -169,15 +169,6 @@ class Program:
         return hash((self.alphabet, frozenset(Counter(self.clauses).items()), frozenset(self.facts)))
 
 
-def ensure_internals(program: Program, atoms: Iterable[str]) -> Program:
-    """Extend the alphabet with `atoms` as rule-less internals where missing."""
-    missing = {a for a in atoms if a not in program.alphabet}
-    if not missing:
-        return program
-    alphabet = Alphabet(program.internals | missing, program.externals)
-    return Program(program.clauses, program.facts, alphabet)
-
-
 # --- formulas -------------------------------------------------------------
 
 class Formula:

@@ -21,19 +21,26 @@ from .transforms import intervene
 def abduction_action_prediction(
     program: Program, query: CounterfactualQuery, exact: bool = True
 ):
-    """Pearl's three steps: condition the error terms, intervene, predict."""
+    """Pearl's three steps: condition the error terms, intervene, predict.
+
+    Evidence may name a random fact, which is read from the world; an atom
+    in neither the world nor the minimal model is false.  The interventions
+    are applied first, so one on a random fact raises `intervene`'s
+    `ValidationError` whatever the evidence.
+    """
+    acted = intervene(program, query.interventions)
     weights = program.world_weights
     # each world's weight numerator; the common denominator cancels in the ratio
     kept: list[tuple[dict[str, bool], int]] = []
     for world in worlds(program):
         model = minimal_model(program, world)
-        if all(model.get(lit.atom, False) == lit.positive for lit in query.evidence):
+        if all(model.get(lit.atom, world.get(lit.atom, False)) == lit.positive
+               for lit in query.evidence):
             kept.append((world, weights.numerator(world)))
     evidence_mass = sum(weight for _, weight in kept)
     if evidence_mass == 0:
         raise ZeroEvidenceError("evidence has probability zero")
 
-    acted = intervene(program, query.interventions)
     predicted = sum(
         weight
         for world, weight in kept

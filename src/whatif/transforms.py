@@ -13,7 +13,6 @@ from .model import (
     Program,
     ValidationError,
     consistent,
-    ensure_internals,
     formula_atoms,
     rename_formula,
 )
@@ -44,50 +43,47 @@ def intervene(program: Program, interventions: Iterable[Literal]) -> Program:
 def twin(
     program: Program, query: CounterfactualQuery
 ) -> tuple[Program, Formula, frozenset[Literal]]:
-    """Build the duplicated program with shared random facts.
+    """The twin network (Balke & Pearl, AAAI 1994): two copies over shared random facts.
 
-    Internal atoms are copied with an evidence-side and an intervention-side
-    suffix; the interventions are applied to the intervention copy.  Returns
-    the transformed program, the renamed query formula and the renamed
-    evidence literals.
+    The evidence copy is `program` and the intervention copy is
+    `intervene(program, query.interventions)`.  Each copy is renamed once,
+    alike in clause heads, clause bodies and the evidence: its internal
+    atoms, and the query's atoms absent from the program, take the copy's
+    suffix, and the random facts stay shared.  So evidence may name a random
+    fact, which conditions the shared fact, while an intervention on one
+    raises `intervene`'s `ValidationError`.  Returns the twin program, the
+    query formula in the intervention copy's names and the evidence in the
+    evidence copy's.
     """
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     query_atoms |= formula_atoms(query.query)
-    program = ensure_internals(program, query_atoms - program.externals)
+    internals = program.internals | (query_atoms - program.externals)
 
     suffixes = (EVIDENCE_SUFFIX, INTERVENTION_SUFFIX)
-    colliding = [a for a in program.internals | program.externals if a.endswith(suffixes)]
+    colliding = [a for a in internals | program.externals if a.endswith(suffixes)]
     if colliding:
         raise ValidationError(
             f"atom {min(colliding)} collides with the twin-copy suffix convention"
         )
 
-    internals = program.internals
-    literals = {lit for clause in program.clauses for lit in clause.body}
-    clauses = []
-    for suffix in suffixes:
-        # each distinct body literal is renamed once per copy
-        renamed = {
-            lit: Literal(lit.atom + suffix, lit.positive) if lit.atom in internals else lit
+    literals = {lit for clause in program.clauses for lit in clause.body} | query.evidence
+
+    def renaming(suffix: str):
+        names = {a: a + suffix for a in internals}
+        # each distinct literal is renamed once per copy
+        return names, {
+            lit: Literal(names[lit.atom], lit.positive) if lit.atom in names else lit
             for lit in literals
         }.__getitem__
-        clauses.extend(Clause(c.head + suffix, frozenset(map(renamed, c.body)))
-                       for c in program.clauses)
-    twin_alphabet = Alphabet(
-        frozenset(a + s for a in internals for s in suffixes),
-        program.externals,
-    )
-    twinned = Program(tuple(clauses), program.facts, twin_alphabet)
 
-    rename_i = {a: a + INTERVENTION_SUFFIX for a in internals}
-    rename_e = {a: a + EVIDENCE_SUFFIX for a in internals}
-    interventions = frozenset(
-        Literal(rename_i[lit.atom], lit.positive) for lit in query.interventions
-    )
-    transformed = intervene(twinned, interventions)
-    renamed_query = rename_formula(query.query, rename_i)
-    evidence = frozenset(Literal(rename_e[lit.atom], lit.positive) for lit in query.evidence)
-    return transformed, renamed_query, evidence
+    names_e, rename_e = renaming(EVIDENCE_SUFFIX)
+    names_i, rename_i = renaming(INTERVENTION_SUFFIX)
+    clauses = [Clause(names_e[c.head], frozenset(map(rename_e, c.body))) for c in program.clauses]
+    clauses += [Clause(names_i[c.head], frozenset(map(rename_i, c.body)))
+                for c in intervene(program, query.interventions).clauses]
+    alphabet = Alphabet(frozenset(a + s for a in internals for s in suffixes), program.externals)
+    twinned = Program(tuple(clauses), program.facts, alphabet)
+    return twinned, rename_formula(query.query, names_i), frozenset(map(rename_e, query.evidence))
 
 
 def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) -> Program:

@@ -108,6 +108,13 @@ def test_run_experiment_small_grid():
     assert len(csv_text.splitlines()) == 3
 
 
+def test_run_experiment_reports_an_unknown_backend():
+    grid = GridSpec(ns=(3,), ks=(1,), seeds=(1,), backends=("nope",))
+    (row,) = run_experiment(grid, time_limit_s=30.0)
+    assert row["status"] == "ERROR"
+    assert "unknown backend 'nope'" in row["answer"]
+
+
 def test_run_experiment_zero_limit_times_out():
     grid = GridSpec(ns=(3,), ks=(1,), seeds=(1,))
     rows = run_experiment(grid, time_limit_s=0.0)

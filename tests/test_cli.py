@@ -75,6 +75,21 @@ def test_all_backends_agree(capsys, sprinkler_file):
         assert code == 0 and out.strip() == "1/10"
 
 
+@pytest.mark.parametrize("backend", ["wmc", "enumerate", "oracle"])
+@pytest.mark.parametrize("evidence, do, code, text", [
+    ("u1", "\\+sprinkler", 0, "1/10"),  # evidence on a random fact conditions the shared fact
+    ("\\+u1,wet", "\\+sprinkler", 0, "1"),  # no season: wet means rain, which stays
+    ("wet", "\\+u1", 2, "cannot intervene on external atoms"),
+])
+def test_random_facts_in_the_query(capsys, sprinkler_file, backend, evidence, do, code, text):
+    result, out, err = run(
+        capsys, "query", str(sprinkler_file), "--query", "slippery",
+        "--evidence", evidence, "--do", do, "--backend", backend,
+    )
+    assert result == code
+    assert out.strip() == text if code == 0 else text in err
+
+
 def test_zero_evidence_exit_code(capsys, sprinkler_file):
     code, _, err = run(
         capsys,

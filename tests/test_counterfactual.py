@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import whatif
 from generators import (
     random_acyclic_program,
     random_counterfactual_query,
+    random_formula,
     random_stratified_program,
 )
 from whatif.counterfactual import (
@@ -28,9 +30,11 @@ from whatif.model import (
     ValidationError,
     Var,
     ZeroEvidenceError,
+    conjunction,
 )
 from whatif.parser import parse_problog
 from whatif.semantics import Classification, check_unique_supported_models
+from whatif.semantics import marginal as enumerated_marginal
 from whatif.transforms import twin
 
 
@@ -110,6 +114,63 @@ def test_backend_agreement_random_suite():
         assert answer_counterfactual(program, query, "enumerate") == reference
 
 
+def _random_fact_query(rng: random.Random, program: Program) -> CounterfactualQuery:
+    """A query whose evidence and interventions may name random facts.
+
+    The evidence is drawn until enumeration finds it satisfiable.
+    """
+    internals, externals = sorted(program.internals), sorted(program.externals)
+
+    def literals(atoms: list[str], count: int) -> frozenset[Literal]:
+        return frozenset(Literal(a, rng.random() < 0.5)
+                         for a in rng.sample(atoms, min(len(atoms), count)))
+
+    interventions = literals(internals, rng.randint(0, 2))
+    if rng.random() < 0.15:
+        interventions |= literals(externals, 1)
+    while True:
+        evidence = literals(internals + externals, rng.randint(1, 3))
+        if enumerated_marginal(program, conjunction(evidence)) > 0:
+            return CounterfactualQuery(random_formula(rng, internals), evidence, interventions)
+
+
+def test_backend_agreement_with_random_facts_in_the_query():
+    # evidence on a random fact conditions the shared fact; an intervention on
+    # one is rejected alike by every backend
+    rng = random.Random(41)
+    answered = rejected = 0
+    for _ in range(200):
+        program = random_acyclic_program(rng, max_internals=5, max_externals=6)
+        query = _random_fact_query(rng, program)
+        outcomes = set()
+        for backend in BACKENDS:
+            try:
+                outcomes.add(answer_counterfactual(program, query, backend))
+            except ValidationError as exc:
+                outcomes.add(str(exc))
+        assert len(outcomes) == 1, (program, query, outcomes)
+        (outcome,) = outcomes
+        if isinstance(outcome, Fraction):
+            answered += any(lit.atom in program.externals for lit in query.evidence)
+        else:
+            assert "cannot intervene on external atoms" in outcome
+            rejected += 1
+    assert answered >= 50 and rejected >= 10, (answered, rejected)
+
+
+def test_unknown_backend_is_rejected(sprinkler, sprinkler_query):
+    formula, evidence = Var("slippery"), {Literal("wet")}
+    for call in (
+        lambda backend: answer_counterfactual(sprinkler, sprinkler_query, backend),
+        lambda backend: answer_intervention(sprinkler, formula, {Literal("rain")}, backend),
+        lambda backend: marginal(sprinkler, formula, backend),
+        lambda backend: conditional(sprinkler, formula, evidence, backend),
+    ):
+        for backend in ("wcm", "nonsense", ""):
+            with pytest.raises(ValueError, match="choose one of wmc, enumerate, oracle"):
+                call(backend)
+
+
 def test_float_mode_agreement(sprinkler, sprinkler_query):
     approx = answer_counterfactual(sprinkler, sprinkler_query, exact=False)
     assert abs(approx - 0.1) < 1e-9
@@ -176,6 +237,22 @@ def test_api_programs_are_validated(backend):
             marginal(program, formula, backend)
         with pytest.raises(ValidationError, match=message):
             conditional(program, formula, (), backend)
+
+
+def test_top_level_names_validate():
+    # b is outside the alphabet; the package's marginal and conditional are
+    # the validating entry points of counterfactual.py
+    program = Program(
+        (Clause("a", frozenset({Literal("b")})),),
+        (RandomFact("u", Fraction(1, 2)),),
+        Alphabet(frozenset({"a"}), frozenset({"u"})),
+    )
+    assert whatif.marginal is marginal and whatif.conditional is conditional
+    assert "abduction_action_prediction" not in whatif.__all__
+    with pytest.raises(ValidationError, match="body atom outside alphabet: b"):
+        whatif.marginal(program, Var("a"))
+    with pytest.raises(ValidationError, match="body atom outside alphabet: b"):
+        whatif.conditional(program, Var("a"), {Literal("u")})
 
 
 def _with_negative_cycle(rng: random.Random, program: Program) -> Program:

@@ -5,7 +5,7 @@ import pytest
 
 from generators import random_acyclic_program, random_counterfactual_query
 from whatif.counterfactual import answer_intervention, conditional
-from whatif.model import CounterfactualQuery, Literal, Var, ZeroEvidenceError
+from whatif.model import CounterfactualQuery, Literal, ValidationError, Var, ZeroEvidenceError
 from whatif.oracle import abduction_action_prediction
 
 
@@ -35,6 +35,27 @@ def test_abduction_pins_error_terms(sprinkler):
         frozenset({Literal("szn_spr_sum")}),
     )
     assert abduction_action_prediction(sprinkler, query) == Fraction(1, 10)
+
+
+def test_evidence_on_a_random_fact_is_read_from_the_world(sprinkler):
+    do = frozenset({Literal("sprinkler", False)})
+    query = CounterfactualQuery(Var("slippery"), frozenset({Literal("u1")}), do)
+    assert abduction_action_prediction(sprinkler, query) == Fraction(1, 10)
+    # no season: wet means rain, which the intervention leaves alone
+    query = CounterfactualQuery(Var("slippery"), {Literal("u1", False), Literal("wet")}, do)
+    assert abduction_action_prediction(sprinkler, query) == 1
+    # an atom in neither the world nor the model is false
+    query = CounterfactualQuery(Var("slippery"), {Literal("ghost", False)}, do)
+    assert abduction_action_prediction(sprinkler, query) == Fraction(7, 20)
+
+
+def test_intervention_on_a_random_fact_is_rejected_first(sprinkler):
+    # the evidence has probability zero, and still the intervention is what is reported
+    query = CounterfactualQuery(
+        Var("rain"), {Literal("wet"), Literal("slippery", False)}, {Literal("u1")}
+    )
+    with pytest.raises(ValidationError, match="cannot intervene on external atoms"):
+        abduction_action_prediction(sprinkler, query)
 
 
 def test_zero_evidence(sprinkler):

@@ -117,6 +117,28 @@ def test_twin_clause_count_property():
         )
 
 
+def test_twin_shares_a_random_fact_named_by_the_evidence(sprinkler):
+    query = CounterfactualQuery(
+        Var("slippery") | Var("u2"),
+        frozenset({Literal("u1", False), Literal("wet"), Literal("ghost", False)}),
+        frozenset({Literal("sprinkler", False)}),
+    )
+    transformed, renamed, evidence = twin(sprinkler, query)
+    # the random facts keep their names in both copies, the evidence and the formula
+    assert evidence == {Literal("u1", False), Literal("wet__e"), Literal("ghost__e", False)}
+    assert renamed == Var("slippery__i") | Var("u2")
+    assert transformed.externals == sprinkler.externals
+    assert {"ghost__e", "ghost__i"} <= transformed.internals
+    assert Clause("szn_spr_sum__e", frozenset({Literal("u1")})) in transformed.clauses
+    assert Clause("szn_spr_sum__i", frozenset({Literal("u1")})) in transformed.clauses
+
+
+def test_twin_rejects_an_intervention_on_a_random_fact(sprinkler):
+    query = CounterfactualQuery(Var("wet"), frozenset({Literal("u1")}), frozenset({Literal("u1")}))
+    with pytest.raises(ValidationError, match="cannot intervene on external atoms"):
+        twin(sprinkler, query)
+
+
 def test_twin_suffix_collision_rejected():
     program = parse_problog("a__e :- b.")
     with pytest.raises(ValidationError, match="suffix"):

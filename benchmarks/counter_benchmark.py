@@ -8,8 +8,9 @@ counter builds its clause database on the first count, so that build is
 timed too.  Reports the best of `--repeats` runs on a fresh counter each
 time, the cache entries and the bytes of the cache's keys and values after
 the pair (`ModelCounter.cache_bytes`), the bits of the counter's integer
-scale (`ModelCounter.scale`, the product of its weights' denominators), and
-both counts as floats.
+scale (`ModelCounter.scale`: the CNF's `scale`, the product of the facts'
+denominators, by which the integer counts are divided; the facts weigh their
+integer pairs and every other variable 1), and both counts as floats.
 
 `float()` of each cell's exact ratio of the two counts must equal
 `wmc.conditional`'s float answer (same CNF, same search); the script exits

@@ -50,18 +50,17 @@ is not expanded further: with non-negative weights, as probabilities are,
 its q is 0 too.  `count(A)` returns t and keeps q, so a following
 `count(A + [m])` returns q without a second search.
 
-Every count is exact and in integers.  A variable's rational weights
-(wt, wf) are scaled by d, the least common multiple of their denominators,
-into the integers (wt·d, wf·d), and d is multiplied into one `scale`.  Every
-model assigns every variable once, so a count in these integers is the
-rational count times `scale`, and `count` returns their `Fraction`.
+Every count is exact and in integers.  A variable weighs the integers
+(wt, wf) given for it, or 1 either way if none are; in the wmc backend the
+facts weigh (a, b - a) for p = a / b.  A count in these integers is the
+rational count times the given `scale`, there the product of the b's, and
+`count` returns their `Fraction`.
 """
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
 from fractions import Fraction
-from math import lcm
 from sys import getsizeof
 from typing import Iterable, Sequence
 
@@ -76,14 +75,17 @@ def _entry_bytes(key: bytes, value: tuple) -> int:
 class ModelCounter:
     """Counts over a fixed clause set; one instance per query (mutable cache).
 
-    `weights` maps each variable to its rational weights (wt, wf): `int`,
-    `Fraction` or `float`, each taken at its exact value.  `mark` is the
-    marked literal; 0, the default, marks none.  The clauses are read on the
-    first `count`.
+    The variables are 1 to `var_count`.  `weights` maps a variable to its
+    integer weights (wt, wf); a variable with no entry weighs 1 either way.
+    `count` divides by `scale`.  `mark` is the marked literal; 0, the
+    default, marks none.  The clauses are read on the first `count`.
     """
 
-    def __init__(self, clauses: Sequence[Sequence[int]], weights: dict[int, tuple], mark: int = 0):
+    def __init__(self, var_count: int, clauses: Sequence[Sequence[int]],
+                 weights: dict[int, tuple[int, int]], scale: int, mark: int = 0):
+        self.var_count = var_count
         self.weights = weights
+        self.scale = scale
         self.cache: OrderedDict[bytes, tuple] = OrderedDict()
         self.cache_bytes = 0  # held by the cache's keys and values, see `_entry_bytes`
         self.clauses = clauses
@@ -105,18 +107,14 @@ class ModelCounter:
                 units.append(clause[0])
             else:
                 return units, None
-        places = max(self.weights, default=0) + 1  # per variable
+        places = self.var_count + 1  # per variable
         slots = 2 * places - 1  # per literal; literal -v is slot slots - v
         self.lit_weight = [1] * slots
-        self.wsum = [1] * places
-        self.scale = 1  # the product of the variables' scales
+        self.wsum = [2] * places
         for var, (wt, wf) in self.weights.items():
-            (nt, dt), (nf, df) = wt.as_integer_ratio(), wf.as_integer_ratio()
-            d = lcm(dt, df)
-            self.lit_weight[var] = t = nt * (d // dt)
-            self.lit_weight[-var] = f = nf * (d // df)
-            self.wsum[var] = t + f
-            self.scale *= d
+            self.lit_weight[var] = wt
+            self.lit_weight[-var] = wf
+            self.wsum[var] = wt + wf
         self.occ = [[] for _ in range(slots)]
         for idx, clause in enumerate(body):
             for lit in clause:
@@ -132,7 +130,7 @@ class ModelCounter:
         self.passes = 0
         # ids of both kinds are packed into the cache keys in the smallest unsigned type
         self.id_code = "H" if max(places, len(body)) <= 1 << 16 else "I"
-        return units, sorted(self.weights)
+        return units, range(1, places)
 
     def count(self, assumptions: Iterable[int] = ()) -> Fraction:
         assumptions = tuple(assumptions)

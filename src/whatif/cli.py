@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, benchgen, counterfactual, transforms, wmc as wmc_mod
 from .lpad import lpad_of_problog, prob_of_lpad
-from .model import CounterfactualQuery, NegativeCycleError, WhatifError, ZeroEvidenceError
+from .model import CounterfactualQuery, WhatifError
 from .parser import (
     ParseError,
     parse_formula,
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"whatif: syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (ZeroEvidenceError, NegativeCycleError, WhatifError) as exc:
+    except WhatifError as exc:
         print(f"whatif: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except (MemoryError, RecursionError) as exc:

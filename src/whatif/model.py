@@ -130,14 +130,6 @@ class Program:
     def fact_probs(self) -> dict[str, Fraction]:
         return {f.atom: f.prob for f in self.facts}
 
-    def external_probs(self) -> dict[str, Fraction]:
-        """`fact_probs`, checked to give every external atom a probability."""
-        probs = self.fact_probs()
-        missing = sorted(self.externals - probs.keys())
-        if missing:
-            raise ValidationError(f"external atom without random fact: {', '.join(missing)}")
-        return probs
-
     @cached_property
     def stratification(self) -> "Stratification":
         """The program's dependency analysis, computed once and kept on this instance."""
@@ -146,7 +138,7 @@ class Program:
 
     @cached_property
     def world_weights(self) -> "WorldWeights":
-        """The externals' weight table of `world_probability`, built once per instance."""
+        """The externals' weight table, built once per instance; checks each has a fact."""
         from .semantics import WorldWeights
         return WorldWeights(self)
 

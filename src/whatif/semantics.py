@@ -33,6 +33,7 @@ from .model import (
     Formula,
     NegativeCycleError,
     Program,
+    ValidationError,
     evaluate,
 )
 
@@ -208,23 +209,25 @@ def worlds(program: Program) -> Iterator[dict[str, bool]]:
 class WorldWeights:
     """Each external's integer weights when true and when false, over one denominator.
 
-    With p = a / b, an external weighs a / b when true and (b - a) / b when
-    false, so a world's weight is the product of the integers a or b - a
-    (`numerator`) over the product of the integers b (`denominator`).
+    With p = a / b in lowest terms, an external weighs a / b when true and
+    (b - a) / b when false, so `pairs[atom]` is (a, b - a) and a world's
+    weight is the product of the integers a or b - a (`numerator`) over the
+    product of the b's (`denominator`).  The WMC encoder copies the pairs.
     """
 
     def __init__(self, program: Program) -> None:
-        probs = program.external_probs()
-        self.atoms = tuple(program.externals)
-        fractions = [probs[atom] for atom in self.atoms]
-        self.pairs = [(p.numerator, p.denominator - p.numerator) for p in fractions]
-        self.denominator = 1
-        for p in fractions:
+        probs = program.fact_probs()
+        if missing := sorted(program.externals - probs.keys()):
+            raise ValidationError(f"external atom without random fact: {', '.join(missing)}")
+        self.pairs, self.denominator = {}, 1
+        for atom in program.externals:
+            p = probs[atom]
+            self.pairs[atom] = (p.numerator, p.denominator - p.numerator)
             self.denominator *= p.denominator
 
     def numerator(self, world: WorldAssignment) -> int:
         numerator = 1
-        for atom, (yes, no) in zip(self.atoms, self.pairs):
+        for atom, (yes, no) in self.pairs.items():
             numerator *= yes if world[atom] else no
         return numerator
 

@@ -2,9 +2,10 @@
 
 Translates an acyclic program into a weighted CNF via Clark completion, with
 auxiliary variables for the bodies of atoms with two or more rules, and
-counts with a DPLL-style counter in exact integer arithmetic.  Every answer
-is an exact `Fraction`; with `exact=False` an entry point returns `float()`
-of it.
+counts with a DPLL-style counter in exact integer arithmetic: the fact
+variables weigh their integer pairs of `Program.world_weights`, every other
+variable 1.  Every answer is an exact `Fraction`; with `exact=False` an
+entry point returns `float()` of it.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `marginal_wmc`, `whatif query --dump-cnf` and the counter benchmark use it.
@@ -24,7 +25,7 @@ completion and the query's Tseitin clauses are written by one definer,
 
 `conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search over one
 counter whose marked literal is the query's root literal; the Tseitin
-definitions are equivalences over auxiliaries of weight (1, 1), so the same
+definitions are equivalences over auxiliaries that weigh 1, so the same
 CNF also gives P(e).  Its first `wmc` call searches under the evidence and
 returns P(e); the search carries the count restricted to the marked literal
 along, so the second call, with the root literal added, returns P(q ∧ e)
@@ -55,7 +56,6 @@ from .transforms import relevant
 # There is no compiled kernel; the benchmark still reports this flag.
 HAVE_COMPILED_COUNTER = False
 
-_FREE = (Fraction(1), Fraction(1))  # the weights of a variable that is not a fact
 _FACT_KEY = frozenset({frozenset()})  # the key of every atom with a fact clause
 
 
@@ -63,21 +63,22 @@ _FACT_KEY = frozenset({frozenset()})  # the key of every atom with a fact clause
 class WeightedCnf:
     var_count: int
     clauses: list[tuple[int, ...]]
-    weights: dict[int, tuple[Fraction, Fraction]]  # var -> (w_true, w_false)
+    weights: dict[int, tuple[int, int]]  # fact var -> integers (w_true, w_false)
     var_map: dict[str, int]
+    scale: int  # the product of the facts' denominators, which every count is over
 
     def literal(self, lit: Literal) -> int:
         var = self.var_map[lit.atom]
         return var if lit.positive else -var
 
     def copy(self) -> "WeightedCnf":
+        """A copy for more clauses and variables; `weights` is shared, as no caller writes it."""
         return WeightedCnf(
-            self.var_count, list(self.clauses), dict(self.weights), dict(self.var_map)
+            self.var_count, list(self.clauses), self.weights, dict(self.var_map), self.scale
         )
 
     def new_var(self) -> int:
         self.var_count += 1
-        self.weights[self.var_count] = _FREE
         return self.var_count
 
 
@@ -102,13 +103,12 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
     if classification is not Classification.ACYCLIC:
         raise ValidationError("WMC backend requires an acyclic program")
 
-    cnf = WeightedCnf(0, [], {}, {})
-    probs = program.external_probs()
+    cnf = WeightedCnf(0, [], {}, {}, program.world_weights.denominator)
     # set of bodies -> the variable of its atoms; {{v}} -> v itself
     defined: dict[frozenset, int] = {}
     for atom in sorted(program.externals):
         var = cnf.var_map[atom] = cnf.new_var()
-        cnf.weights[var] = (probs[atom], 1 - probs[atom])
+        cnf.weights[var] = program.world_weights.pairs[atom]
         defined[frozenset({frozenset({var})})] = var
 
     by_head = program.clauses_by_head()
@@ -175,7 +175,7 @@ def encode_query(
     program: Program, formula: Formula, evidence: Iterable[Literal] = ()
 ) -> tuple[WeightedCnf, int, list[int]]:
     """The CNF counted for P(formula | evidence), its root and evidence literals."""
-    program.external_probs()  # checked before relevant() drops unused externals
+    program.world_weights  # checked before relevant() drops unused externals
     evidence = sorted(evidence)
     # relevant() adds absent atoms as rule-less internals
     cnf, root = add_formula(to_weighted_cnf(relevant(program, formula, evidence)), formula)
@@ -184,7 +184,7 @@ def encode_query(
 
 def counter(cnf: WeightedCnf, mark: int = 0) -> ModelCounter:
     """A counter over `cnf` with `mark` as its marked literal (0 marks none)."""
-    return ModelCounter(cnf.clauses, cnf.weights, mark)
+    return ModelCounter(cnf.var_count, cnf.clauses, cnf.weights, cnf.scale, mark)
 
 
 def wmc(
@@ -244,11 +244,15 @@ def conditional(
 
 
 def dump_dimacs(cnf: WeightedCnf) -> str:
-    """Weighted CNF in the standard model-counting text format."""
+    """Weighted CNF in the standard model-counting text format.
+
+    Only fact variables get `c p weight` lines, with their probabilities; as
+    in the model-counting competition format, an unlisted literal weighs 1.
+    """
     lines = [f"p cnf {cnf.var_count} {len(cnf.clauses)}"]
     for var, (wt, wf) in sorted(cnf.weights.items()):
-        lines.append(f"c p weight {var} {float(wt):.17g} 0")
-        lines.append(f"c p weight {-var} {float(wf):.17g} 0")
+        lines.append(f"c p weight {var} {wt / (wt + wf):.17g} 0")
+        lines.append(f"c p weight {-var} {wf / (wt + wf):.17g} 0")
     for clause in cnf.clauses:
         lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"

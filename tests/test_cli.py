@@ -212,11 +212,22 @@ def test_dump_cnf_holds_the_query_clauses(capsys, sprinkler_file, tmp_path):
         parse_formula("wet ; rain"), parse_literals(argv[1]), parse_literals(argv[3])
     )
     transformed, formula, evidence = twin(program, query)
-    plain = to_weighted_cnf(relevant(transformed, formula, evidence))
+    reduced = relevant(transformed, formula, evidence)
+    plain = to_weighted_cnf(reduced)
     counted, _ = add_formula(plain, formula)
     # the disjunction's Tseitin variable and clauses come on top of the twin's
     assert target.read_text() == dump_dimacs(counted)
     assert len(counted.clauses) > len(plain.clauses)
+    # two weight lines per kept fact, its probability and its complement; no others
+    weights = [line.split()[3:] for line in target.read_text().splitlines()
+               if line.startswith("c p weight ")]
+    assert len(weights) == 2 * len(reduced.externals) > 0
+    probs = reduced.fact_probs()
+    expected = {}
+    for atom in reduced.externals:
+        var = counted.var_map[atom]
+        expected[var], expected[-var] = float(probs[atom]), float(1 - probs[atom])
+    assert {int(lit): float(value) for lit, value, _ in weights} == expected
 
 
 @pytest.mark.parametrize("backend", ["wmc", "enumerate"])

@@ -151,6 +151,8 @@ def test_world_weights_equal_the_direct_product():
         probs = {f"u{i}": Fraction(rng.randint(0, b), b) for i, b in enumerate(denominators)}
         program = Program((), tuple(RandomFact(a, p) for a, p in probs.items()))
         assert program.world_weights is program.world_weights  # built once
+        for atom, (yes, no) in program.world_weights.pairs.items():
+            assert Fraction(yes, yes + no) == probs[atom]
         for world in worlds(program):
             exact = Fraction(1)
             for atom in program.externals:

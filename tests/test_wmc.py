@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_single_rule_completion():
     cnf = to_weighted_cnf(program)
     # a one-literal rule's head takes that literal's variable and weights
     assert cnf.var_map["a"] == cnf.var_map["u"]
-    assert cnf.weights[cnf.var_map["a"]] == (Fraction(1, 2), Fraction(1, 2))
+    assert cnf.weights[cnf.var_map["a"]] == (1, 1) and cnf.scale == 2
     assert wmc(cnf, [cnf.var_map["a"]]) == Fraction(1, 2)
 
 
@@ -155,13 +156,26 @@ def test_rejects_cyclic_programs():
 
 
 def test_free_variables_count():
-    weights = {v: (Fraction(1), Fraction(1)) for v in range(1, 6)}
-    cnf = WeightedCnf(5, [], weights, {})
+    # a variable with no weight entry weighs 1 either way
+    cnf = WeightedCnf(5, [], {}, {}, 1)
     assert wmc(cnf) == 32
 
 
+def test_fact_variables_carry_the_world_weight_pairs():
+    # the CNF's weights are the pruned program's table on its fact variables, and nothing else
+    rng = random.Random(16)
+    for case in range(100):
+        program = random_acyclic_program(rng)
+        query = random_counterfactual_query(rng, program)
+        transformed, formula, evidence = twin(program, query)
+        cnf, _, _ = wmc_mod.encode_query(transformed, formula, evidence)
+        table = relevant(transformed, formula, sorted(evidence)).world_weights
+        assert cnf.weights == {cnf.var_map[atom]: pair for atom, pair in table.pairs.items()}, case
+        assert cnf.scale == table.denominator, case
+
+
 def test_unknown_assumption_rejected():
-    cnf = WeightedCnf(1, [], {1: (Fraction(1), Fraction(1))}, {})
+    cnf = WeightedCnf(1, [], {}, {}, 1)
     with pytest.raises(ValidationError):
         wmc(cnf, [7])
 
@@ -271,6 +285,16 @@ def _random_cnf(rng):
     return n, clauses, weights, assumptions
 
 
+def _scaled(weights):
+    """Rational weight pairs as the counter's (integer pairs, scale): each pair times its lcm."""
+    integers, scale = {}, 1
+    for var, (wt, wf) in weights.items():
+        d = lcm(wt.denominator, wf.denominator)
+        integers[var] = (int(wt * d), int(wf * d))
+        scale *= d
+    return integers, scale
+
+
 def _brute_force(n, clauses, weights, assumptions):
     """Weighted sum over all 2^n assignments that satisfy every clause and assumption."""
     constraints = clauses + [(lit,) for lit in assumptions]
@@ -327,7 +351,7 @@ def test_counter_equals_brute_force(monkeypatch, cap):
     for _ in range(300):
         n, clauses, weights, assumptions = _random_cnf(rng)
         expected = _brute_force(n, clauses, weights, assumptions)
-        counter = _counting(ModelCounter(clauses, weights))
+        counter = _counting(ModelCounter(n, clauses, *_scaled(weights)))
         assert counter.count(assumptions) == expected
         _check_cache_bytes(counter, cap)
         evictions += counter.cache.evictions
@@ -366,7 +390,7 @@ def test_marked_pair_equals_brute_force(monkeypatch, cap):
             mark = rng.choice(pool)
         else:
             mark = rng.choice((1, -1)) * rng.randint(1, n)
-        counter = _counting(ModelCounter(clauses, weights, mark=mark))
+        counter = _counting(ModelCounter(n, clauses, *_scaled(weights), mark=mark))
         expected = _brute_force(n, clauses, weights, assumptions)
         assert counter.count(assumptions) == expected
         counter._expand = None  # the marked count must not search again
@@ -414,14 +438,14 @@ def _path(n):
 
 def test_cache_bound_of_a_few_entries_evicts_the_least_recent(monkeypatch):
     clauses, weights, expected = _path(40)
-    counter = _counting(ModelCounter(clauses, weights))
+    counter = _counting(ModelCounter(len(weights), clauses, *_scaled(weights)))
     assert counter.count() == expected
     stored = list(counter.cache)  # oldest first; nothing was evicted
     assert counter.cache.evictions == 0 and len(stored) > 20
     # the bytes of the last three entries stored
     cap = sum(_counter_py._entry_bytes(key, counter.cache[key]) for key in stored[-3:])
     monkeypatch.setattr(_counter_py, "CACHE_BYTES", cap)
-    counter = _counting(ModelCounter(clauses, weights))
+    counter = _counting(ModelCounter(len(weights), clauses, *_scaled(weights)))
     assert counter.count() == expected
     _check_cache_bytes(counter, cap)
     assert counter.cache.evictions > 0 and 1 < len(counter.cache) < len(stored)
@@ -430,8 +454,8 @@ def test_cache_bound_of_a_few_entries_evicts_the_least_recent(monkeypatch):
 
 def test_variable_ids_past_16_bits_pack_into_the_cache_key():
     n = 70_000  # the xor of the last two variables; the others are free, of weight sum 1
-    weights = {v: (0.25, 0.75) for v in range(1, n + 1)}
-    counter = ModelCounter([(n - 1, n), (1 - n, -n)], weights)
+    weights = {v: (Fraction(1, 4), Fraction(3, 4)) for v in range(1, n + 1)}
+    counter = ModelCounter(n, [(n - 1, n), (1 - n, -n)], *_scaled(weights))
     assert counter.count() == 0.375
     assert counter.count([n]) == 0.1875
     assert len(counter.cache) == 1
@@ -439,7 +463,7 @@ def test_variable_ids_past_16_bits_pack_into_the_cache_key():
 
 def test_interrupted_search_leaves_the_counter_usable():
     clauses, weights, expected = _path(40)
-    counter = ModelCounter(clauses, weights)
+    counter = ModelCounter(len(weights), clauses, *_scaled(weights))
     expand, calls = counter._expand, []
 
     def interrupted(*args):
@@ -471,7 +495,7 @@ def test_marked_pair_of_a_component_counted_first_under_the_marked_literal_false
     else:
         clauses = [(-x, -m), (x, y), (x, y, a), (a, b), (-a, -b)]
     weights = {v: (Fraction(v, 7), Fraction(1, v + 1)) for v in range(1, 6)}
-    counter = _counting(ModelCounter(clauses, weights, mark=m))
+    counter = _counting(ModelCounter(5, clauses, *_scaled(weights), mark=m))
     assert counter.count() == _brute_force(5, clauses, weights, [])
     assert counter.count([m]) == _brute_force(5, clauses, weights, [m])
     assert counter.cache.hits == 1  # the lookup of {a, b} in the negative branch
@@ -481,10 +505,10 @@ def test_counter_invariant_under_permutation_and_renaming():
     rng = random.Random(17)
     for _ in range(100):
         n, clauses, weights, assumptions = _random_cnf(rng)
-        reference = ModelCounter(clauses, weights).count(assumptions)
+        reference = ModelCounter(n, clauses, *_scaled(weights)).count(assumptions)
         shuffled = [tuple(rng.sample(c, len(c))) for c in clauses]
         rng.shuffle(shuffled)
-        assert ModelCounter(shuffled, weights).count(assumptions) == reference
+        assert ModelCounter(n, shuffled, *_scaled(weights)).count(assumptions) == reference
         perm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
 
         def rename(lit):
@@ -492,14 +516,14 @@ def test_counter_invariant_under_permutation_and_renaming():
 
         renamed = [tuple(map(rename, c)) for c in clauses]
         renamed_weights = {perm[v]: w for v, w in weights.items()}
-        counter = ModelCounter(renamed, renamed_weights)
+        counter = ModelCounter(n, renamed, *_scaled(renamed_weights))
         assert counter.count(list(map(rename, assumptions))) == reference
 
 
 def test_counter_empty_clause_is_unsatisfiable():
-    weights = {1: (Fraction(1, 2), Fraction(1, 2))}
-    assert ModelCounter([(), (1, -1)], weights).count() == 0
-    assert ModelCounter([(1, -1)], weights).count() == 1
+    weights = _scaled({1: (Fraction(1, 2), Fraction(1, 2))})
+    assert ModelCounter(1, [(), (1, -1)], *weights).count() == 0
+    assert ModelCounter(1, [(1, -1)], *weights).count() == 1
 
 
 def test_deep_path_counts_without_recursion_limit():
@@ -512,7 +536,7 @@ def test_deep_path_counts_without_recursion_limit():
     for _ in range(n):
         ends_true, ends_false = (ends_true + ends_false) * half, ends_true * half
     limit = sys.getrecursionlimit()
-    assert ModelCounter(clauses, weights).count() == ends_true + ends_false
+    assert ModelCounter(n + 1, clauses, *_scaled(weights)).count() == ends_true + ends_false
     assert sys.getrecursionlimit() == limit
 
 
@@ -528,7 +552,7 @@ def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
     n, margin = 1200, 100
     weights = {v: (Fraction(1, 2), Fraction(1, 2)) for v in range(1, n + 2)}
     clauses = [(i, i + 1) for i in range(1, n + 1)]  # a path; its count is tested above
-    expected = ModelCounter(clauses, weights).count()
+    expected = ModelCounter(n + 1, clauses, *_scaled(weights)).count()
     live = peak = 0
     node = ModelCounter._node
 
@@ -545,7 +569,7 @@ def test_search_depth_is_not_bounded_by_recursion_limit(monkeypatch):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + margin)
     try:
-        assert ModelCounter(clauses, weights).count() == expected
+        assert ModelCounter(n + 1, clauses, *_scaled(weights)).count() == expected
     finally:
         sys.setrecursionlimit(limit)
     assert peak > 4 * margin, peak

@@ -1,10 +1,18 @@
 """Annotated-disjunction programs: selection semantics, translations, and the
-selection-based counterfactual formula of CP-logic."""
+selection-based counterfactual formula of CP-logic.
+
+The enumerations over selections (`lpad_distribution`, `cp_counterfactual`)
+build no program per selection: a selection is a world of one `selector`
+program, whose model function is generated once per LPAD (see
+`semantics.Stratification.model`).  `select` still builds the selected
+program itself.
+"""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .model import (
@@ -18,11 +26,14 @@ from .model import (
     ValidationError,
     ZeroEvidenceError,
     evaluate,
+    formula_atoms,
 )
 from .semantics import minimal_model
 
 # A selection maps each clause (by position) to a chosen head index or None.
 Selection = tuple[Optional[int], ...]
+# Per clause, per head index, the choice atom of `selector`.
+Choices = tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -40,8 +51,9 @@ class LpadClause:
         if len(set(atoms)) != len(atoms):
             raise ValidationError("duplicate head atoms in one clause")
 
-    @property
+    @cached_property
     def residual(self) -> Fraction:
+        """Probability that no head is chosen; computed once per clause."""
         return 1 - sum((p for _, p in self.head), Fraction(0))
 
 
@@ -86,16 +98,52 @@ def select(program: LpadProgram, selection: Selection) -> Program:
     return Program(clauses, (), Alphabet(program.atoms, frozenset()))
 
 
-def _selection_model(program: LpadProgram, selection: Selection) -> dict[str, bool]:
-    return minimal_model(select(program, selection), {})
+def selector(program: LpadProgram, reserved: Iterable[str] = ()) -> tuple[Program, Choices]:
+    """One program whose worlds are the selections of `program`.
+
+    Head j of clause k becomes the rule ``h :- body, c`` guarded by a fresh
+    external choice atom c = `choices[k][j]`, and a selection is the world
+    that makes its choices true (`selection_world`).  That world's model is
+    the model of `select(program, selection)`, and as `transforms.intervene`
+    erases clauses by head, the intervened selector's model is the model of
+    the intervened selected program.  Choice atoms share a prefix that
+    starts no atom of the program and none of `reserved`, so they never
+    merge with an atom of the program or of a query.  The selector has no
+    random facts, and its dependency analysis and generated model function
+    are built once for all selections.  It holds the rule of every head, so
+    a cycle through negation is rejected even where only selections of
+    probability zero close it.
+    """
+    taken = program.atoms | frozenset(reserved)
+    prefix = "choice"
+    while any(atom.startswith(prefix) for atom in taken):
+        prefix = "_" + prefix
+    choices = tuple(
+        tuple(f"{prefix}{k}_{j}" for j in range(len(clause.head)))
+        for k, clause in enumerate(program.clauses)
+    )
+    clauses = tuple(
+        Clause(atom, clause.body | {Literal(choice)})
+        for clause, row in zip(program.clauses, choices)
+        for (atom, _), choice in zip(clause.head, row)
+    )
+    externals = frozenset(choice for row in choices for choice in row)
+    return Program(clauses, (), Alphabet(program.atoms, externals)), choices
+
+
+def selection_world(choices: Choices, selection: Selection) -> dict[str, bool]:
+    """The selector world of a selection: its chosen heads' choice atoms are true."""
+    return {row[j]: True for row, j in zip(choices, selection) if j is not None}
 
 
 def lpad_distribution(program: LpadProgram, formula: Formula) -> Fraction:
-    """Distribution semantics by enumeration of all selections."""
+    """Distribution semantics by enumeration of all selections, as worlds of `selector`."""
+    guarded, choices = selector(program)
     total = Fraction(0)
     for selection in selections(program):
         weight = selection_probability(program, selection)
-        if weight and evaluate(formula, _selection_model(program, selection)):
+        world = selection_world(choices, selection)
+        if weight and evaluate(formula, minimal_model(guarded, world)):
             total += weight
     return total
 
@@ -105,22 +153,27 @@ def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fract
 
     A selection stands for a leaf of any execution model: it contributes when
     its model satisfies the evidence, weighted by its conditional probability,
-    and counts toward the query when the intervened selected program derives it.
+    and counts toward the query when the intervened selected program derives
+    it.  The selected programs are the worlds of one `selector` program, and
+    the intervened ones the worlds of that program intervened on once.
     """
     from .transforms import intervene
 
+    query_atoms = {lit.atom for lit in query.evidence | query.interventions}
+    guarded, choices = selector(program, query_atoms | formula_atoms(query.query))
+    acted = intervene(guarded, query.interventions)
     numerator = Fraction(0)
     evidence_mass = Fraction(0)
     for selection in selections(program):
         weight = selection_probability(program, selection)
         if weight == 0:
             continue
-        model = _selection_model(program, selection)
+        world = selection_world(choices, selection)
+        model = minimal_model(guarded, world)
         if not all(model.get(lit.atom, False) == lit.positive for lit in query.evidence):
             continue
         evidence_mass += weight
-        acted = intervene(select(program, selection), query.interventions)
-        if evaluate(query.query, minimal_model(acted, {})):
+        if evaluate(query.query, minimal_model(acted, world)):
             numerator += weight
     if evidence_mass == 0:
         raise ZeroEvidenceError("evidence has probability zero")

@@ -7,13 +7,16 @@ off the clauses into per-atom successor lists, runs Tarjan's algorithm over
 them once, and classifies the program from the SCCs: a negative edge inside
 an SCC is a cycle through negation, and an SCC of two or more atoms or a
 self-loop is a cycle.  On first use it also compiles the clauses into
-blocks of set rules, in the topological order of the SCC condensation:
+blocks of rules, in the topological order of the SCC condensation:
 consecutive one-atom SCCs share one block that a single pass evaluates, and
 each larger SCC gets a block of its own that is iterated to its least
-fixpoint (stratified bottom-up evaluation, Apt, Blair & Walker 1988).
-`minimal_model` then only runs set operations over these rules.  The
-externals' weight table that every world's probability is computed from
-(`WorldWeights`) is cached the same way, as `Program.world_weights`.
+fixpoint (stratified bottom-up evaluation, Apt, Blair & Walker 1988).  The
+blocks then become the source of one Python function per program
+(`Stratification.model`), compiled once, in which each atom is a local
+variable and each rule one ``if``.  `minimal_model` only calls it, so no
+world pays for interpreting the rules.  The externals' weight table that
+every world's probability is computed from (`WorldWeights`) is cached the
+same way, as `Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against.  It sums the worlds' integer weight numerators
@@ -27,7 +30,7 @@ import itertools
 import sys
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .model import (
     Formula,
@@ -104,8 +107,9 @@ class Stratification:
     through negation are kept as pairs, to tell a negative cycle from a
     positive one.
 
-    The blocks are built on first use, since only `minimal_model` needs them:
-    one `(recursive, rules)` pair per block, in topological order, where each
+    The blocks are built on first use, since only `minimal_model` needs them,
+    through the function `model` generates from them: one
+    `(recursive, rules)` pair per block, in topological order, where each
     rule is `(head, positive body atoms, negative body atoms)`.  A block is
     recursive when its SCC has more than one atom, and so a cycle (a positive
     one, unless the program is rejected).  A one-atom SCC is not, even with a
@@ -140,7 +144,8 @@ class Stratification:
                 if any(component_of[src] == component_of[dst] for src, dst in negative)
                 else Classification.STRATIFIED_CYCLIC
             )
-        self._clauses = program.clauses  # not the program, which holds this object
+        # not the program, which holds this object
+        self._clauses, self._alphabet = program.clauses, program.alphabet
 
     @cached_property
     def blocks(self) -> list[tuple[bool, tuple[Rule, ...]]]:
@@ -159,6 +164,62 @@ class Stratification:
                 blocks.append((recursive, rules))
         return [(recursive, tuple(rules)) for recursive, rules in blocks]
 
+    @cached_property
+    def model(self) -> Callable[[WorldAssignment], dict[str, bool]]:
+        """The blocks as one generated Python function from a world to the model.
+
+        Each atom a rule reads is a local variable: a head starts false, and
+        an external is read once, as its value in the world (so a world key
+        that is not an external is ignored).  Any other atom, a rule-less
+        internal or one outside the alphabet, is the constant false: a rule
+        that reads it positively is dropped, and its negation is dropped from
+        the body.  A non-recursive block is one ``if`` per rule, in block
+        order; a recursive block repeats its rules in a ``while`` loop until
+        none fires.  Besides atoms of its own SCC, which it reads only
+        positively, a rule reads atoms that earlier rules have settled, so
+        negation never reads an atom that may still change.  The function
+        returns every internal atom in the order of the program's
+        `internals`.  Atom names never enter the source, which only holds
+        generated variable names: the names are bound as tuples of values in
+        the function's own globals, so no name is parsed as code, and the
+        source runs with no builtins.
+        """
+        internals = list(self._alphabet.internals)
+        heads = {head for _, rules in self.blocks for head, _, _ in rules}
+        read = {atom for _, rules in self.blocks for _, pos, neg in rules for atom in pos | neg}
+        externals = sorted(read & self._alphabet.externals)
+        local = {atom: f"v{i}" for i, atom in enumerate(internals) if atom in heads}
+        local.update((atom, f"x{i}") for i, atom in enumerate(externals))
+
+        lines = ["def model(world):"]
+        if externals:
+            lines.append(f"    {', '.join(local[a] for a in externals)}, = map(world.get, keys)")
+        if heads:
+            lines.append(f"    {' = '.join(local[a] for a in internals if a in heads)} = False")
+        for recursive, rules in self.blocks:
+            indent = "    "
+            if recursive:
+                lines += ["    changed = True", "    while changed:", "        changed = False"]
+                indent = "        "
+            for head, pos, neg in rules:
+                if not local.keys() >= pos:
+                    continue  # it reads an atom that is always false
+                target = local[head]
+                terms = [local[a] for a in sorted(pos)]
+                terms += [f"not {local[a]}" for a in sorted(neg) if a in local]
+                if recursive:
+                    terms.insert(0, f"not {target}")
+                    target += " = changed"
+                test = " and ".join(terms)
+                lines.append(f"{indent}if {test}: {target} = True" if test
+                             else f"{indent}{target} = True")
+        values = ", ".join(local.get(atom, "False") for atom in internals)
+        lines.append(f"    return dict(zip(names, [{values}]))")
+        namespace = {"__builtins__": {}, "keys": tuple(externals), "names": tuple(internals),
+                     "dict": dict, "map": map, "zip": zip}
+        exec("\n".join(lines), namespace)
+        return namespace.pop("model")  # not left in its own globals, a reference cycle
+
 
 def check_unique_supported_models(program: Program) -> Classification:
     """Syntactic classification: acyclicity guarantees unique supported models."""
@@ -168,35 +229,15 @@ def check_unique_supported_models(program: Program) -> Classification:
 def minimal_model(program: Program, world: WorldAssignment) -> dict[str, bool]:
     """Perfect model of the program joined with the given external assignment.
 
-    Runs the program's compiled blocks in order over the set of true atoms,
-    which starts as the world's true externals.  A rule fires when its head
-    is not yet true, its positive body is true and its negative body is
-    false; a non-recursive block makes one pass, a recursive one repeats its
-    pass until nothing fires.  Besides atoms of its own SCC, which it reads
-    only positively, a rule reads atoms that earlier rules have settled, so
-    negation never reads an atom that may still change.  Returns every
-    internal atom, in the order of `program.internals`.
+    An external reads true when its value in `world` is truthy; a world key
+    that is not an external is ignored, and a body atom outside the alphabet
+    reads false.  Returns every internal atom, in the order of
+    `program.internals`, from the program's generated function
+    (`Stratification.model`), which is built on the first call.
     """
     if check_unique_supported_models(program) is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
-    true = {atom for atom, value in world.items() if value}
-    true &= program.externals
-    model = dict.fromkeys(program.internals, False)
-    for recursive, rules in program.stratification.blocks:
-        while _fire(rules, true, model) and recursive:
-            pass
-    return model
-
-
-def _fire(rules: tuple[Rule, ...], true: set[str], model: dict[str, bool]) -> bool:
-    """One pass over `rules`, adding each head that fires to `true` and `model`."""
-    fired = False
-    for head, pos, neg in rules:
-        if head not in true and pos <= true and true.isdisjoint(neg):
-            true.add(head)
-            model[head] = True
-            fired = True
-    return fired
+    return program.stratification.model(world)
 
 
 def worlds(program: Program) -> Iterator[dict[str, bool]]:

@@ -14,7 +14,9 @@ from whatif.lpad import (
     prob_of_lpad,
     select,
     selection_probability,
+    selection_world,
     selections,
+    selector,
 )
 from whatif.model import (
     CounterfactualQuery,
@@ -24,7 +26,8 @@ from whatif.model import (
     ZeroEvidenceError,
 )
 from whatif.parser import parse_lpad
-from whatif.semantics import marginal
+from whatif.semantics import marginal, minimal_model
+from whatif.transforms import intervene
 
 
 @pytest.fixture
@@ -149,3 +152,47 @@ def test_round_trip_problog_lpad_problog(sprinkler):
     back = prob_of_lpad(lpad_of_problog(sprinkler))
     for atom in sorted(sprinkler.internals):
         assert marginal(back, Var(atom)) == marginal(sprinkler, Var(atom))
+
+
+def test_selector_worlds_are_the_selected_programs():
+    rng = random.Random(59)
+    negated = 0
+    for _ in range(60):
+        lpad = random_lpad(rng)
+        negated += any(not lit.positive for clause in lpad.clauses for lit in clause.body)
+        atoms = sorted(lpad.atoms)
+        interventions = frozenset(
+            Literal(a, rng.random() < 0.5)
+            for a in rng.sample(atoms, rng.randint(0, min(2, len(atoms))))
+        )
+        guarded, choices = selector(lpad)
+        acted = intervene(guarded, interventions)
+        for selection in selections(lpad):
+            world = selection_world(choices, selection)
+            selected = select(lpad, selection)
+            assert minimal_model(guarded, world) == minimal_model(selected, {})
+            assert minimal_model(acted, world) == minimal_model(
+                intervene(selected, interventions), {}
+            )
+    assert negated >= 15
+
+
+def test_choice_atoms_never_merge_with_program_or_query_atoms():
+    lpad = parse_lpad("choice0_0:0.5.  a:0.5 :- choice0_0.  b:0.5 :- \\+choice1_0.")
+    guarded, choices = selector(lpad)
+    assert guarded.internals == lpad.atoms
+    assert not guarded.externals & lpad.atoms
+    assert lpad_distribution(lpad, Var("choice0_0")) == Fraction(1, 2)
+    assert lpad_distribution(lpad, Var("a")) == Fraction(1, 4)
+    assert lpad_distribution(lpad, Var("b")) == Fraction(1, 2)
+    # a query atom named like a choice atom is an atom of its own too
+    guarded, _ = selector(lpad, {"_choice2_0"})
+    assert not any(atom.startswith("_choice") for atom in guarded.externals)
+    query = CounterfactualQuery(
+        Var("b") & Var("_choice2_0"), frozenset({Literal("a")}),
+        frozenset({Literal("choice1_0"), Literal("_choice2_0")}),
+    )
+    assert cp_counterfactual(lpad, query) == 0  # b :- \+choice1_0, and choice1_0 is forced
+    query = CounterfactualQuery(Var("_choice2_0"),
+                                interventions=frozenset({Literal("_choice2_0")}))
+    assert cp_counterfactual(lpad, query) == 1

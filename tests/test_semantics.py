@@ -1,4 +1,6 @@
+import os
 import random
+import re
 from functools import cached_property
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ import pytest
 from generators import random_acyclic_program, random_formula, random_stratified_program
 from whatif import semantics
 from whatif.model import (
-    And, CounterfactualQuery, Literal, Not, Or, Program, RandomFact, Var, NegativeCycleError,
+    Alphabet, And, Clause, CounterfactualQuery, Literal, Not, Or, Program, RandomFact, Var,
+    NegativeCycleError,
 )
 from whatif.oracle import abduction_action_prediction
 from whatif.parser import parse_problog
@@ -98,8 +101,8 @@ def reference_model(program, world):
         while changed:
             changed = False
             for clause in clauses:
-                if not values[clause.head] and all(
-                    values[lit.atom] == lit.positive for lit in clause.body
+                if not values[clause.head] and all(  # an atom outside the alphabet is false
+                    values.get(lit.atom, False) == lit.positive for lit in clause.body
                 ):
                     values[clause.head] = changed = True
     return {atom: values[atom] for atom in program.internals}
@@ -134,6 +137,70 @@ def test_minimal_model_equals_the_stratum_by_stratum_fixpoint():
                 assert model == expected and list(model) == list(expected), (variant, world)
     assert seen == {"fact", "self-loop", "rule", "two-cycle", "duplicate clause",
                     "shared body", "rule-less internal"}
+
+    # the generated function on inputs the random programs do not reach
+    for program in [*odd_named_programs(rng), chain_program(3000), ring_program(50),
+                    Program((Clause("a", frozenset({Literal("zz")})),
+                             Clause("b", frozenset({Literal("zz", False), Literal("u")}))),
+                            (RandomFact("u", Fraction(1, 2)),),
+                            Alphabet(frozenset({"a", "b"}), frozenset({"u"})))]:
+        code = program.stratification.model.__code__  # only generated names, no atom strings
+        assert not any(isinstance(constant, str) for constant in code.co_consts)
+        assert all(re.fullmatch(r"[vx]\d+|world|get|keys|names|dict|map|zip|changed", name)
+                   for name in code.co_names + code.co_varnames + code.co_freevars)
+        for world in worlds(program):
+            expected = reference_model(program, world)
+            assert minimal_model(program, world) == expected, (program, world)
+            # internal atoms in the world are ignored; any truthy value reads true
+            loose = {atom: rng.choice(([1], "yes", 2) if value else ([], "", 0, None))
+                     for atom, value in world.items()}
+            loose.update(dict.fromkeys(program.internals, True))
+            assert minimal_model(program, loose) == expected, (program, loose)
+    assert "WHATIF_INJECTED" not in os.environ
+
+
+ODD_NAMES = [
+    'say "hi"', "it's", "back\\slash", "new\nline", "if", "not", "v0", "x0", "changed",
+    "world", "names", "keys", "dict", "map", 'x) or (1',
+    '__import__("os").environ.__setitem__("WHATIF_INJECTED", "1")',
+]
+
+
+def odd_named_programs(rng, count=20):
+    """Random stratified programs with their atoms renamed to strings that are not identifiers."""
+    for _ in range(count):
+        program = random_stratified_program(rng)
+        atoms = sorted(program.internals | program.externals)
+        names = dict(zip(atoms, rng.sample(ODD_NAMES, len(atoms))))
+        clauses = tuple(Clause(names[c.head], frozenset(Literal(names[l.atom], l.positive)
+                                                        for l in c.body))
+                        for c in program.clauses)
+        facts = tuple(RandomFact(names[f.atom], f.prob) for f in program.facts)
+        alphabet = Alphabet(frozenset(map(names.get, program.internals)),
+                            frozenset(map(names.get, program.externals)))
+        yield Program(clauses, facts, alphabet)
+
+
+def chain_program(length):
+    """c0 :- u0.  c_i :- c_(i-1), not u1.  end :- not c_last.  Clauses listed last first."""
+    clauses = [Clause("c0", frozenset({Literal("u0")}))]
+    clauses += [Clause(f"c{i}", frozenset({Literal(f"c{i - 1}"), Literal("u1", False)}))
+                for i in range(1, length)]
+    clauses.append(Clause("end", frozenset({Literal(f"c{length - 1}", False)})))
+    facts = (RandomFact("u0", Fraction(1, 2)), RandomFact("u1", Fraction(1, 2)))
+    return Program(tuple(reversed(clauses)), facts)
+
+
+def ring_program(size):
+    """One recursive SCC of `size` atoms: a ring, chords guarded by u1, an entry, a reader."""
+    ring = [f"s{i}" for i in range(size)]
+    clauses = [Clause(ring[i], frozenset({Literal(ring[i - 1])})) for i in range(size)]
+    clauses += [Clause(ring[i], frozenset({Literal(ring[(7 * i) % size]), Literal("u1")}))
+                for i in range(0, size, 5)]
+    clauses.append(Clause(ring[size // 2], frozenset({Literal("u0"), Literal("u1", False)})))
+    clauses.append(Clause("off", frozenset({Literal(ring[0], False)})))
+    facts = (RandomFact("u0", Fraction(1, 2)), RandomFact("u1", Fraction(1, 2)))
+    return Program(tuple(clauses), facts)
 
 
 def test_world_probability(sprinkler):
@@ -241,15 +308,15 @@ def test_dependency_analysis_runs_once_per_program(monkeypatch):
 
 def test_rules_are_compiled_once_per_program(monkeypatch):
     builds = []
-    original = semantics.Stratification.blocks.func
+    original = semantics.Stratification.model.func
 
     def counted(self):
         builds.append(self)
         return original(self)
 
-    counted_blocks = cached_property(counted)
-    counted_blocks.__set_name__(semantics.Stratification, "blocks")
-    monkeypatch.setattr(semantics.Stratification, "blocks", counted_blocks)
+    counted_model = cached_property(counted)
+    counted_model.__set_name__(semantics.Stratification, "model")
+    monkeypatch.setattr(semantics.Stratification, "model", counted_model)
     program = parse_problog(SIX_EXTERNALS)
     assert marginal(program, Var("c")) == marginal(program, Var("c"))  # 2 x 64 models
     assert len(builds) == 1

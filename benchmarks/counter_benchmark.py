@@ -64,7 +64,7 @@ def main() -> int:
             seconds, counter, denominator, numerator = time_pair(
                 cnf, assumptions, root, args.repeats
             )
-            agrees = float(numerator / denominator) == wmc_mod.conditional(*twinned, exact=False)
+            agrees = float(numerator / denominator) == float(wmc_mod.conditional(*twinned))
             mismatches += not agrees
             print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {seconds:>9.4f} "
                   f"{len(counter.cache):>8} {counter.cache_bytes / 2**20:>8.2f} "

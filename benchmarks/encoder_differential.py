@@ -7,15 +7,19 @@ case it records the variable and clause counts of the CNF that
 every backend the workload uses, and the float answer of `wmc`.  It then
 checks that the rational answers are equal, that the float answers agree
 within REL_TOL relative, and that the new variable and clause counts are at
-most the old ones.
+most the old ones.  It also draws LPAD_CASES annotated-disjunction programs
+per seed from `tests/generators.py` (`random_lpad`, `random_formula`,
+`random_lpad_query`) and checks that the exact answers of
+`lpad.lpad_distribution` and `lpad.cp_counterfactual` are equal; a
+`ZeroEvidenceError` counts as an answer.
 
     python3 benchmarks/encoder_differential.py OLD/src NEW/src
 
 Prints one line per workload and seed with the cases checked, the variable
 and clause counts summed over them, how many cases' CNFs are identical and
-the largest float difference, then the first SHOW differing cases.  Exits 1
-on any difference; a CNF that is not identical is reported, not a
-difference.
+the largest float difference, one line per seed of LPAD cases, then the
+first SHOW differing cases.  Exits 1 on any difference; a CNF that is not
+identical is reported, not a difference.
 """
 from __future__ import annotations
 
@@ -29,8 +33,10 @@ import sys
 SEEDS = (1, 2)
 REL_TOL = 1e-12
 SHOW = 20  # differing cases to print
+LPAD_CASES = 60  # random LPADs per seed
+LPAD = "lpad"  # the workload name of the LPAD rows
 
-QUERYBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "querybench")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def _worker() -> None:
@@ -52,11 +58,37 @@ def _worker() -> None:
                 answers["wmc float"] = answer_counterfactual(program, case.query, exact=False)
                 row = [name, seed, case.key, cnf.var_count, len(cnf.clauses), digest, answers]
                 print(json.dumps(row))
+    for seed in SEEDS:
+        for row in _lpad_rows(seed):
+            print(json.dumps(row))
+
+
+def _lpad_rows(seed: int):
+    """The exact answers of the two selection-based LPAD functions on seeded random cases."""
+    import random
+
+    from generators import random_formula, random_lpad, random_lpad_query
+    from whatif.lpad import cp_counterfactual, lpad_distribution
+    from whatif.model import ZeroEvidenceError
+
+    rng = random.Random(seed)
+    for index in range(LPAD_CASES):
+        lpad = random_lpad(rng, max_clauses=6, max_heads=3)
+        formula = random_formula(rng, sorted(lpad.atoms))
+        query = random_lpad_query(rng, lpad)
+        answers = {"lpad_distribution": str(lpad_distribution(lpad, formula))}
+        try:
+            answers["cp_counterfactual"] = str(cp_counterfactual(lpad, query))
+        except ZeroEvidenceError:
+            answers["cp_counterfactual"] = "ZeroEvidenceError"
+        yield [LPAD, seed, index, 0, 0, "", answers]
 
 
 def _rows(src: str):
     """Stream the worker's rows for the tree at `src`."""
-    path = os.pathsep.join([os.path.abspath(src), os.path.abspath(QUERYBENCH)])
+    path = os.pathsep.join(
+        [os.path.abspath(src)] + [os.path.join(ROOT, d) for d in ("querybench", "tests")]
+    )
     command = [sys.executable, __file__, "--worker"]
     env = dict(os.environ, PYTHONPATH=path)
     with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True) as worker:
@@ -79,7 +111,7 @@ def _differences(old: list, new: list) -> list[str]:
     for backend in before:
         if backend != "wmc float" and before[backend] != after[backend]:
             found.append(f"{backend} {before[backend]} -> {after[backend]}")
-    x, y = before["wmc float"], after["wmc float"]
+    x, y = before.get("wmc float", 0.0), after.get("wmc float", 0.0)
     if abs(x - y) > REL_TOL * max(abs(x), abs(y)):
         found.append(f"wmc float {x!r} -> {y!r}")
     return found
@@ -102,7 +134,7 @@ def main(argv=None) -> int:
     shown, differing = [], 0
     for old, new in zip(_rows(args.old_src), _rows(args.new_src), strict=True):
         counts = tally.setdefault((old[0], old[1]), [0, 0, 0, 0, 0, 0, 0.0])
-        x, y = old[6]["wmc float"], new[6]["wmc float"]
+        x, y = old[6].get("wmc float", 0.0), new[6].get("wmc float", 0.0)
         counts[0] += 1
         counts[1] += old[3]
         counts[2] += new[3]
@@ -116,6 +148,9 @@ def main(argv=None) -> int:
             if len(shown) < SHOW:
                 shown.append(f"{old[0]} seed {old[1]} case {old[2]}: " + "; ".join(found))
     for (name, seed), (cases, *sums, identical, rel) in tally.items():
+        if name == LPAD:
+            print(f"{name} seed {seed}: {cases} cases")
+            continue
         print(f"{name} seed {seed}: {cases} cases, variables {sums[0]} -> {sums[1]}, "
               f"clauses {sums[2]} -> {sums[3]}, {identical} identical CNFs, "
               f"largest float difference {rel:.3g} relative")

@@ -1,18 +1,19 @@
 """Annotated-disjunction programs: selection semantics, translations, and the
 selection-based counterfactual formula of CP-logic.
 
-The enumerations over selections (`lpad_distribution`, `cp_counterfactual`)
-build no program per selection: a selection is a world of one `selector`
-program, whose model function is generated once per LPAD (see
-`semantics.Stratification.model`).  `select` still builds the selected
-program itself.
+Selections weigh integers, as worlds do in `semantics.WorldWeights`
+(`selection_weights`).  `cp_counterfactual` walks them once, as worlds of
+one `selector` program whose model function is generated once per LPAD (see
+`semantics.Stratification.model`), sums integers and divides once;
+`lpad_distribution` is its query with no evidence and no interventions.
+`select` still builds a selected program itself.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .model import (
@@ -51,11 +52,6 @@ class LpadClause:
         if len(set(atoms)) != len(atoms):
             raise ValidationError("duplicate head atoms in one clause")
 
-    @cached_property
-    def residual(self) -> Fraction:
-        """Probability that no head is chosen; computed once per clause."""
-        return 1 - sum((p for _, p in self.head), Fraction(0))
-
 
 @dataclass(frozen=True)
 class LpadProgram:
@@ -81,11 +77,19 @@ def selections(program: LpadProgram) -> Iterable[Selection]:
     return itertools.product(*options)
 
 
-def selection_probability(program: LpadProgram, selection: Selection) -> Fraction:
-    weight = Fraction(1)
-    for clause, choice in zip(program.clauses, selection):
-        weight *= clause.residual if choice is None else clause.head[choice][1]
-    return weight
+def selection_weights(program: LpadProgram) -> tuple[tuple[int, ...], ...]:
+    """Per clause, its options' integer weights over d, the lcm of its heads' denominators.
+
+    Options come in the order of `selections`: no head, weighing d minus the
+    heads' weights, then head j, weighing p_j * d.  A selection weighs the
+    product of its options' weights over the product of the d's.
+    """
+    table = []
+    for clause in program.clauses:
+        d = math.lcm(*(p.denominator for _, p in clause.head))
+        heads = [p.numerator * (d // p.denominator) for _, p in clause.head]
+        table.append((d - sum(heads), *heads))
+    return tuple(table)
 
 
 def select(program: LpadProgram, selection: Selection) -> Program:
@@ -103,10 +107,10 @@ def selector(program: LpadProgram, reserved: Iterable[str] = ()) -> tuple[Progra
 
     Head j of clause k becomes the rule ``h :- body, c`` guarded by a fresh
     external choice atom c = `choices[k][j]`, and a selection is the world
-    that makes its choices true (`selection_world`).  That world's model is
-    the model of `select(program, selection)`, and as `transforms.intervene`
-    erases clauses by head, the intervened selector's model is the model of
-    the intervened selected program.  Choice atoms share a prefix that
+    that makes its choices true.  That world's model is the model of
+    `select(program, selection)`, and as `transforms.intervene` erases
+    clauses by head, the intervened selector's model is the model of the
+    intervened selected program.  Choice atoms share a prefix that
     starts no atom of the program and none of `reserved`, so they never
     merge with an atom of the program or of a query.  The selector has no
     random facts, and its dependency analysis and generated model function
@@ -131,21 +135,9 @@ def selector(program: LpadProgram, reserved: Iterable[str] = ()) -> tuple[Progra
     return Program(clauses, (), Alphabet(program.atoms, externals)), choices
 
 
-def selection_world(choices: Choices, selection: Selection) -> dict[str, bool]:
-    """The selector world of a selection: its chosen heads' choice atoms are true."""
-    return {row[j]: True for row, j in zip(choices, selection) if j is not None}
-
-
 def lpad_distribution(program: LpadProgram, formula: Formula) -> Fraction:
-    """Distribution semantics by enumeration of all selections, as worlds of `selector`."""
-    guarded, choices = selector(program)
-    total = Fraction(0)
-    for selection in selections(program):
-        weight = selection_probability(program, selection)
-        world = selection_world(choices, selection)
-        if weight and evaluate(formula, minimal_model(guarded, world)):
-            total += weight
-    return total
+    """Distribution semantics: `cp_counterfactual` with no evidence and no interventions."""
+    return cp_counterfactual(program, CounterfactualQuery(formula))
 
 
 def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fraction:
@@ -155,29 +147,33 @@ def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fract
     its model satisfies the evidence, weighted by its conditional probability,
     and counts toward the query when the intervened selected program derives
     it.  The selected programs are the worlds of one `selector` program, and
-    the intervened ones the worlds of that program intervened on once.
+    the intervened ones the worlds of that program intervened on once.  One
+    walk over the selections of nonzero weight sums their integer weights
+    (`selection_weights`), and the answer is one ratio of the two sums.
     """
     from .transforms import intervene
 
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     guarded, choices = selector(program, query_atoms | formula_atoms(query.query))
     acted = intervene(guarded, query.interventions)
-    numerator = Fraction(0)
-    evidence_mass = Fraction(0)
-    for selection in selections(program):
-        weight = selection_probability(program, selection)
-        if weight == 0:
-            continue
-        world = selection_world(choices, selection)
+    # per clause, its options of nonzero weight, with the choice atom each makes true
+    options = [
+        [(weight, atom) for weight, atom in zip(row, (None, *atoms)) if weight]
+        for row, atoms in zip(selection_weights(program), choices)
+    ]
+    numerator = evidence_mass = 0
+    for picked in itertools.product(*options):
+        world = {atom: True for _, atom in picked if atom is not None}
         model = minimal_model(guarded, world)
         if not all(model.get(lit.atom, False) == lit.positive for lit in query.evidence):
             continue
+        weight = math.prod(weight for weight, _ in picked)
         evidence_mass += weight
         if evaluate(query.query, minimal_model(acted, world)):
             numerator += weight
     if evidence_mass == 0:
         raise ZeroEvidenceError("evidence has probability zero")
-    return numerator / evidence_mass
+    return Fraction(numerator, evidence_mass)
 
 
 def prob_of_lpad(program: LpadProgram) -> Program:

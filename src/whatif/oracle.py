@@ -18,9 +18,7 @@ from .semantics import minimal_model, worlds
 from .transforms import intervene
 
 
-def abduction_action_prediction(
-    program: Program, query: CounterfactualQuery, exact: bool = True
-):
+def abduction_action_prediction(program: Program, query: CounterfactualQuery) -> Fraction:
     """Pearl's three steps: condition the error terms, intervene, predict.
 
     Evidence may name a random fact, which is read from the world; an atom
@@ -46,5 +44,4 @@ def abduction_action_prediction(
         for world, weight in kept
         if evaluate(query.query, {**minimal_model(acted, world), **world})
     )
-    answer = Fraction(predicted, evidence_mass)
-    return answer if exact else float(answer)
+    return Fraction(predicted, evidence_mass)

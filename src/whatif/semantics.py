@@ -20,8 +20,7 @@ same way, as `Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against.  It sums the worlds' integer weight numerators
-and divides once, so its answer is exact; `exact=False` returns `float()` of
-it.
+and divides once, so its answer is an exact `Fraction`.
 """
 from __future__ import annotations
 
@@ -273,12 +272,7 @@ class WorldWeights:
         return numerator
 
 
-def world_probability(program: Program, world: WorldAssignment) -> Fraction:
-    weights = program.world_weights
-    return Fraction(weights.numerator(world), weights.denominator)
-
-
-def marginal(program: Program, formula: Formula, exact: bool = True):
+def marginal(program: Program, formula: Formula) -> Fraction:
     """Probability of `formula` by enumeration over all possible worlds."""
     total = 0
     weights = program.world_weights
@@ -287,5 +281,4 @@ def marginal(program: Program, formula: Formula, exact: bool = True):
         model.update(world)
         if evaluate(formula, model):
             total += weights.numerator(world)
-    answer = Fraction(total, weights.denominator)
-    return answer if exact else float(answer)
+    return Fraction(total, weights.denominator)

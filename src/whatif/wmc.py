@@ -4,8 +4,8 @@ Translates an acyclic program into a weighted CNF via Clark completion, with
 auxiliary variables for the bodies of atoms with two or more rules, and
 counts with a DPLL-style counter in exact integer arithmetic: the fact
 variables weigh their integer pairs of `Program.world_weights`, every other
-variable 1.  Every answer is an exact `Fraction`; with `exact=False` an
-entry point returns `float()` of it.
+variable 1.  Every answer is an exact `Fraction`; `marginal_wmc` with
+`exact=False` returns `float()` of it.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `marginal_wmc`, `whatif query --dump-cnf` and the counter benchmark use it.
@@ -220,10 +220,9 @@ def conditional(
     program: Program,
     formula: Formula,
     evidence: Iterable[Literal],
-    exact: bool = True,
     *,
     on_cnf: Optional[Callable[[WeightedCnf], None]] = None,
-):
+) -> Fraction:
     """P(formula | evidence) as a ratio of weighted counts.
 
     `on_cnf`, if given, is called with the CNF that is counted, before
@@ -238,9 +237,7 @@ def conditional(
     if denominator == 0:
         raise ZeroEvidenceError("evidence has probability zero")
     # the count with the root literal true, kept by the search above
-    numerator = wmc(cnf, assumptions + [root], shared=shared)
-    answer = numerator / denominator
-    return answer if exact else float(answer)
+    return wmc(cnf, assumptions + [root], shared=shared) / denominator
 
 
 def dump_dimacs(cnf: WeightedCnf) -> str:

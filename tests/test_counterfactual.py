@@ -292,29 +292,29 @@ def test_suffix_error_comes_before_the_negative_cycle():
             answer_counterfactual(program, query, backend)
 
 
-def _first_warning_file(caught) -> str:
-    first = next(w for w in caught if issubclass(w.category, UserWarning))
-    assert "cyclic" in str(first.message)
-    return first.filename
+def _only_warning_file(caught) -> str:
+    [only] = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert "cyclic" in str(only.message)
+    return only.filename
 
 
 def test_cyclic_program_warning_names_the_caller():
-    # each entry point is called from this function's own frame, not through a helper
+    # each entry point warns once, naming this function's own frame, not a helper's
     program = parse_problog("0.5::u. a :- b. b :- a. a :- u. c :- a.")
     query = CounterfactualQuery(Var("c"), {Literal("a")}, {Literal("c", False)})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         answer_counterfactual(program, query, backend="enumerate")
-    assert _first_warning_file(caught) == __file__
+    assert _only_warning_file(caught) == __file__
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         answer_intervention(program, Var("a"), {Literal("c", False)}, backend="enumerate")
-    assert _first_warning_file(caught) == __file__
+    assert _only_warning_file(caught) == __file__
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         marginal(program, Var("c"), backend="enumerate")
-    assert _first_warning_file(caught) == __file__
+    assert _only_warning_file(caught) == __file__
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         conditional(program, Var("c"), {Literal("a")}, "enumerate")
-    assert _first_warning_file(caught) == __file__
+    assert _only_warning_file(caught) == __file__

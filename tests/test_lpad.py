@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +15,7 @@ from whatif.lpad import (
     lpad_of_problog,
     prob_of_lpad,
     select,
-    selection_probability,
-    selection_world,
+    selection_weights,
     selections,
     selector,
 )
@@ -35,13 +36,34 @@ def coin():
     return parse_lpad("heads:0.3; tails:0.5 :- toss.  toss:1.")
 
 
-def test_selection_probability(coin):
-    all_selections = {s: selection_probability(coin, s) for s in selections(coin)}
-    assert all_selections[(0, 0)] == Fraction(3, 10)
-    assert all_selections[(1, 0)] == Fraction(1, 2)
-    assert all_selections[(None, 0)] == Fraction(1, 5)
-    assert all_selections[(0, None)] == 0
-    assert sum(all_selections.values()) == 1
+def test_selection_weights(coin):
+    # no head, heads, tails over 10; toss (probability 1) over 1
+    table = selection_weights(coin)
+    assert table == ((2, 3, 5), (0, 1))
+    weights = dict(zip(selections(coin), map(math.prod, itertools.product(*table))))
+    assert weights[(0, 0)] == 3  # 3/10
+    assert weights[(1, 0)] == 5  # 1/2
+    assert weights[(None, 0)] == 2  # 1/5
+    assert weights[(0, None)] == 0
+    assert sum(weights.values()) == 10
+
+
+def test_selection_weights_equal_the_fraction_product():
+    rng = random.Random(61)
+    for _ in range(40):
+        lpad = random_lpad(rng, max_clauses=6, max_heads=3)
+        table = selection_weights(lpad)
+        total = math.prod(
+            math.lcm(*(p.denominator for _, p in clause.head)) for clause in lpad.clauses
+        )
+        weights = [math.prod(row) for row in itertools.product(*table)]
+        for selection, weight in zip(selections(lpad), weights, strict=True):
+            expected = Fraction(1)
+            for clause, choice in zip(lpad.clauses, selection):
+                residual = 1 - sum(p for _, p in clause.head)
+                expected *= residual if choice is None else clause.head[choice][1]
+            assert Fraction(weight, total) == expected
+        assert sum(weights) == total
 
 
 def test_select_picks_one_head(coin):
@@ -168,7 +190,7 @@ def test_selector_worlds_are_the_selected_programs():
         guarded, choices = selector(lpad)
         acted = intervene(guarded, interventions)
         for selection in selections(lpad):
-            world = selection_world(choices, selection)
+            world = {row[j]: True for row, j in zip(choices, selection) if j is not None}
             selected = select(lpad, selection)
             assert minimal_model(guarded, world) == minimal_model(selected, {})
             assert minimal_model(acted, world) == minimal_model(

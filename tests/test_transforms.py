@@ -233,9 +233,8 @@ def test_relevant_merge_makes_evidence_contradictory():
     # a and \+b become opposite literals of one variable
     assert sorted(cnf.literal(lit) for lit in evidence) == [-cnf.var_map["a"], cnf.var_map["a"]]
     assert _shared(cnf, "abc") == 1
-    for exact in (True, False):
-        with pytest.raises(ZeroEvidenceError):
-            conditional(program, Var("c"), evidence, exact=exact)
+    with pytest.raises(ZeroEvidenceError):
+        conditional(program, Var("c"), evidence)
 
 
 def test_relevant_leaves_a_relevant_cycle_to_the_encoder():

@@ -592,7 +592,7 @@ def test_float_underflow_falls_back_to_exact():
     assert answer_counterfactual(program, query) == 1
     assert answer_counterfactual(program, query, exact=False) == 1.0
     with pytest.raises(ZeroEvidenceError):
-        conditional(program, Var("c"), {Literal("a"), Literal("b", False)}, exact=False)
+        conditional(program, Var("c"), {Literal("a"), Literal("b", False)})
 
 
 def test_float_underflow_recounts_the_same_cnf(monkeypatch):

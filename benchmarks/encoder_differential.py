@@ -11,15 +11,20 @@ most the old ones.  It also draws LPAD_CASES annotated-disjunction programs
 per seed from `tests/generators.py` (`random_lpad`, `random_formula`,
 `random_lpad_query`) and checks that the exact answers of
 `lpad.lpad_distribution` and `lpad.cp_counterfactual` are equal; a
-`ZeroEvidenceError` counts as an answer.
+`ZeroEvidenceError` counts as an answer.  Last, it draws SHAPE_CASES
+programs and queries per seed (`random_acyclic_program`,
+`random_counterfactual_query`) and checks the exact answers of the four
+entry points of `whatif.counterfactual` on every backend: the query, its
+formula alone, with its evidence only and with its interventions only; the
+name of an error's class counts as an answer.
 
     python3 benchmarks/encoder_differential.py OLD/src NEW/src
 
 Prints one line per workload and seed with the cases checked, the variable
 and clause counts summed over them, how many cases' CNFs are identical and
-the largest float difference, one line per seed of LPAD cases, then the
-first SHOW differing cases.  Exits 1 on any difference; a CNF that is not
-identical is reported, not a difference.
+the largest float difference, one line per seed of LPAD and of query-shape
+cases, then the first SHOW differing cases.  Exits 1 on any difference; a
+CNF that is not identical is reported, not a difference.
 """
 from __future__ import annotations
 
@@ -35,6 +40,8 @@ REL_TOL = 1e-12
 SHOW = 20  # differing cases to print
 LPAD_CASES = 60  # random LPADs per seed
 LPAD = "lpad"  # the workload name of the LPAD rows
+SHAPE_CASES = 60  # random programs and queries per seed
+SHAPES = "query shapes"  # the workload name of their rows
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -61,6 +68,9 @@ def _worker() -> None:
     for seed in SEEDS:
         for row in _lpad_rows(seed):
             print(json.dumps(row))
+    for seed in SEEDS:
+        for row in _shape_rows(seed):
+            print(json.dumps(row))
 
 
 def _lpad_rows(seed: int):
@@ -82,6 +92,35 @@ def _lpad_rows(seed: int):
         except ZeroEvidenceError:
             answers["cp_counterfactual"] = "ZeroEvidenceError"
         yield [LPAD, seed, index, 0, 0, "", answers]
+
+
+def _shape_rows(seed: int):
+    """The exact answers of the four entry points, on every backend, on seeded random cases."""
+    import random
+
+    from generators import random_acyclic_program, random_counterfactual_query
+    from whatif import counterfactual
+    from whatif.model import WhatifError
+
+    rng = random.Random(seed)
+    for index in range(SHAPE_CASES):
+        program = random_acyclic_program(rng, max_internals=6, max_externals=6)
+        query = random_counterfactual_query(rng, program)
+        entries = (
+            (counterfactual.answer_counterfactual, (query,)),
+            (counterfactual.marginal, (query.query,)),
+            (counterfactual.conditional, (query.query, query.evidence)),
+            (counterfactual.answer_intervention, (query.query, query.interventions)),
+        )
+        answers = {}
+        for entry, args in entries:
+            for backend in counterfactual.BACKENDS:
+                key = f"{entry.__name__} {backend}"
+                try:
+                    answers[key] = str(entry(program, *args, backend))
+                except WhatifError as exc:
+                    answers[key] = type(exc).__name__
+        yield [SHAPES, seed, index, 0, 0, "", answers]
 
 
 def _rows(src: str):
@@ -148,7 +187,7 @@ def main(argv=None) -> int:
             if len(shown) < SHOW:
                 shown.append(f"{old[0]} seed {old[1]} case {old[2]}: " + "; ".join(found))
     for (name, seed), (cases, *sums, identical, rel) in tally.items():
-        if name == LPAD:
+        if name in (LPAD, SHAPES):
             print(f"{name} seed {seed}: {cases} cases")
             continue
         print(f"{name} seed {seed}: {cases} cases, variables {sums[0]} -> {sums[1]}, "

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dump-cnf",
         type=Path,
         help="also write the weighted CNF (DIMACS) that the wmc backend counts "
-        "(wmc.encode_query): the reduced twin program's clauses and the query's",
+        "(wmc.encode_query): the reduced program's clauses and the query's",
     )
 
     transform = commands.add_parser("transform", help="print a transformed program")
@@ -113,7 +113,7 @@ def _cmd_query(args) -> int:
         if args.dump_cnf and args.backend != "wmc":
             # these backends count no CNF: encode it apart, before answering,
             # so a program wmc cannot encode prints no answer
-            dump(wmc_mod.encode_query(*transforms.twin(program, query))[0])
+            dump(wmc_mod.encode_query(*counterfactual.reduce(program, query))[0])
         # the wmc backend calls `dump` with the CNF it counts, before the count
         answer = counterfactual.answer_counterfactual(
             program, query, backend=args.backend, exact=exact,

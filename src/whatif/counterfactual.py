@@ -1,4 +1,8 @@
-"""Query answering: marginal, interventional and counterfactual probabilities."""
+"""Query answering: marginal, interventional and counterfactual probabilities.
+
+Each entry point passes one `CounterfactualQuery` to one core, `_answer`, which
+builds the twin network only for a query with both evidence and interventions.
+"""
 from __future__ import annotations
 
 import warnings
@@ -16,7 +20,7 @@ from .model import (
     conjunction,
     validate_program,
 )
-from . import semantics, wmc as wmc_mod
+from . import oracle, semantics, wmc as wmc_mod
 from .semantics import Classification, check_unique_supported_models
 from .transforms import intervene, twin
 
@@ -36,22 +40,70 @@ def _classify(program: Program, backend: str) -> bool:
     return cyclic
 
 
-def _validate(program: Program, backend: str) -> None:
-    """Reject an unknown backend, or a program that breaks a structural invariant."""
+def reduce(
+    program: Program, query: CounterfactualQuery
+) -> tuple[Program, Formula, frozenset[Literal]]:
+    """The program, formula and evidence whose P(formula | evidence) answers `query`.
+
+    With both evidence and interventions that is `twin(program, query)`;
+    otherwise the program, intervened on if there are interventions.
+    """
+    if query.evidence and query.interventions:
+        return twin(program, query)
+    if query.interventions:
+        program = intervene(program, query.interventions)
+    return program, query.query, query.evidence
+
+
+def _answer(
+    program: Program,
+    query: CounterfactualQuery,
+    backend: str,
+    exact: bool,
+    on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
+):
+    """The one query path; each public entry point calls it once, directly."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose one of {', '.join(BACKENDS)}")
     diagnostics = validate_program(program)
     if diagnostics:
         raise ValidationError("; ".join(diagnostics))
+    counterfactual = bool(query.evidence and query.interventions)
+    if counterfactual and backend == "oracle":  # unclassified, as querybench's pins expect
+        answer = oracle.abduction_action_prediction(program, query)
+        return answer if exact else float(answer)
+    counted, formula, evidence = reduce(program, query)
+    # The twin's dependency graph is two renamed copies of the program's, one
+    # of them with clauses erased and facts added, so an edge inside an SCC of
+    # the twin is a renamed edge inside an SCC of the program, and the two
+    # classify alike.  The check follows twin() so that its errors come first.
+    if _classify(program if counterfactual else counted, backend):
+        warnings.warn(CYCLIC_WARNING, stacklevel=3)  # the caller of the public entry point
+    # the twin, or the intervened copy, of a valid program is valid
+    if backend == "wmc":
+        answer = wmc_mod.conditional(counted, formula, evidence, on_cnf=on_cnf)
+    elif backend == "oracle":
+        answer = oracle.abduction_action_prediction(counted, CounterfactualQuery(formula, evidence))
+    elif not evidence:  # enumerate: one walk over the worlds, or two with evidence
+        answer = _walk(counted, formula)
+    else:
+        evidence_formula = conjunction(evidence)
+        denominator = _walk(counted, evidence_formula)
+        if denominator == 0:
+            raise ZeroEvidenceError("evidence has probability zero")
+        answer = _walk(counted, And((formula, evidence_formula))) / denominator
+    return answer if exact else float(answer)
+
+
+def _walk(program: Program, formula: Formula):
+    # classifies again, silently, as querybench's call pins (`expected_calls`) expect
+    _classify(program, "enumerate")
+    return semantics.marginal(program, formula)
 
 
 def marginal(program: Program, formula: Formula, backend: str = "wmc", exact: bool = True):
     """P(formula) by `backend`; raises ValidationError on an invalid program."""
-    _validate(program, backend)
-    if _classify(program, backend):
-        warnings.warn(CYCLIC_WARNING, stacklevel=2)
-    answer = _marginal(program, formula, backend)
-    return answer if exact else float(answer)
+    return _answer(program, CounterfactualQuery(formula), backend, exact)
 
 
 def conditional(
@@ -62,37 +114,7 @@ def conditional(
     exact: bool = True,
 ):
     """P(formula | evidence) by `backend`; raises ValidationError on an invalid program."""
-    _validate(program, backend)
-    if _classify(program, backend):
-        warnings.warn(CYCLIC_WARNING, stacklevel=2)
-    answer = _conditional(program, formula, evidence, backend)
-    return answer if exact else float(answer)
-
-
-def _marginal(program: Program, formula: Formula, backend: str):
-    # repeats the callers' check, as querybench's call pins (`expected_calls`) expect
-    _classify(program, backend)
-    if backend == "wmc":
-        return wmc_mod.marginal_wmc(program, formula)
-    return semantics.marginal(program, formula)
-
-
-def _conditional(
-    program: Program,
-    formula: Formula,
-    evidence: Iterable[Literal],
-    backend: str,
-    on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
-):
-    """The backend's P(formula | evidence); the caller has classified the program."""
-    evidence = frozenset(evidence)
-    if backend == "wmc":
-        return wmc_mod.conditional(program, formula, evidence, on_cnf=on_cnf)
-    evidence_formula = conjunction(evidence)
-    denominator = _marginal(program, evidence_formula, backend)
-    if denominator == 0:
-        raise ZeroEvidenceError("evidence has probability zero")
-    return _marginal(program, And((formula, evidence_formula)), backend) / denominator
+    return _answer(program, CounterfactualQuery(formula, evidence), backend, exact)
 
 
 def answer_intervention(
@@ -103,12 +125,7 @@ def answer_intervention(
     exact: bool = True,
 ):
     """Marginal of `formula` on the surgically modified program."""
-    _validate(program, backend)
-    acted = intervene(program, frozenset(interventions))
-    if _classify(acted, backend):
-        warnings.warn(CYCLIC_WARNING, stacklevel=2)
-    answer = _marginal(acted, formula, backend)
-    return answer if exact else float(answer)
+    return _answer(program, CounterfactualQuery(formula, (), interventions), backend, exact)
 
 
 def answer_counterfactual(
@@ -119,25 +136,8 @@ def answer_counterfactual(
     *,
     on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
 ):
-    """Twin-network evaluation: duplicate, intervene on one copy, condition on the other.
+    """P(query | evidence, do(interventions)), on the twin network only with both.
 
-    With the wmc backend, `on_cnf`, if given, is called with the CNF that is
-    counted (`wmc.encode_query`), before counting; the other backends count
-    no CNF and do not call it.
+    `on_cnf`, if given, is called with the CNF the wmc backend counts, before counting.
     """
-    _validate(program, backend)
-    if backend == "oracle":
-        from .oracle import abduction_action_prediction
-
-        answer = abduction_action_prediction(program, query)
-        return answer if exact else float(answer)
-    transformed, renamed_query, evidence = twin(program, query)
-    # The twin's dependency graph is two renamed copies of the program's, one
-    # of them with clauses erased and facts added, so an edge inside an SCC of
-    # the twin is a renamed edge inside an SCC of the program, and the two
-    # classify alike.  The check follows twin() so that its errors come first.
-    if _classify(program, backend):
-        warnings.warn(CYCLIC_WARNING, stacklevel=2)
-    # the twin of a valid program is valid
-    answer = _conditional(transformed, renamed_query, evidence, backend, on_cnf)
-    return answer if exact else float(answer)
+    return _answer(program, query, backend, exact, on_cnf)

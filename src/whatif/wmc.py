@@ -4,11 +4,11 @@ Translates an acyclic program into a weighted CNF via Clark completion, with
 auxiliary variables for the bodies of atoms with two or more rules, and
 counts with a DPLL-style counter in exact integer arithmetic: the fact
 variables weigh their integer pairs of `Program.world_weights`, every other
-variable 1.  Every answer is an exact `Fraction`; `marginal_wmc` with
-`exact=False` returns `float()` of it.
+variable 1.  Every answer is an exact `Fraction`; `marginal_wmc`, which is
+`conditional` with no evidence, returns `float()` of it with `exact=False`.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
-`marginal_wmc`, `whatif query --dump-cnf` and the counter benchmark use it.
+`whatif query --dump-cnf` and the counter benchmark use it.
 It first prunes the program with `transforms.relevant` to the ancestors of
 the query and evidence atoms and the facts they mention (the weights of
 every other external sum to 1).  `to_weighted_cnf` then gives one variable
@@ -29,7 +29,8 @@ definitions are equivalences over auxiliaries that weigh 1, so the same
 CNF also gives P(e).  Its first `wmc` call searches under the evidence and
 returns P(e); the search carries the count restricted to the marked literal
 along, so the second call, with the root literal added, returns P(q ∧ e)
-without searching again.
+without searching again.  With no evidence P(e) is 1, and one search with
+the root literal assumed counts P(q) on an unmarked counter.
 """
 from __future__ import annotations
 
@@ -207,12 +208,8 @@ def wmc(
 
 
 def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
-    """Marginal probability via the counting backend.
-
-    Expects a validated program (`model.validate_program`); it is not checked here.
-    """
-    cnf, root, _ = encode_query(program, formula)
-    answer = wmc(cnf, [root])
+    """P(formula): `conditional` with no evidence, on a validated program it does not check."""
+    answer = conditional(program, formula, ())
     return answer if exact else float(answer)
 
 
@@ -223,7 +220,7 @@ def conditional(
     *,
     on_cnf: Optional[Callable[[WeightedCnf], None]] = None,
 ) -> Fraction:
-    """P(formula | evidence) as a ratio of weighted counts.
+    """P(formula | evidence) as a ratio of weighted counts; the one query entry.
 
     `on_cnf`, if given, is called with the CNF that is counted, before
     counting.  Expects a validated program (`model.validate_program`); it is
@@ -232,6 +229,8 @@ def conditional(
     cnf, root, assumptions = encode_query(program, formula, evidence)
     if on_cnf is not None:
         on_cnf(cnf)
+    if not assumptions:  # P(true) is 1: one search with the root literal assumed
+        return wmc(cnf, [root])
     shared = counter(cnf, mark=root)
     denominator = wmc(cnf, assumptions, shared=shared)
     if denominator == 0:

@@ -17,6 +17,7 @@ from whatif.model import (
     RandomFact,
     Var,
     conjunction,
+    formula_atoms,
 )
 from whatif.lpad import LpadClause, LpadProgram
 from whatif.semantics import marginal
@@ -130,22 +131,29 @@ def random_counterfactual_query(
 def random_lpad(
     rng: random.Random, max_clauses: int = 4, max_heads: int = 2, max_body: int = 2
 ) -> LpadProgram:
-    """Acyclic: head atoms of a clause are higher-numbered than its body atoms."""
+    """Acyclic: head atoms of a clause are higher-numbered than its body atoms.
+
+    Head probabilities are tenths.  A head takes no mass, or all the mass its
+    clause has left, one time in ten; otherwise it takes strictly less.
+    """
     atoms = [f"b{i}" for i in range(4)]
     clauses = []
     for _ in range(rng.randint(1, max_clauses)):
         n_heads = rng.randint(1, max_heads)
         head_indices = sorted(rng.sample(range(len(atoms)), n_heads))
         probs = []
-        budget = Fraction(1)
+        left = 10  # tenths not yet given to a head
         for _ in head_indices:
-            scaled = rng.randint(0, budget.numerator * 10 // budget.denominator)
-            probs.append(Fraction(scaled, 10))
-            budget -= Fraction(scaled, 10)
-        pool = atoms[: head_indices[0]]
+            if left < 2 or rng.random() < 0.1:
+                tenths = rng.choice((0, left))
+            else:
+                tenths = rng.randint(1, left - 1)
+            probs.append(Fraction(tenths, 10))
+            left -= tenths
+        pool = atoms[: head_indices[0]]  # distinct body atoms: a body never contradicts itself
         body = frozenset(
-            Literal(rng.choice(pool), rng.random() < 0.7)
-            for _ in range(rng.randint(0, max_body) if pool else 0)
+            Literal(atom, rng.random() < 0.7)
+            for atom in rng.sample(pool, min(len(pool), rng.randint(0, max_body)))
         )
         clauses.append(
             LpadClause(tuple((atoms[i], p) for i, p in zip(head_indices, probs)), body)
@@ -156,19 +164,26 @@ def random_lpad(
 def random_lpad_query(
     rng: random.Random, program: LpadProgram, max_draws: int = 50
 ) -> CounterfactualQuery:
-    """Random LPAD counterfactual query with evidence of nonzero probability."""
+    """Random LPAD counterfactual query with evidence of nonzero probability.
+
+    The query formula reads atoms that some head gives mass, and the
+    evidence and the interventions name other atoms, when there are such
+    atoms: a query on a massless, observed or intervened atom is decided.
+    """
     from whatif.lpad import lpad_distribution
 
     atoms = sorted(program.atoms)
-    query = random_formula(rng, atoms)
+    heads = sorted({a for clause in program.clauses for a, p in clause.head if p})
+    query = random_formula(rng, heads or atoms, depth=1)  # deeper ones are often tautologies
+    others = sorted(set(atoms) - formula_atoms(query)) or atoms
     interventions = frozenset(
         Literal(a, rng.random() < 0.5)
-        for a in rng.sample(atoms, min(len(atoms), rng.randint(0, 2)))
+        for a in rng.sample(others, min(len(others), rng.randint(0, 2)))
     )
     for _ in range(max_draws):
         evidence = frozenset(
             Literal(a, rng.random() < 0.5)
-            for a in rng.sample(atoms, min(len(atoms), rng.randint(0, 2)))
+            for a in rng.sample(others, min(len(others), rng.randint(0, 2)))
         )
         if not evidence or lpad_distribution(program, conjunction(evidence)) > 0:
             return CounterfactualQuery(query, evidence, interventions)

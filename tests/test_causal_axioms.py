@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from whatif import semantics
+from whatif import semantics, wmc
 from whatif.benchgen import generate_instance, instance_to_program, sample_query
 from whatif.counterfactual import answer_counterfactual, conditional
 from whatif.model import CounterfactualQuery, literal_formula
+from whatif.transforms import twin
 
 HUB_CELLS = [(40, 3, 1), (60, 3, 8), (100, 3, 1), (40, 5, 2)]  # (n, k, seed)
 
@@ -33,9 +34,11 @@ def test_consistency_effectiveness_and_no_intervention(n, k, seed):
     expected = conditional(program, query.query, query.evidence)
     assert type(expected) is Fraction and 0 < expected < 1
 
-    # no interventions: the counterfactual is the conditional
+    # no interventions: the counterfactual is the conditional, also on the twin
+    # network, which answer_counterfactual builds only with interventions
     observed = CounterfactualQuery(query.query, query.evidence)
     assert answer_counterfactual(program, observed) == expected
+    assert wmc.conditional(*twin(program, observed)) == expected
     # consistency: forcing what the evidence already holds changes nothing
     held = CounterfactualQuery(query.query, query.evidence, query.evidence)
     assert answer_counterfactual(program, held) == expected

@@ -4,7 +4,7 @@ from conftest import SPRINKLER_TEXT, TWIN_SPRINKLER_TEXT
 from whatif.cli import main
 from whatif.model import CounterfactualQuery, Var
 from whatif.parser import parse_formula, parse_literals, parse_problog, parse_lpad, print_problog
-from whatif.transforms import relevant, twin
+from whatif.transforms import intervene, relevant, twin
 from whatif import wmc as wmc_mod
 from whatif.wmc import add_formula, dump_dimacs, to_weighted_cnf
 from whatif.semantics import marginal
@@ -255,6 +255,27 @@ def test_dump_cnf_encodes_the_query_once(monkeypatch, capsys, sprinkler_file, tm
     (cnf, _, _), = encoded
     assert target.read_text() == dump_dimacs(cnf)
     assert counted == ([cnf, cnf] if backend == "wmc" else [])
+
+
+@pytest.mark.parametrize("backend", ["wmc", "enumerate", "oracle"])
+def test_dump_cnf_without_evidence_is_the_intervened_programs(
+    monkeypatch, capsys, sprinkler_file, tmp_path, backend
+):
+    # a query without evidence builds no twin: the intervened program is encoded
+    encoded, encode_query = [], wmc_mod.encode_query
+
+    def encode_recorded(program, *args):
+        encoded.append(program)
+        return encode_query(program, *args)
+
+    monkeypatch.setattr(wmc_mod, "encode_query", encode_recorded)
+    target = tmp_path / "acted.cnf"
+    code, out, _ = run(capsys, "query", str(sprinkler_file), "--query", "slippery",
+                       "--do", "\\+sprinkler", "--backend", backend, "--dump-cnf", str(target))
+    assert code == 0 and out.strip() == "7/20"
+    acted = intervene(parse_problog(sprinkler_file.read_text()), parse_literals("\\+sprinkler"))
+    assert encoded == [acted]
+    assert target.read_text() == dump_dimacs(encode_query(acted, Var("slippery"))[0])
 
 
 def test_dump_cnf_of_a_cyclic_program_fails_before_answering(capsys, tmp_path):

@@ -18,8 +18,10 @@ from whatif.counterfactual import (
     conditional,
     marginal,
 )
+from whatif import oracle as oracle_mod, wmc as wmc_mod
 from whatif.model import (
     Alphabet,
+    And,
     Clause,
     CounterfactualQuery,
     Literal,
@@ -32,10 +34,11 @@ from whatif.model import (
     ZeroEvidenceError,
     conjunction,
 )
+from whatif.oracle import abduction_action_prediction
 from whatif.parser import parse_problog
 from whatif.semantics import Classification, check_unique_supported_models
 from whatif.semantics import marginal as enumerated_marginal
-from whatif.transforms import twin
+from whatif.transforms import intervene, twin
 
 
 def test_sprinkler_counterfactual_all_backends(sprinkler, sprinkler_query):
@@ -73,11 +76,26 @@ def test_counterfactual_contradicting_evidence(sprinkler):
     assert answer_counterfactual(sprinkler, query) == 1
 
 
+def _twin_route(program: Program, query: CounterfactualQuery, backend: str) -> Fraction:
+    """The answer on the full twin network, which only queries with both evidence
+    and interventions take; the oracle's route is its own abduction-action-prediction."""
+    if backend == "oracle":
+        return abduction_action_prediction(program, query)
+    transformed, formula, evidence = twin(program, query)
+    if backend == "wmc":
+        return wmc_mod.conditional(transformed, formula, evidence)
+    evidence_formula = conjunction(evidence)
+    both = enumerated_marginal(transformed, And((formula, evidence_formula)))
+    return both / enumerated_marginal(transformed, evidence_formula)
+
+
 def test_no_interventions_collapses_to_conditional(sprinkler):
     query = CounterfactualQuery(Var("slippery"), frozenset({Literal("rain")}))
     expected = conditional(sprinkler, Var("slippery"), {Literal("rain")})
     for backend in BACKENDS:
         assert answer_counterfactual(sprinkler, query, backend) == expected
+        # the twin identity itself: the conditional's route builds no twin
+        assert _twin_route(sprinkler, query, backend) == expected
 
 
 def test_no_evidence_collapses_to_intervention(sprinkler):
@@ -87,6 +105,29 @@ def test_no_evidence_collapses_to_intervention(sprinkler):
     expected = answer_intervention(sprinkler, Var("slippery"), {Literal("sprinkler", False)})
     for backend in BACKENDS:
         assert answer_counterfactual(sprinkler, query, backend) == expected
+        assert _twin_route(sprinkler, query, backend) == expected
+
+
+def test_reduced_route_matches_the_twin_route():
+    # a query without evidence or without interventions is answered on the
+    # program or its intervened copy; the twin network must give the same answer
+    rng = random.Random(29)
+    checked = {backend: 0 for backend in BACKENDS}
+    for index in range(240):
+        if index % 2:
+            program, backends = random_stratified_program(rng), ("enumerate", "oracle")
+        else:
+            program, backends = random_acyclic_program(rng, 6, 6), BACKENDS
+        query = random_counterfactual_query(rng, program)
+        if query.evidence and query.interventions:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # stratified cyclic programs warn
+            for backend in backends:
+                reduced = answer_counterfactual(program, query, backend)
+                assert reduced == _twin_route(program, query, backend), (program, query, backend)
+                checked[backend] += 1
+    assert checked["wmc"] >= 60 and checked["enumerate"] >= 120, checked
 
 
 def test_zero_evidence_raises(sprinkler):
@@ -284,12 +325,56 @@ def test_twin_classifies_as_its_program():
 
 def test_suffix_error_comes_before_the_negative_cycle():
     program = parse_problog("0.5::u. a__e :- \\+b. b :- \\+a__e. c :- u.")
-    query = CounterfactualQuery(Var("c"), (), {Literal("b")})
+    # evidence and interventions: the query is answered on the twin
+    query = CounterfactualQuery(Var("c"), {Literal("u")}, {Literal("b")})
     with pytest.raises(NegativeCycleError):
         marginal(program, Var("c"), "enumerate")
     for backend in ("wmc", "enumerate"):
         with pytest.raises(ValidationError, match="a__e collides with the twin-copy suffix"):
             answer_counterfactual(program, query, backend)
+    # without evidence no twin is built, and the intervention cuts the cycle
+    query = CounterfactualQuery(Var("c"), (), {Literal("b")})
+    for backend in BACKENDS:
+        assert answer_counterfactual(program, query, backend) == Fraction(1, 2)
+        assert answer_intervention(program, Var("c"), {Literal("b")}, backend) == Fraction(1, 2)
+
+
+def test_oracle_backend_runs_the_oracle_on_every_entry_point(monkeypatch, sprinkler):
+    calls = []
+    oracle = oracle_mod.abduction_action_prediction
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(oracle_mod, "abduction_action_prediction", counted)
+    formula = Var("slippery")
+    assert marginal(sprinkler, formula, "oracle") == marginal(sprinkler, formula)
+    assert len(calls) == 1
+    evidence = {Literal("rain")}
+    assert conditional(sprinkler, formula, evidence, "oracle") == conditional(
+        sprinkler, formula, evidence
+    )
+    assert len(calls) == 2
+    do = {Literal("sprinkler", False)}
+    assert answer_intervention(sprinkler, formula, do, "oracle") == Fraction(7, 20)
+    assert len(calls) == 3
+    # the oracle answers the program that is counted, with the query's own evidence
+    acted, query = calls[-1]
+    assert acted == intervene(sprinkler, do) and query == CounterfactualQuery(formula)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_contradictory_evidence_is_invalid(sprinkler, backend):
+    formula, contradiction = Var("slippery"), {Literal("rain"), Literal("rain", False)}
+    with pytest.raises(ValidationError, match="inconsistent evidence"):
+        conditional(sprinkler, formula, contradiction, backend)
+    with pytest.raises(ValidationError, match="inconsistent evidence"):
+        answer_counterfactual(sprinkler, CounterfactualQuery(formula, contradiction), backend)
+    # the query type itself rejects the evidence, before any backend runs; marginal
+    # takes no evidence, and answer_intervention checks its own literals alike
+    with pytest.raises(ValidationError, match="inconsistent interventions"):
+        answer_intervention(sprinkler, formula, contradiction, backend)
 
 
 def _only_warning_file(caught) -> str:

@@ -150,10 +150,10 @@ def random_lpad(
                 tenths = rng.randint(1, left - 1)
             probs.append(Fraction(tenths, 10))
             left -= tenths
-        pool = atoms[: head_indices[0]]  # distinct body atoms: a body never contradicts itself
+        pool = atoms[: head_indices[0]]
         body = frozenset(
-            Literal(atom, rng.random() < 0.7)
-            for atom in rng.sample(pool, min(len(pool), rng.randint(0, max_body)))
+            Literal(rng.choice(pool), rng.random() < 0.7)
+            for _ in range(rng.randint(0, max_body) if pool else 0)
         )
         clauses.append(
             LpadClause(tuple((atoms[i], p) for i, p in zip(head_indices, probs)), body)
@@ -174,7 +174,7 @@ def random_lpad_query(
 
     atoms = sorted(program.atoms)
     heads = sorted({a for clause in program.clauses for a, p in clause.head if p})
-    query = random_formula(rng, heads or atoms, depth=1)  # deeper ones are often tautologies
+    query = random_formula(rng, heads or atoms)
     others = sorted(set(atoms) - formula_atoms(query)) or atoms
     interventions = frozenset(
         Literal(a, rng.random() < 0.5)

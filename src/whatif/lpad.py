@@ -4,8 +4,10 @@ selection-based counterfactual formula of CP-logic.
 Selections weigh integers, as worlds do in `semantics.WorldWeights`
 (`selection_weights`).  `cp_counterfactual` walks them once, as worlds of
 one `selector` program whose model function is generated once per LPAD (see
-`semantics.Stratification.model`), sums integers and divides once;
-`lpad_distribution` is its query with no evidence and no interventions.
+`semantics.Stratification.model`), with its evidence and query formula
+compiled once (`model.predicate`) and every selection's weight in one table
+(`semantics.products`), sums integers and divides once; `lpad_distribution`
+is its query with no evidence and no interventions.
 `select` still builds a selected program itself.
 """
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .model import (
     RandomFact,
     ValidationError,
     ZeroEvidenceError,
-    evaluate,
+    conjunction,
     formula_atoms,
+    predicate,
 )
-from .semantics import minimal_model
+from .semantics import minimal_model, products
 
 # A selection maps each clause (by position) to a chosen head index or None.
 Selection = tuple[Optional[int], ...]
@@ -156,20 +159,21 @@ def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fract
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     guarded, choices = selector(program, query_atoms | formula_atoms(query.query))
     acted = intervene(guarded, query.interventions)
+    observed = predicate(conjunction(query.evidence))
+    holds = predicate(query.query)
     # per clause, its options of nonzero weight, with the choice atom each makes true
     options = [
         [(weight, atom) for weight, atom in zip(row, (None, *atoms)) if weight]
         for row, atoms in zip(selection_weights(program), choices)
     ]
+    weights = products([weight for weight, _ in row] for row in options)
     numerator = evidence_mass = 0
-    for picked in itertools.product(*options):
+    for picked, weight in zip(itertools.product(*options), weights):
         world = {atom: True for _, atom in picked if atom is not None}
-        model = minimal_model(guarded, world)
-        if not all(model.get(lit.atom, False) == lit.positive for lit in query.evidence):
+        if not observed(minimal_model(guarded, world)):
             continue
-        weight = math.prod(weight for weight, _ in picked)
         evidence_mass += weight
-        if evaluate(query.query, minimal_model(acted, world)):
+        if holds(minimal_model(acted, world)):
             numerator += weight
     if evidence_mass == 0:
         raise ZeroEvidenceError("evidence has probability zero")

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .semantics import Stratification, WorldWeights
@@ -211,16 +211,40 @@ def formula_atoms(formula: Formula) -> set[str]:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def evaluate(formula: Formula, model: Mapping[str, bool]) -> bool:
-    """Evaluate under a truth assignment; missing atoms are false (closed world)."""
+def predicate(formula: Formula) -> Callable[[Mapping[str, bool]], bool]:
+    """`formula` as a function of a truth assignment, built once and called per world.
+
+    The formula becomes nested closures, one per node, so a call walks no
+    formula objects.  An atom missing from the assignment is false (closed
+    world), `And(())` is true and `Or(())` is false.
+    """
     if isinstance(formula, Var):
-        return bool(model.get(formula.name, False))
+        name = formula.name
+        return lambda model: bool(model.get(name, False))
     if isinstance(formula, Not):
-        return not evaluate(formula.operand, model)
-    if isinstance(formula, And):
-        return all(evaluate(part, model) for part in formula.operands)
-    if isinstance(formula, Or):
-        return any(evaluate(part, model) for part in formula.operands)
+        if isinstance(formula.operand, Var):
+            name = formula.operand.name
+            return lambda model: not model.get(name, False)
+        operand = predicate(formula.operand)
+        return lambda model: not operand(model)
+    if isinstance(formula, (And, Or)):
+        parts = tuple(map(predicate, formula.operands))
+        if len(parts) == 1:
+            return parts[0]
+        if isinstance(formula, And):
+            def conjoined(model: Mapping[str, bool]) -> bool:
+                for part in parts:
+                    if not part(model):
+                        return False
+                return True
+            return conjoined
+
+        def disjoined(model: Mapping[str, bool]) -> bool:
+            for part in parts:
+                if part(model):
+                    return True
+            return False
+        return disjoined
     raise TypeError(f"not a formula: {formula!r}")
 
 

@@ -3,6 +3,10 @@
 Enumerates possible worlds directly on the causal reading of the program and
 shares no code with the twin-network pipeline beyond the data model and
 minimal-model computation, so it can serve as an independent test oracle.
+Like `semantics.marginal`, it compiles the evidence and the query formula
+once per walk (`model.predicate`, the evidence as its conjunction) and reads
+each world's weight numerator from the program's table
+(`WorldWeights.numerators`).
 """
 from __future__ import annotations
 
@@ -12,7 +16,8 @@ from .model import (
     CounterfactualQuery,
     Program,
     ZeroEvidenceError,
-    evaluate,
+    conjunction,
+    predicate,
 )
 from .semantics import minimal_model, worlds
 from .transforms import intervene
@@ -27,21 +32,23 @@ def abduction_action_prediction(program: Program, query: CounterfactualQuery) ->
     `ValidationError` whatever the evidence.
     """
     acted = intervene(program, query.interventions)
-    weights = program.world_weights
+    observed = predicate(conjunction(query.evidence))
+    holds = predicate(query.query)
     # each world's weight numerator; the common denominator cancels in the ratio
     kept: list[tuple[dict[str, bool], int]] = []
-    for world in worlds(program):
+    for world, weight in zip(worlds(program), program.world_weights.numerators):
         model = minimal_model(program, world)
-        if all(model.get(lit.atom, world.get(lit.atom, False)) == lit.positive
-               for lit in query.evidence):
-            kept.append((world, weights.numerator(world)))
+        model.update(world)
+        if observed(model):
+            kept.append((world, weight))
     evidence_mass = sum(weight for _, weight in kept)
     if evidence_mass == 0:
         raise ZeroEvidenceError("evidence has probability zero")
 
-    predicted = sum(
-        weight
-        for world, weight in kept
-        if evaluate(query.query, {**minimal_model(acted, world), **world})
-    )
+    predicted = 0
+    for world, weight in kept:
+        model = minimal_model(acted, world)
+        model.update(world)
+        if holds(model):
+            predicted += weight
     return Fraction(predicted, evidence_mass)

@@ -19,8 +19,12 @@ every world's probability is computed from (`WorldWeights`) is cached the
 same way, as `Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
-backend is tested against.  It sums the worlds' integer weight numerators
-and divides once, so its answer is an exact `Fraction`.
+backend is tested against.  Each walk compiles its formula once, into nested
+closures (`model.predicate`), and reads each world's integer weight
+numerator from a table built once per program by doubling
+(`WorldWeights.numerators`), so a world costs one model call, one predicate
+call and one addition.  It sums the numerators and divides once, so its
+answer is an exact `Fraction`.
 """
 from __future__ import annotations
 
@@ -29,14 +33,14 @@ import itertools
 import sys
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     Formula,
     NegativeCycleError,
     Program,
     ValidationError,
-    evaluate,
+    predicate,
 )
 
 WorldAssignment = Mapping[str, bool]
@@ -246,13 +250,27 @@ def worlds(program: Program) -> Iterator[dict[str, bool]]:
         yield dict(zip(atoms, bits))
 
 
+def products(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Every product of one entry per row, in the order `itertools.product(*rows)` yields.
+
+    Built by doubling, one row at a time, so the whole table costs about as
+    many multiplications as it has entries; a world walk zips it with its
+    worlds instead of multiplying out each world's weight.
+    """
+    table = [1]
+    for row in rows:
+        table = [weight * entry for weight in table for entry in row]
+    return table
+
+
 class WorldWeights:
     """Each external's integer weights when true and when false, over one denominator.
 
     With p = a / b in lowest terms, an external weighs a / b when true and
     (b - a) / b when false, so `pairs[atom]` is (a, b - a) and a world's
-    weight is the product of the integers a or b - a (`numerator`) over the
-    product of the b's (`denominator`).  The WMC encoder copies the pairs.
+    weight is the product of the integers a or b - a over the product of the
+    b's (`denominator`).  `numerators` holds every world's product, in the
+    order of `worlds`.  The WMC encoder copies the pairs.
     """
 
     def __init__(self, program: Program) -> None:
@@ -265,20 +283,27 @@ class WorldWeights:
             self.pairs[atom] = (p.numerator, p.denominator - p.numerator)
             self.denominator *= p.denominator
 
-    def numerator(self, world: WorldAssignment) -> int:
-        numerator = 1
-        for atom, (yes, no) in self.pairs.items():
-            numerator *= yes if world[atom] else no
-        return numerator
+    @cached_property
+    def numerators(self) -> list[int]:
+        """Built on first use, since only the world walks need it: 2^n integers.
+
+        The table lives as long as the program that caches this object.
+        """
+        return products(self.pairs[atom][::-1] for atom in sorted(self.pairs))
 
 
 def marginal(program: Program, formula: Formula) -> Fraction:
-    """Probability of `formula` by enumeration over all possible worlds."""
-    total = 0
+    """Probability of `formula` by enumeration over all possible worlds.
+
+    The formula is compiled once (`model.predicate`), and each world's weight
+    numerator comes from the program's table (`WorldWeights.numerators`).
+    """
+    holds = predicate(formula)
     weights = program.world_weights
-    for world in worlds(program):
+    total = 0
+    for world, numerator in zip(worlds(program), weights.numerators):
         model = minimal_model(program, world)
         model.update(world)
-        if evaluate(formula, model):
-            total += weights.numerator(world)
+        if holds(model):
+            total += numerator
     return Fraction(total, weights.denominator)

@@ -4,6 +4,8 @@ Only the wmc backend can answer these programs, so the checks compare wmc
 answers with each other and never enumerate (Galles & Pearl 1998; Pearl,
 *Causality*, 2009, section 7.3).
 """
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,28 @@ import pytest
 from whatif import semantics, wmc
 from whatif.benchgen import generate_instance, instance_to_program, sample_query
 from whatif.counterfactual import answer_counterfactual, conditional
-from whatif.model import CounterfactualQuery, literal_formula
+from whatif.model import (
+    Alphabet,
+    Clause,
+    CounterfactualQuery,
+    Literal,
+    Program,
+    RandomFact,
+    formula_atoms,
+    literal_formula,
+    rename_formula,
+)
 from whatif.transforms import twin
 
 HUB_CELLS = [(40, 3, 1), (60, 3, 8), (100, 3, 1), (40, 5, 2)]  # (n, k, seed)
+
+
+@functools.cache
+def _hub_cell(n, k, seed):
+    """A cell's program, its query and the query's answer, computed once per session."""
+    instance = generate_instance(n, k, seed)
+    program, query = instance_to_program(instance), sample_query(instance, 2, 2, seed)
+    return program, query, answer_counterfactual(program, query)
 
 
 @pytest.fixture(autouse=True)
@@ -46,3 +66,50 @@ def test_consistency_effectiveness_and_no_intervention(n, k, seed):
     for lit in query.interventions:
         forced = CounterfactualQuery(literal_formula(lit), query.evidence, query.interventions)
         assert answer_counterfactual(program, forced) == 1
+
+
+def _ancestors(program, atoms):
+    """`atoms` and every atom some clause lets them depend on."""
+    by_head = program.clauses_by_head()
+    seen, stack = set(), list(atoms)
+    while stack:
+        atom = stack.pop()
+        if atom not in seen:
+            seen.add(atom)
+            stack.extend(lit.atom for clause in by_head.get(atom, ()) for lit in clause.body)
+    return seen
+
+
+@pytest.mark.parametrize("n,k,seed", HUB_CELLS)
+def test_intervening_on_a_non_ancestor_changes_nothing(n, k, seed):
+    program, query, expected = _hub_cell(n, k, seed)
+    intervened = {lit.atom for lit in query.interventions}
+    free = sorted(program.internals - _ancestors(program, formula_atoms(query.query)) - intervened)
+    assert free  # the goal's trap atom, which nothing reads
+    moved = CounterfactualQuery(query.query, query.evidence,
+                                query.interventions | {Literal(free[0])})
+    assert answer_counterfactual(program, moved) == expected
+
+
+@pytest.mark.parametrize("n,k,seed", HUB_CELLS)
+def test_renaming_atoms_and_shuffling_clauses_changes_nothing(n, k, seed):
+    program, query, expected = _hub_cell(n, k, seed)
+    rng = random.Random(seed)
+    atoms = sorted(program.internals | program.externals)
+    name = dict(zip(atoms, rng.sample(atoms, len(atoms))))  # a permutation of the names
+
+    def renamed(literals):
+        return frozenset(Literal(name[lit.atom], lit.positive) for lit in literals)
+
+    clauses = [Clause(name[clause.head], renamed(clause.body)) for clause in program.clauses]
+    facts = [RandomFact(name[fact.atom], fact.prob) for fact in program.facts]
+    rng.shuffle(clauses)
+    rng.shuffle(facts)
+    alphabet = Alphabet(frozenset(map(name.get, program.internals)),
+                        frozenset(map(name.get, program.externals)))
+    permuted = Program(tuple(clauses), tuple(facts), alphabet)
+    assert permuted != program
+    query = CounterfactualQuery(rename_formula(query.query, name), renamed(query.evidence),
+                                renamed(query.interventions))
+    answer = answer_counterfactual(permuted, query)
+    assert type(answer) is Fraction and answer == expected

@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from generators import random_formula
 from whatif.model import (
     Alphabet,
     And,
@@ -14,8 +17,8 @@ from whatif.model import (
     RandomFact,
     ValidationError,
     Var,
-    evaluate,
     formula_atoms,
+    predicate,
     rename_formula,
     validate_program,
 )
@@ -107,11 +110,49 @@ def test_query_allows_evidence_contradicting_interventions():
 def test_formula_evaluation_and_atoms():
     formula = Or((And((Var("a"), Not(Var("b")))), Var("c")))
     assert formula_atoms(formula) == {"a", "b", "c"}
-    assert evaluate(formula, {"a": True, "b": False})
-    assert not evaluate(formula, {"a": True, "b": True})
-    assert evaluate(formula, {"c": True})
+    assert predicate(formula)({"a": True, "b": False})
+    assert not predicate(formula)({"a": True, "b": True})
+    assert predicate(formula)({"c": True})
     # missing atoms are false
-    assert not evaluate(Var("zzz"), {})
+    assert not predicate(Var("zzz"))({})
+
+
+def _meaning(formula, assignment) -> bool:
+    """The truth-table meaning of `formula`, read straight off its definition."""
+    if isinstance(formula, Var):
+        return assignment[formula.name]
+    if isinstance(formula, Not):
+        return not _meaning(formula.operand, assignment)
+    values = [_meaning(part, assignment) for part in formula.operands]
+    return all(values) if isinstance(formula, And) else any(values)
+
+
+def test_predicate_matches_the_truth_table_of_random_formulas():
+    rng = random.Random(20)
+    for _ in range(200):
+        formula = random_formula(rng, ["a", "b", "c", "d"], depth=rng.randint(1, 4))
+        atoms = sorted(formula_atoms(formula))
+        holds = predicate(formula)
+        for bits in itertools.product((False, True), repeat=len(atoms)):
+            assignment = dict(zip(atoms, bits))
+            result = holds(assignment)
+            assert type(result) is bool and result == _meaning(formula, assignment)
+
+
+def test_predicate_edge_cases():
+    assert predicate(And(()))({}) is True
+    assert predicate(Or(()))({"a": True}) is False
+    assert predicate(Not(And(())))({}) is False
+    assert predicate(Not(Var("a")))({}) is True  # a missing atom is false
+    assert predicate(And((Var("a"), Not(Var("b")))))({"a": True}) is True
+    assert predicate(Or((Var("a"), Var("b"))))({"c": True}) is False
+    nested = Not(Not(Not(Var("a"))))
+    assert predicate(nested)({"a": True}) is False
+    assert predicate(nested)({"a": False}) is True
+    assert predicate(Not(Not(Var("a"))))({}) is False
+    assert predicate(And((Or((Var("a"),)),)))({"a": True}) is True
+    with pytest.raises(TypeError):
+        predicate("a")
 
 
 def test_formula_rename():

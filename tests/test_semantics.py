@@ -204,7 +204,8 @@ def ring_program(size):
 
 def _world_probability(program: Program, world) -> Fraction:
     weights = program.world_weights
-    return Fraction(weights.numerator(world), weights.denominator)
+    index = list(worlds(program)).index(world)
+    return Fraction(weights.numerators[index], weights.denominator)
 
 
 def test_world_probability(sprinkler):
@@ -234,6 +235,24 @@ def test_world_weights_equal_the_direct_product():
 
 def test_world_probabilities_sum_to_one(sprinkler):
     assert sum(_world_probability(sprinkler, w) for w in worlds(sprinkler)) == 1
+
+
+def test_world_numerators_follow_the_worlds():
+    rng = random.Random(9)
+    for size in range(6):
+        probs = {f"u{i}": Fraction(rng.randint(0, 7), 7) for i in rng.sample(range(9), size)}
+        program = Program((), tuple(RandomFact(a, p) for a, p in probs.items()))
+        weights = program.world_weights
+        assert weights.numerators is weights.numerators  # built once
+        assert len(weights.numerators) == 2 ** size
+        for world, numerator in zip(worlds(program), weights.numerators):
+            product = 1
+            for atom in sorted(world):  # the pair of each external, in worlds() order
+                yes, no = weights.pairs[atom]
+                product *= yes if world[atom] else no
+            assert numerator == product
+        assert sum(weights.numerators) == weights.denominator
+    assert Program().world_weights.numerators == [1]
 
 
 def test_marginal_sprinkler(sprinkler):

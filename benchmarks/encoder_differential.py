@@ -11,20 +11,28 @@ most the old ones.  It also draws LPAD_CASES annotated-disjunction programs
 per seed from `tests/generators.py` (`random_lpad`, `random_formula`,
 `random_lpad_query`) and checks that the exact answers of
 `lpad.lpad_distribution` and `lpad.cp_counterfactual` are equal; a
-`ZeroEvidenceError` counts as an answer.  Last, it draws SHAPE_CASES
+`ZeroEvidenceError` counts as an answer.  Next, it draws SHAPE_CASES
 programs and queries per seed (`random_acyclic_program`,
 `random_counterfactual_query`) and checks the exact answers of the four
 entry points of `whatif.counterfactual` on every backend: the query, its
 formula alone, with its evidence only and with its interventions only; the
-name of an error's class counts as an answer.
+name of an error's class counts as an answer.  Then it draws STRATIFIED_CASES
+programs per seed with a recursive block (`random_stratified_program`), each
+with a `random_formula` query, and checks the exact `enumerate` and `oracle`
+answers of that query alone, with evidence, with interventions and with
+both.  They run the fixpoint of recursive blocks, which the other
+rows, all acyclic, never reach.  Answers of 0 or 1 say little about
+weights, so at least OPEN_FLOOR of the stratified rows' answers under the
+new tree must lie strictly between 0 and 1.
 
     python3 benchmarks/encoder_differential.py OLD/src NEW/src
 
 Prints one line per workload and seed with the cases checked, the variable
 and clause counts summed over them, how many cases' CNFs are identical and
-the largest float difference, one line per seed of LPAD and of query-shape
-cases, then the first SHOW differing cases.  Exits 1 on any difference; a
-CNF that is not identical is reported, not a difference.
+the largest float difference, one line per seed of LPAD, query-shape and
+stratified cases, then the first SHOW differing cases.  Exits 1 on any
+difference or when the stratified rows fall below OPEN_FLOOR; a CNF that is
+not identical is reported, not a difference.
 """
 from __future__ import annotations
 
@@ -34,6 +42,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 SEEDS = (1, 2)
 REL_TOL = 1e-12
@@ -42,6 +51,10 @@ LPAD_CASES = 60  # random LPADs per seed
 LPAD = "lpad"  # the workload name of the LPAD rows
 SHAPE_CASES = 60  # random programs and queries per seed
 SHAPES = "query shapes"  # the workload name of their rows
+STRATIFIED_CASES = 60  # random stratified programs and queries per seed
+STRATIFIED = "stratified"  # the workload name of their rows
+EVIDENCE_DRAWS = 20  # draws of stratified evidence until one has nonzero probability
+OPEN_FLOOR = 0.25  # least share of stratified answers strictly between 0 and 1
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -70,6 +83,9 @@ def _worker() -> None:
             print(json.dumps(row))
     for seed in SEEDS:
         for row in _shape_rows(seed):
+            print(json.dumps(row))
+    for seed in SEEDS:
+        for row in _stratified_rows(seed):
             print(json.dumps(row))
 
 
@@ -123,6 +139,72 @@ def _shape_rows(seed: int):
         yield [SHAPES, seed, index, 0, 0, "", answers]
 
 
+def _stratified_rows(seed: int):
+    """The exact enumerate and oracle answers of four query shapes on seeded cyclic programs.
+
+    Each program is a `random_stratified_program` with a recursive block and
+    a fact of probability strictly between 0 and 1, drawn again until it has
+    both.  The query formula reads atoms that head a rule or are external,
+    and evidence and interventions name heads; evidence of probability zero
+    is drawn again up to EVIDENCE_DRAWS times, as `random_counterfactual_query`
+    does.  A program without these, or a rule-less atom, mostly gives 0 or 1.
+    """
+    import random
+    import warnings
+
+    from generators import random_formula, random_stratified_program
+    from whatif.counterfactual import answer_counterfactual
+    from whatif.model import CounterfactualQuery, Literal, WhatifError, conjunction
+    from whatif.semantics import marginal
+
+    def informative(program) -> bool:
+        return (any(0 < fact.prob < 1 for fact in program.facts)
+                and any(len(component) > 1 for component in program.stratification.components))
+
+    for index in range(STRATIFIED_CASES):
+        # one generator per case, so that a wrong marginal in the evidence draw
+        # shows in its own case and leaves the later cases as they were
+        rng = random.Random(f"{seed} {index}")
+        program = random_stratified_program(rng, max_externals=5)
+        while not informative(program):
+            program = random_stratified_program(rng, max_externals=5)
+        heads = sorted({clause.head for clause in program.clauses})
+        formula = random_formula(rng, heads + sorted(program.externals))
+
+        def literals():
+            return frozenset(Literal(atom, rng.random() < 0.5)
+                             for atom in rng.sample(heads, min(len(heads), rng.randint(1, 2))))
+
+        interventions = literals()
+        for _ in range(EVIDENCE_DRAWS):
+            evidence = literals()
+            if marginal(program, conjunction(evidence)) > 0:
+                break
+        answers = {}
+        for shape, query in (
+            ("marginal", CounterfactualQuery(formula)),
+            ("evidence", CounterfactualQuery(formula, evidence)),
+            ("do", CounterfactualQuery(formula, (), interventions)),
+            ("counterfactual", CounterfactualQuery(formula, evidence, interventions)),
+        ):
+            for backend in ("enumerate", "oracle"):
+                try:
+                    with warnings.catch_warnings():  # the cyclic-program warning
+                        warnings.simplefilter("ignore")
+                        answers[f"{shape} {backend}"] = str(
+                            answer_counterfactual(program, query, backend))
+                except WhatifError as exc:
+                    answers[f"{shape} {backend}"] = type(exc).__name__
+        yield [STRATIFIED, seed, index, 0, 0, "", answers]
+
+
+def _open_share(rows: list) -> float:
+    """The share of the rows' answers that are a number strictly between 0 and 1."""
+    answers = [answer for row in rows for answer in row[6].values()]
+    inside = sum(answer[0] != "Z" and 0 < Fraction(answer) < 1 for answer in answers)
+    return inside / len(answers) if answers else 0.0
+
+
 def _rows(src: str):
     """Stream the worker's rows for the tree at `src`."""
     path = os.pathsep.join(
@@ -171,7 +253,10 @@ def main(argv=None) -> int:
     #                      identical CNFs, max rel]
     tally: dict[tuple, list] = {}
     shown, differing = [], 0
+    stratified: dict[int, list] = {}  # seed -> the new tree's stratified rows
     for old, new in zip(_rows(args.old_src), _rows(args.new_src), strict=True):
+        if new[0] == STRATIFIED:
+            stratified.setdefault(new[1], []).append(new)
         counts = tally.setdefault((old[0], old[1]), [0, 0, 0, 0, 0, 0, 0.0])
         x, y = old[6].get("wmc float", 0.0), new[6].get("wmc float", 0.0)
         counts[0] += 1
@@ -190,11 +275,20 @@ def main(argv=None) -> int:
         if name in (LPAD, SHAPES):
             print(f"{name} seed {seed}: {cases} cases")
             continue
+        if name == STRATIFIED:
+            print(f"{name} seed {seed}: {cases} cases, "
+                  f"{_open_share(stratified[seed]):.1%} of answers strictly between 0 and 1")
+            continue
         print(f"{name} seed {seed}: {cases} cases, variables {sums[0]} -> {sums[1]}, "
               f"clauses {sums[2]} -> {sums[3]}, {identical} identical CNFs, "
               f"largest float difference {rel:.3g} relative")
     print("\n".join(shown))
     print(f"{differing} differing cases")
+    share = _open_share([row for rows in stratified.values() for row in rows])
+    if share < OPEN_FLOOR:
+        print(f"only {share:.1%} of stratified answers lie strictly between 0 and 1, "
+              f"below the floor of {OPEN_FLOOR:.0%}")
+        return 1
     return 1 if differing else 0
 
 

@@ -3,12 +3,12 @@ selection-based counterfactual formula of CP-logic.
 
 Selections weigh integers, as worlds do in `semantics.WorldWeights`
 (`selection_weights`).  `cp_counterfactual` walks them once, as worlds of
-one `selector` program whose model function is generated once per LPAD (see
-`semantics.Stratification.model`), with its evidence and query formula
-compiled once (`model.predicate`) and every selection's weight in one table
-(`semantics.products`), sums integers and divides once; `lpad_distribution`
-is its query with no evidence and no interventions.
-`select` still builds a selected program itself.
+one `selector` program whose rules are laid out on bits once per LPAD (see
+`semantics.Layout`): a selection is the mask of the choice atoms it picks,
+its evidence and query formula are compiled once against that layout
+(`model.predicate`), and every selection's weight comes from one table
+(`semantics.products`).  It sums integers and divides once;
+`lpad_distribution` is its query with no evidence and no interventions.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .model import (
     Alphabet,
@@ -34,8 +34,6 @@ from .model import (
 )
 from .semantics import minimal_model, products
 
-# A selection maps each clause (by position) to a chosen head index or None.
-Selection = tuple[Optional[int], ...]
 # Per clause, per head index, the choice atom of `selector`.
 Choices = tuple[tuple[str, ...], ...]
 
@@ -72,19 +70,11 @@ class LpadProgram:
         return frozenset(mentioned)
 
 
-def selections(program: LpadProgram) -> Iterable[Selection]:
-    """All selections: per clause a head index or None for the no-choice branch."""
-    options = [
-        [None] + list(range(len(clause.head))) for clause in program.clauses
-    ]
-    return itertools.product(*options)
-
-
 def selection_weights(program: LpadProgram) -> tuple[tuple[int, ...], ...]:
     """Per clause, its options' integer weights over d, the lcm of its heads' denominators.
 
-    Options come in the order of `selections`: no head, weighing d minus the
-    heads' weights, then head j, weighing p_j * d.  A selection weighs the
+    Options come in order: no head, weighing d minus the heads' weights,
+    then head j, weighing p_j * d.  A selection weighs the
     product of its options' weights over the product of the d's.
     """
     table = []
@@ -95,31 +85,21 @@ def selection_weights(program: LpadProgram) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def select(program: LpadProgram, selection: Selection) -> Program:
-    """The definite logic program picked out by a selection (no random facts)."""
-    clauses = tuple(
-        Clause(clause.head[choice][0], clause.body)
-        for clause, choice in zip(program.clauses, selection)
-        if choice is not None
-    )
-    return Program(clauses, (), Alphabet(program.atoms, frozenset()))
-
-
 def selector(program: LpadProgram, reserved: Iterable[str] = ()) -> tuple[Program, Choices]:
     """One program whose worlds are the selections of `program`.
 
     Head j of clause k becomes the rule ``h :- body, c`` guarded by a fresh
     external choice atom c = `choices[k][j]`, and a selection is the world
-    that makes its choices true.  That world's model is the model of
-    `select(program, selection)`, and as `transforms.intervene` erases
-    clauses by head, the intervened selector's model is the model of the
-    intervened selected program.  Choice atoms share a prefix that
-    starts no atom of the program and none of `reserved`, so they never
-    merge with an atom of the program or of a query.  The selector has no
-    random facts, and its dependency analysis and generated model function
-    are built once for all selections.  It holds the rule of every head, so
-    a cycle through negation is rejected even where only selections of
-    probability zero close it.
+    that makes its choices true.  That world's model is the model of the
+    definite program the selection picks out (head j of clause k for each
+    choice, with its body), and as `transforms.intervene` erases clauses by
+    head, the intervened selector's model is the model of the intervened
+    selected program.  Choice atoms share a prefix that starts no atom of
+    the program and none of `reserved`, so they never merge with an atom of
+    the program or of a query.  The selector has no random facts, and its
+    dependency analysis and bit layout are built once for all selections.
+    It holds the rule of every head, so a cycle through negation is
+    rejected even where only selections of probability zero close it.
     """
     taken = program.atoms | frozenset(reserved)
     prefix = "choice"
@@ -150,8 +130,9 @@ def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fract
     its model satisfies the evidence, weighted by its conditional probability,
     and counts toward the query when the intervened selected program derives
     it.  The selected programs are the worlds of one `selector` program, and
-    the intervened ones the worlds of that program intervened on once.  One
-    walk over the selections of nonzero weight sums their integer weights
+    the intervened ones the worlds of that program intervened on once, which
+    has the same externals and so the same world masks.  One walk over the
+    selections of nonzero weight sums their integer weights
     (`selection_weights`), and the answer is one ratio of the two sums.
     """
     from .transforms import intervene
@@ -159,17 +140,20 @@ def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fract
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     guarded, choices = selector(program, query_atoms | formula_atoms(query.query))
     acted = intervene(guarded, query.interventions)
-    observed = predicate(conjunction(query.evidence))
-    holds = predicate(query.query)
-    # per clause, its options of nonzero weight, with the choice atom each makes true
+    bits = guarded.stratification.layout.bits
+    observed = predicate(conjunction(query.evidence), bits)
+    holds = predicate(query.query, acted.stratification.layout.bits)
+    # per clause, its options of nonzero weight, with the choice bit each sets (0 for no head)
     options = [
-        [(weight, atom) for weight, atom in zip(row, (None, *atoms)) if weight]
+        [(weight, bit) for weight, bit in zip(row, (0, *map(bits.get, atoms))) if weight]
         for row, atoms in zip(selection_weights(program), choices)
     ]
     weights = products([weight for weight, _ in row] for row in options)
     numerator = evidence_mass = 0
     for picked, weight in zip(itertools.product(*options), weights):
-        world = {atom: True for _, atom in picked if atom is not None}
+        world = 0
+        for _, bit in picked:
+            world |= bit
         if not observed(minimal_model(guarded, world)):
             continue
         evidence_mass += weight

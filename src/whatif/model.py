@@ -211,35 +211,36 @@ def formula_atoms(formula: Formula) -> set[str]:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def predicate(formula: Formula) -> Callable[[Mapping[str, bool]], bool]:
-    """`formula` as a function of a truth assignment, built once and called per world.
+def predicate(formula: Formula, bits: Mapping[str, int]) -> Callable[[int], bool]:
+    """`formula` as a test of a model mask, built once per layout and called per world.
 
-    The formula becomes nested closures, one per node, so a call walks no
-    formula objects.  An atom missing from the assignment is false (closed
-    world), `And(())` is true and `Or(())` is false.
+    Atom a reads the bit `bits[a]` of the mask (`semantics.Layout.bits`); an
+    atom with no bit is false (closed world).  The formula becomes nested
+    closures, one per node, so a call walks no formula objects.  `And(())`
+    is true and `Or(())` is false.
     """
     if isinstance(formula, Var):
-        name = formula.name
-        return lambda model: bool(model.get(name, False))
+        bit = bits.get(formula.name, 0)
+        return lambda model: model & bit != 0
     if isinstance(formula, Not):
         if isinstance(formula.operand, Var):
-            name = formula.operand.name
-            return lambda model: not model.get(name, False)
-        operand = predicate(formula.operand)
+            bit = bits.get(formula.operand.name, 0)
+            return lambda model: not model & bit
+        operand = predicate(formula.operand, bits)
         return lambda model: not operand(model)
     if isinstance(formula, (And, Or)):
-        parts = tuple(map(predicate, formula.operands))
+        parts = tuple(predicate(part, bits) for part in formula.operands)
         if len(parts) == 1:
             return parts[0]
         if isinstance(formula, And):
-            def conjoined(model: Mapping[str, bool]) -> bool:
+            def conjoined(model: int) -> bool:
                 for part in parts:
                     if not part(model):
                         return False
                 return True
             return conjoined
 
-        def disjoined(model: Mapping[str, bool]) -> bool:
+        def disjoined(model: int) -> bool:
             for part in parts:
                 if part(model):
                     return True

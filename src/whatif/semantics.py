@@ -6,37 +6,39 @@ reads the dependency edges (body atom to head, over internal atoms) straight
 off the clauses into per-atom successor lists, runs Tarjan's algorithm over
 them once, and classifies the program from the SCCs: a negative edge inside
 an SCC is a cycle through negation, and an SCC of two or more atoms or a
-self-loop is a cycle.  On first use it also compiles the clauses into
-blocks of rules, in the topological order of the SCC condensation:
-consecutive one-atom SCCs share one block that a single pass evaluates, and
-each larger SCC gets a block of its own that is iterated to its least
-fixpoint (stratified bottom-up evaluation, Apt, Blair & Walker 1988).  The
-blocks then become the source of one Python function per program
-(`Stratification.model`), compiled once, in which each atom is a local
-variable and each rule one ``if``.  `minimal_model` only calls it, so no
-world pays for interpreting the rules.  The externals' weight table that
-every world's probability is computed from (`WorldWeights`) is cached the
-same way, as `Program.world_weights`.
+self-loop is a cycle.  On first use it also lays the program out on the
+bits of one integer (`Layout`): a world is an integer whose bits are the
+externals, a model one that adds the bits of the derived internals, and
+each rule a head bit with two body masks, grouped into blocks in the
+topological order of the SCC condensation.  Consecutive one-atom SCCs share
+one block that a single pass evaluates, and each larger SCC gets a block of
+its own that is iterated to its least fixpoint (stratified bottom-up
+evaluation, Apt, Blair & Walker 1988).  `minimal_model` runs that one
+evaluator, so no world builds a dict or interprets a `Clause`.  The
+externals' weight table that every world's probability is computed from
+(`WorldWeights`) is cached the same way, as `Program.world_weights`.
 
 The enumeration-based `marginal` is the reference implementation the WMC
-backend is tested against.  Each walk compiles its formula once, into nested
-closures (`model.predicate`), and reads each world's integer weight
-numerator from a table built once per program by doubling
-(`WorldWeights.numerators`), so a world costs one model call, one predicate
-call and one addition.  It sums the numerators and divides once, so its
-answer is an exact `Fraction`.
+backend is tested against.  A world is its index in a table of integer
+weight numerators built once per program by doubling
+(`WorldWeights.numerators`), and that index is also its mask, so the walk
+counts through the indices.  Each walk compiles its formula once against
+the layout, into nested closures over masks (`model.predicate`), so a world
+costs one model call, one predicate call and one addition.  It sums the
+numerators and divides once, so its answer is an exact `Fraction`.
 """
 from __future__ import annotations
 
 import enum
-import itertools
 import sys
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import (
+    Clause,
     Formula,
+    Literal,
     NegativeCycleError,
     Program,
     ValidationError,
@@ -97,28 +99,100 @@ def _sccs(vertices: frozenset[str], successors: Mapping[str, list[str]]) -> list
     return components
 
 
-Rule = tuple[str, frozenset[str], frozenset[str]]  # (head, positive body, negative body)
+Rule = tuple[int, int, int]  # (head bit, body mask, mask of the body's positive atoms)
+
+
+class Layout:
+    """A program's atoms as the bits of one integer, and its rules as masks over them.
+
+    External j of the n sorted externals is bit ``1 << (n - 1 - j)``, so a
+    world's index in the order of `WorldWeights.numerators` is its mask.
+    Each internal atom that heads a rule takes one of the bits above.
+    `bits` maps every atom with a bit to it; any other atom, a rule-less
+    internal or one outside the alphabet, is always false, so a rule that
+    reads it positively is dropped and its negation is dropped from the
+    body.  A body that reads an atom both ways is dropped too.
+
+    `blocks` holds one `(recursive, rules)` pair per block, in topological
+    order.  Each rule is `(head, body, positive)`: it fires on a mask m when
+    ``m & body == positive``, that is when every positive body atom is true
+    and every negated one false.  A block is recursive when its SCC has
+    more than one atom, and so a cycle (a positive one, unless the program
+    is rejected).  A one-atom SCC is not, even with a self-loop: a rule such
+    as ``a :- a, u.`` can only fire once `a` is true.  Consecutive
+    non-recursive SCCs merge into one block, in which every rule comes after
+    the rules of the atoms its body depends on.  Besides atoms of its own
+    SCC, which it reads only positively, a rule reads atoms that earlier
+    rules have settled, so negation never reads an atom that may still
+    change.
+    """
+
+    __slots__ = ("bits", "blocks")
+
+    def __init__(self, components: list[list[str]], clauses: Iterable[Clause],
+                 externals: Iterable[str]) -> None:
+        # per head, its bodies; a dict drops duplicate rules and keeps their order
+        bodies: dict[str, dict[frozenset[Literal], None]] = {}
+        for clause in clauses:
+            bodies.setdefault(clause.head, {})[clause.body] = None
+        # Each SCC in the order `_sccs` discovered its atoms, the reverse of its
+        # list, which follows the dependency edges: one pass over a recursive
+        # block then carries a derivation along a path of them, not one step.
+        ordered = [component[::-1] for component in reversed(components)]
+        heads = [atom for atoms in ordered for atom in atoms if atom in bodies]
+        externals = sorted(externals)
+        n = len(externals)
+        self.bits = {atom: 1 << (n - 1 - j) for j, atom in enumerate(externals)}
+        self.bits.update((head, 1 << (n + k)) for k, head in enumerate(heads))
+        self.blocks: list[tuple[bool, list[Rule]]] = []
+        for atoms in ordered:
+            rules = [rule for head in atoms for body in bodies.get(head, ())
+                     if (rule := self._rule(head, body))]
+            recursive = len(atoms) > 1
+            if self.blocks and not recursive and not self.blocks[-1][0]:
+                self.blocks[-1][1].extend(rules)
+            elif rules:
+                self.blocks.append((recursive, rules))
+
+    def _rule(self, head: str, body: frozenset[Literal]) -> Optional[Rule]:
+        pos = neg = 0
+        for atom, positive in body:
+            bit = self.bits.get(atom, 0)
+            if not positive:
+                neg |= bit
+            elif not bit:
+                return None
+            else:
+                pos |= bit
+        return None if pos & neg else (self.bits[head], pos | neg, pos)
+
+    def model(self, mask: int) -> int:
+        """The perfect model of the world `mask`, as a mask: the world's bits and the derived ones.
+
+        A non-recursive block is one pass over its rules; a recursive block
+        repeats the pass until no rule adds a bit.
+        """
+        for recursive, rules in self.blocks:
+            while True:
+                before = mask
+                for head, body, positive in rules:
+                    if mask & body == positive:
+                        mask |= head
+                if not recursive or mask == before:
+                    break
+        return mask
 
 
 class Stratification:
-    """Classification and compiled rules of one program, from one run of `_sccs`.
+    """Classification and rule layout of one program, from one run of `_sccs`.
 
     Each internal atom's successors are the heads of the clauses whose body
     mentions it, deduplicated and sorted, so the SCCs come out in one order
     whatever the order of the clauses or of set iteration, and
     `wmc.to_weighted_cnf` numbers variables in that order.  Only the edges
     through negation are kept as pairs, to tell a negative cycle from a
-    positive one.
-
-    The blocks are built on first use, since only `minimal_model` needs them,
-    through the function `model` generates from them: one
-    `(recursive, rules)` pair per block, in topological order, where each
-    rule is `(head, positive body atoms, negative body atoms)`.  A block is
-    recursive when its SCC has more than one atom, and so a cycle (a positive
-    one, unless the program is rejected).  A one-atom SCC is not, even with a
-    self-loop: a rule such as ``a :- a, u.`` can only fire once `a` is true.
-    Consecutive non-recursive SCCs merge into one block, in which every rule
-    comes after the rules of the atoms its body depends on.
+    positive one.  The `Layout` is built on first use, since only the world
+    walks and `minimal_model` need it.
     """
 
     def __init__(self, program: Program) -> None:
@@ -148,80 +222,11 @@ class Stratification:
                 else Classification.STRATIFIED_CYCLIC
             )
         # not the program, which holds this object
-        self._clauses, self._alphabet = program.clauses, program.alphabet
+        self._clauses, self._externals = program.clauses, program.externals
 
     @cached_property
-    def blocks(self) -> list[tuple[bool, tuple[Rule, ...]]]:
-        by_head: dict[str, dict[Rule, None]] = {}  # a dict drops duplicate rules, keeps order
-        for clause in self._clauses:
-            pos = frozenset(lit.atom for lit in clause.body if lit.positive)
-            neg = frozenset(lit.atom for lit in clause.body if not lit.positive)
-            by_head.setdefault(clause.head, {})[clause.head, pos, neg] = None
-        blocks: list[tuple[bool, list[Rule]]] = []
-        for component in reversed(self.components):
-            rules = [rule for head in component for rule in by_head.get(head, ())]
-            recursive = len(component) > 1
-            if blocks and not recursive and not blocks[-1][0]:
-                blocks[-1][1].extend(rules)
-            elif rules:
-                blocks.append((recursive, rules))
-        return [(recursive, tuple(rules)) for recursive, rules in blocks]
-
-    @cached_property
-    def model(self) -> Callable[[WorldAssignment], dict[str, bool]]:
-        """The blocks as one generated Python function from a world to the model.
-
-        Each atom a rule reads is a local variable: a head starts false, and
-        an external is read once, as its value in the world (so a world key
-        that is not an external is ignored).  Any other atom, a rule-less
-        internal or one outside the alphabet, is the constant false: a rule
-        that reads it positively is dropped, and its negation is dropped from
-        the body.  A non-recursive block is one ``if`` per rule, in block
-        order; a recursive block repeats its rules in a ``while`` loop until
-        none fires.  Besides atoms of its own SCC, which it reads only
-        positively, a rule reads atoms that earlier rules have settled, so
-        negation never reads an atom that may still change.  The function
-        returns every internal atom in the order of the program's
-        `internals`.  Atom names never enter the source, which only holds
-        generated variable names: the names are bound as tuples of values in
-        the function's own globals, so no name is parsed as code, and the
-        source runs with no builtins.
-        """
-        internals = list(self._alphabet.internals)
-        heads = {head for _, rules in self.blocks for head, _, _ in rules}
-        read = {atom for _, rules in self.blocks for _, pos, neg in rules for atom in pos | neg}
-        externals = sorted(read & self._alphabet.externals)
-        local = {atom: f"v{i}" for i, atom in enumerate(internals) if atom in heads}
-        local.update((atom, f"x{i}") for i, atom in enumerate(externals))
-
-        lines = ["def model(world):"]
-        if externals:
-            lines.append(f"    {', '.join(local[a] for a in externals)}, = map(world.get, keys)")
-        if heads:
-            lines.append(f"    {' = '.join(local[a] for a in internals if a in heads)} = False")
-        for recursive, rules in self.blocks:
-            indent = "    "
-            if recursive:
-                lines += ["    changed = True", "    while changed:", "        changed = False"]
-                indent = "        "
-            for head, pos, neg in rules:
-                if not local.keys() >= pos:
-                    continue  # it reads an atom that is always false
-                target = local[head]
-                terms = [local[a] for a in sorted(pos)]
-                terms += [f"not {local[a]}" for a in sorted(neg) if a in local]
-                if recursive:
-                    terms.insert(0, f"not {target}")
-                    target += " = changed"
-                test = " and ".join(terms)
-                lines.append(f"{indent}if {test}: {target} = True" if test
-                             else f"{indent}{target} = True")
-        values = ", ".join(local.get(atom, "False") for atom in internals)
-        lines.append(f"    return dict(zip(names, [{values}]))")
-        namespace = {"__builtins__": {}, "keys": tuple(externals), "names": tuple(internals),
-                     "dict": dict, "map": map, "zip": zip}
-        exec("\n".join(lines), namespace)
-        return namespace.pop("model")  # not left in its own globals, a reference cycle
+    def layout(self) -> Layout:
+        return Layout(self.components, self._clauses, self._externals)
 
 
 def check_unique_supported_models(program: Program) -> Classification:
@@ -229,33 +234,32 @@ def check_unique_supported_models(program: Program) -> Classification:
     return program.stratification.classification
 
 
-def minimal_model(program: Program, world: WorldAssignment) -> dict[str, bool]:
-    """Perfect model of the program joined with the given external assignment.
+def minimal_model(program: Program, world: int | WorldAssignment) -> int | dict[str, bool]:
+    """Perfect model of the program joined with an assignment of its externals.
 
-    An external reads true when its value in `world` is truthy; a world key
-    that is not an external is ignored, and a body atom outside the alphabet
-    reads false.  Returns every internal atom, in the order of
-    `program.internals`, from the program's generated function
-    (`Stratification.model`), which is built on the first call.
+    A world given as an index in the order of `WorldWeights.numerators` is
+    its mask in the program's `Layout`, and the model comes back as a mask
+    too.  A world given as a mapping reads an external true when its value
+    is truthy and ignores a key that is not an external, and the model comes
+    back as a dict of every internal atom, in the order of
+    `program.internals`.  The layout is built on the first call.
     """
     if check_unique_supported_models(program) is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
-    return program.stratification.model(world)
-
-
-def worlds(program: Program) -> Iterator[dict[str, bool]]:
-    """All external assignments, in sorted-atom binary order."""
-    atoms = sorted(program.externals)
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        yield dict(zip(atoms, bits))
+    layout = program.stratification.layout
+    if isinstance(world, int):
+        return layout.model(world)
+    bits = layout.bits
+    model = layout.model(sum(bits[atom] for atom in program.externals if world.get(atom)))
+    return {atom: bool(model & bits.get(atom, 0)) for atom in program.internals}
 
 
 def products(rows: Iterable[Sequence[int]]) -> list[int]:
     """Every product of one entry per row, in the order `itertools.product(*rows)` yields.
 
     Built by doubling, one row at a time, so the whole table costs about as
-    many multiplications as it has entries; a world walk zips it with its
-    worlds instead of multiplying out each world's weight.
+    many multiplications as it has entries; a world walk reads it by index
+    instead of multiplying out each world's weight.
     """
     table = [1]
     for row in rows:
@@ -269,8 +273,10 @@ class WorldWeights:
     With p = a / b in lowest terms, an external weighs a / b when true and
     (b - a) / b when false, so `pairs[atom]` is (a, b - a) and a world's
     weight is the product of the integers a or b - a over the product of the
-    b's (`denominator`).  `numerators` holds every world's product, in the
-    order of `worlds`.  The WMC encoder copies the pairs.
+    b's (`denominator`).  `numerators` holds every world's product: world i
+    makes external j of the n sorted externals true when bit n - 1 - j of i
+    is set, so i is the world's mask in the program's `Layout`.  The WMC
+    encoder copies the pairs.
     """
 
     def __init__(self, program: Program) -> None:
@@ -295,15 +301,14 @@ class WorldWeights:
 def marginal(program: Program, formula: Formula) -> Fraction:
     """Probability of `formula` by enumeration over all possible worlds.
 
-    The formula is compiled once (`model.predicate`), and each world's weight
-    numerator comes from the program's table (`WorldWeights.numerators`).
+    The formula is compiled once against the program's layout
+    (`model.predicate`), and each world is its index in the program's weight
+    table (`WorldWeights.numerators`), which is also its mask.
     """
-    holds = predicate(formula)
+    holds = predicate(formula, program.stratification.layout.bits)
     weights = program.world_weights
     total = 0
-    for world, numerator in zip(worlds(program), weights.numerators):
-        model = minimal_model(program, world)
-        model.update(world)
-        if holds(model):
+    for world, numerator in enumerate(weights.numerators):
+        if holds(minimal_model(program, world)):
             total += numerator
     return Fraction(total, weights.denominator)

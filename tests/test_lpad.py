@@ -14,14 +14,15 @@ from whatif.lpad import (
     lpad_distribution,
     lpad_of_problog,
     prob_of_lpad,
-    select,
     selection_weights,
-    selections,
     selector,
 )
 from whatif.model import (
+    Alphabet,
+    Clause,
     CounterfactualQuery,
     Literal,
+    Program,
     ValidationError,
     Var,
     ZeroEvidenceError,
@@ -29,6 +30,24 @@ from whatif.model import (
 from whatif.parser import parse_lpad
 from whatif.semantics import marginal, minimal_model
 from whatif.transforms import intervene
+
+
+def selections(program):
+    """All selections: per clause a head index, or None for the no-choice branch.
+
+    They come in the order of the options of `selection_weights`.
+    """
+    return itertools.product(*([None, *range(len(clause.head))] for clause in program.clauses))
+
+
+def select(program, selection):
+    """The definite logic program picked out by a selection (no random facts)."""
+    clauses = tuple(
+        Clause(clause.head[choice][0], clause.body)
+        for clause, choice in zip(program.clauses, selection)
+        if choice is not None
+    )
+    return Program(clauses, (), Alphabet(program.atoms, frozenset()))
 
 
 @pytest.fixture

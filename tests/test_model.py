@@ -109,12 +109,13 @@ def test_query_allows_evidence_contradicting_interventions():
 
 def test_formula_evaluation_and_atoms():
     formula = Or((And((Var("a"), Not(Var("b")))), Var("c")))
+    bits = {"a": 1, "b": 2, "c": 4}
     assert formula_atoms(formula) == {"a", "b", "c"}
-    assert predicate(formula)({"a": True, "b": False})
-    assert not predicate(formula)({"a": True, "b": True})
-    assert predicate(formula)({"c": True})
-    # missing atoms are false
-    assert not predicate(Var("zzz"))({})
+    assert predicate(formula, bits)(0b001)
+    assert not predicate(formula, bits)(0b011)
+    assert predicate(formula, bits)(0b100)
+    # atoms with no bit are false, even when every bit of the mask is set
+    assert not predicate(Var("zzz"), bits)(-1)
 
 
 def _meaning(formula, assignment) -> bool:
@@ -132,27 +133,34 @@ def test_predicate_matches_the_truth_table_of_random_formulas():
     for _ in range(200):
         formula = random_formula(rng, ["a", "b", "c", "d"], depth=rng.randint(1, 4))
         atoms = sorted(formula_atoms(formula))
-        holds = predicate(formula)
-        for bits in itertools.product((False, True), repeat=len(atoms)):
-            assignment = dict(zip(atoms, bits))
-            result = holds(assignment)
-            assert type(result) is bool and result == _meaning(formula, assignment)
+        # scattered bits, above a bit that no atom owns
+        bits = {atom: 1 << position
+                for atom, position in zip(atoms, sorted(rng.sample(range(1, 70), len(atoms))))}
+        holds = predicate(formula, bits)
+        for values in itertools.product((False, True), repeat=len(atoms)):
+            assignment = dict(zip(atoms, values))
+            mask = sum(bits[atom] for atom in atoms if assignment[atom])
+            for model in (mask, mask | 1):  # a bit of no atom changes nothing
+                result = holds(model)
+                assert type(result) is bool and result == _meaning(formula, assignment)
 
 
 def test_predicate_edge_cases():
-    assert predicate(And(()))({}) is True
-    assert predicate(Or(()))({"a": True}) is False
-    assert predicate(Not(And(())))({}) is False
-    assert predicate(Not(Var("a")))({}) is True  # a missing atom is false
-    assert predicate(And((Var("a"), Not(Var("b")))))({"a": True}) is True
-    assert predicate(Or((Var("a"), Var("b"))))({"c": True}) is False
+    bits = {"a": 1, "b": 2}
+    assert predicate(And(()), {})(0) is True
+    assert predicate(Or(()), bits)(0b01) is False
+    assert predicate(Not(And(())), {})(0) is False
+    assert predicate(Not(Var("a")), {})(-1) is True  # an atom with no bit is false
+    assert predicate(Var("c"), bits)(-1) is False
+    assert predicate(And((Var("a"), Not(Var("b")))), bits)(0b01) is True
+    assert predicate(Or((Var("a"), Var("b"))), {"c": 4})(0b011) is False  # bits of no atom
     nested = Not(Not(Not(Var("a"))))
-    assert predicate(nested)({"a": True}) is False
-    assert predicate(nested)({"a": False}) is True
-    assert predicate(Not(Not(Var("a"))))({}) is False
-    assert predicate(And((Or((Var("a"),)),)))({"a": True}) is True
+    assert predicate(nested, bits)(0b01) is False
+    assert predicate(nested, bits)(0b10) is True
+    assert predicate(Not(Not(Var("a"))), bits)(0) is False
+    assert predicate(And((Or((Var("a"),)),)), bits)(0b01) is True
     with pytest.raises(TypeError):
-        predicate("a")
+        predicate("a", bits)
 
 
 def test_formula_rename():

@@ -1,6 +1,7 @@
+import itertools
+import math
 import os
 import random
-import re
 from functools import cached_property
 from fractions import Fraction
 
@@ -21,8 +22,14 @@ from whatif.semantics import (
     check_unique_supported_models,
     marginal,
     minimal_model,
-    worlds,
 )
+
+
+def worlds(program):
+    """All external assignments, in sorted-atom binary order: the order of the world indices."""
+    atoms = sorted(program.externals)
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        yield dict(zip(atoms, bits))
 
 
 def test_sprinkler_dependency_graph(sprinkler):
@@ -90,7 +97,7 @@ def test_minimal_model_stratified_cycle():
 
 
 def reference_model(program, world):
-    """The stratum-by-stratum fixpoint over `Clause` objects that the compiled blocks replaced."""
+    """The stratum-by-stratum fixpoint over `Clause` objects, which the rule masks replace."""
     by_head = program.clauses_by_head()
     values = {atom: bool(world.get(atom, False)) for atom in program.externals}
     values.update(dict.fromkeys(program.internals, False))
@@ -109,6 +116,7 @@ def reference_model(program, world):
 
 def test_minimal_model_equals_the_stratum_by_stratum_fixpoint():
     rng = random.Random(13)
+    loose_rng = random.Random(14)  # draws the loose worlds, apart from the programs
     seen = set()
     for _ in range(300):
         program = random_stratified_program(rng)
@@ -129,33 +137,47 @@ def test_minimal_model_equals_the_stratum_by_stratum_fixpoint():
             seen.add("rule-less internal")
         shuffled = Program(tuple(rng.sample(clauses, len(clauses))), program.facts,
                            program.alphabet)
-        for world in worlds(program):
-            expected = reference_model(program, world)
-            for variant in (program, shuffled):
-                model = minimal_model(variant, world)
-                assert model == expected and list(model) == list(expected), (variant, world)
+        for variant in (program, shuffled):
+            _check_both_forms(variant, loose_rng)
     assert seen == {"fact", "self-loop", "rule", "two-cycle", "duplicate clause",
                     "shared body", "rule-less internal"}
 
-    # the generated function on inputs the random programs do not reach
+    # the layout on inputs the random programs do not reach
     for program in [*odd_named_programs(rng), chain_program(3000), ring_program(50),
                     Program((Clause("a", frozenset({Literal("zz")})),
                              Clause("b", frozenset({Literal("zz", False), Literal("u")}))),
                             (RandomFact("u", Fraction(1, 2)),),
                             Alphabet(frozenset({"a", "b"}), frozenset({"u"})))]:
-        code = program.stratification.model.__code__  # only generated names, no atom strings
-        assert not any(isinstance(constant, str) for constant in code.co_consts)
-        assert all(re.fullmatch(r"[vx]\d+|world|get|keys|names|dict|map|zip|changed", name)
-                   for name in code.co_names + code.co_varnames + code.co_freevars)
-        for world in worlds(program):
-            expected = reference_model(program, world)
-            assert minimal_model(program, world) == expected, (program, world)
-            # internal atoms in the world are ignored; any truthy value reads true
-            loose = {atom: rng.choice(([1], "yes", 2) if value else ([], "", 0, None))
-                     for atom, value in world.items()}
-            loose.update(dict.fromkeys(program.internals, True))
-            assert minimal_model(program, loose) == expected, (program, loose)
+        _check_both_forms(program, loose_rng)
     assert "WHATIF_INJECTED" not in os.environ
+
+
+def _check_both_forms(program, rng):
+    """The index form and the mapping form of `minimal_model` equal `reference_model`.
+
+    World index i is the i-th world of `worlds()`, its mask in the layout and
+    the index of its weight numerator; a model mask keeps the world's bits.
+    """
+    bits = program.stratification.layout.bits
+    externals = sorted(program.externals)
+    assert [bits[atom] for atom in externals] == [1 << j for j in reversed(range(len(externals)))]
+    assert all(bit >> len(externals) for atom, bit in bits.items() if atom in program.internals)
+    numerators = program.world_weights.numerators
+    for index, world in enumerate(worlds(program)):
+        assert sum(bits[atom] for atom in externals if world[atom]) == index
+        assert numerators[index] == math.prod(
+            program.world_weights.pairs[atom][0 if world[atom] else 1] for atom in externals)
+        expected = reference_model(program, world)
+        mask = minimal_model(program, index)
+        assert mask & ((1 << len(externals)) - 1) == index, (program, world)
+        assert {atom: bool(mask & bits.get(atom, 0)) for atom in program.internals} == expected
+        model = minimal_model(program, world)
+        assert model == expected and list(model) == list(expected), (program, world)
+        # internal atoms in the world are ignored; any truthy value reads true
+        loose = {atom: rng.choice(([1], "yes", 2) if value else ([], "", 0, None))
+                 for atom, value in world.items()}
+        loose.update(dict.fromkeys(program.internals, True))
+        assert minimal_model(program, loose) == expected, (program, loose)
 
 
 ODD_NAMES = [
@@ -331,15 +353,15 @@ def test_dependency_analysis_runs_once_per_program(monkeypatch):
 
 def test_rules_are_compiled_once_per_program(monkeypatch):
     builds = []
-    original = semantics.Stratification.model.func
+    original = semantics.Stratification.layout.func
 
     def counted(self):
         builds.append(self)
         return original(self)
 
-    counted_model = cached_property(counted)
-    counted_model.__set_name__(semantics.Stratification, "model")
-    monkeypatch.setattr(semantics.Stratification, "model", counted_model)
+    counted_layout = cached_property(counted)
+    counted_layout.__set_name__(semantics.Stratification, "layout")
+    monkeypatch.setattr(semantics.Stratification, "layout", counted_layout)
     program = parse_problog(SIX_EXTERNALS)
     assert marginal(program, Var("c")) == marginal(program, Var("c"))  # 2 x 64 models
     assert len(builds) == 1

@@ -2,17 +2,15 @@
 selection-based counterfactual formula of CP-logic.
 
 Selections weigh integers, as worlds do in `semantics.WorldWeights`
-(`selection_weights`).  `cp_counterfactual` walks them once, as worlds of
-one `selector` program whose rules are laid out on bits once per LPAD (see
-`semantics.Layout`): a selection is the mask of the choice atoms it picks,
-its evidence and query formula are compiled once against that layout
-(`model.predicate`), and every selection's weight comes from one table
-(`semantics.products`).  It sums integers and divides once;
+(`selection_weights`).  A selection is a world of one `selector` program:
+the mask of the choice atoms it picks.  `cp_counterfactual` builds the
+table of selections of nonzero weight and hands it to `oracle.walk`, the
+same abduction-action-prediction walk the oracle runs over a ProbLog
+program's worlds, so this module evaluates no world itself;
 `lpad_distribution` is its query with no evidence and no interventions.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,12 +25,9 @@ from .model import (
     Program,
     RandomFact,
     ValidationError,
-    ZeroEvidenceError,
-    conjunction,
     formula_atoms,
-    predicate,
 )
-from .semantics import minimal_model, products
+from .oracle import walk
 
 # Per clause, per head index, the choice atom of `selector`.
 Choices = tuple[tuple[str, ...], ...]
@@ -129,39 +124,20 @@ def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fract
     A selection stands for a leaf of any execution model: it contributes when
     its model satisfies the evidence, weighted by its conditional probability,
     and counts toward the query when the intervened selected program derives
-    it.  The selected programs are the worlds of one `selector` program, and
-    the intervened ones the worlds of that program intervened on once, which
-    has the same externals and so the same world masks.  One walk over the
-    selections of nonzero weight sums their integer weights
-    (`selection_weights`), and the answer is one ratio of the two sums.
+    it.  The selected programs are the worlds of one `selector` program, so
+    this is `oracle.walk` over the selections of nonzero weight: one table of
+    (choice mask, integer weight) pairs (`selection_weights`), built by one
+    doubling per clause.
     """
-    from .transforms import intervene
-
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     guarded, choices = selector(program, query_atoms | formula_atoms(query.query))
-    acted = intervene(guarded, query.interventions)
     bits = guarded.stratification.layout.bits
-    observed = predicate(conjunction(query.evidence), bits)
-    holds = predicate(query.query, acted.stratification.layout.bits)
-    # per clause, its options of nonzero weight, with the choice bit each sets (0 for no head)
-    options = [
-        [(weight, bit) for weight, bit in zip(row, (0, *map(bits.get, atoms))) if weight]
-        for row, atoms in zip(selection_weights(program), choices)
-    ]
-    weights = products([weight for weight, _ in row] for row in options)
-    numerator = evidence_mass = 0
-    for picked, weight in zip(itertools.product(*options), weights):
-        world = 0
-        for _, bit in picked:
-            world |= bit
-        if not observed(minimal_model(guarded, world)):
-            continue
-        evidence_mass += weight
-        if holds(minimal_model(acted, world)):
-            numerator += weight
-    if evidence_mass == 0:
-        raise ZeroEvidenceError("evidence has probability zero")
-    return Fraction(numerator, evidence_mass)
+    worlds = [(0, 1)]
+    for row, atoms in zip(selection_weights(program), choices):
+        # the clause's options of nonzero weight, with the choice bit each sets (0 for no head)
+        options = [(bit, weight) for weight, bit in zip(row, (0, *map(bits.get, atoms))) if weight]
+        worlds = [(mask | bit, total * weight) for mask, total in worlds for bit, weight in options]
+    return walk(guarded, query, worlds)
 
 
 def prob_of_lpad(program: LpadProgram) -> Program:

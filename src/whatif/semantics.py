@@ -33,7 +33,7 @@ import enum
 import sys
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .model import (
     Clause,
@@ -254,19 +254,6 @@ def minimal_model(program: Program, world: int | WorldAssignment) -> int | dict[
     return {atom: bool(model & bits.get(atom, 0)) for atom in program.internals}
 
 
-def products(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Every product of one entry per row, in the order `itertools.product(*rows)` yields.
-
-    Built by doubling, one row at a time, so the whole table costs about as
-    many multiplications as it has entries; a world walk reads it by index
-    instead of multiplying out each world's weight.
-    """
-    table = [1]
-    for row in rows:
-        table = [weight * entry for weight in table for entry in row]
-    return table
-
-
 class WorldWeights:
     """Each external's integer weights when true and when false, over one denominator.
 
@@ -293,9 +280,14 @@ class WorldWeights:
     def numerators(self) -> list[int]:
         """Built on first use, since only the world walks need it: 2^n integers.
 
-        The table lives as long as the program that caches this object.
+        The table doubles once per external, so it costs about as many
+        multiplications as it has entries.  It lives as long as the program
+        that caches this object.
         """
-        return products(self.pairs[atom][::-1] for atom in sorted(self.pairs))
+        table = [1]
+        for atom in sorted(self.pairs):
+            table = [weight * entry for weight in table for entry in self.pairs[atom][::-1]]
+        return table
 
 
 def marginal(program: Program, formula: Formula) -> Fraction:

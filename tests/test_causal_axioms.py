@@ -24,7 +24,7 @@ from whatif.model import (
     literal_formula,
     rename_formula,
 )
-from whatif.transforms import twin
+from whatif.transforms import intervene, twin
 
 HUB_CELLS = [(40, 3, 1), (60, 3, 8), (100, 3, 1), (40, 5, 2)]  # (n, k, seed)
 
@@ -113,3 +113,40 @@ def test_renaming_atoms_and_shuffling_clauses_changes_nothing(n, k, seed):
                                 renamed(query.interventions))
     answer = answer_counterfactual(permuted, query)
     assert type(answer) is Fraction and answer == expected
+
+
+def _descendants(program, atoms):
+    """`atoms` and every atom whose clauses read one of them, directly or not."""
+    readers = {}
+    for clause in program.clauses:
+        for lit in clause.body:
+            readers.setdefault(lit.atom, set()).add(clause.head)
+    seen, stack = set(), list(atoms)
+    while stack:
+        atom = stack.pop()
+        if atom not in seen:
+            seen.add(atom)
+            stack.extend(readers.get(atom, ()))
+    return seen
+
+
+QUERY_SEEDS = range(1, 21)  # searched in order for a query the identity below applies to
+
+
+@pytest.mark.parametrize("n,k,seed", HUB_CELLS)
+def test_evidence_off_the_intervened_atoms_descendants_is_interventional(n, k, seed):
+    """With evidence on no descendant of an intervened atom, the counterfactual is
+    the conditional of the intervened program (Pearl, *Causality*, 2009, ch. 7)."""
+    instance = generate_instance(n, k, seed)
+    program = instance_to_program(instance)
+    for query_seed in QUERY_SEEDS:
+        query = sample_query(instance, 2, 2, query_seed)
+        moved = _descendants(program, {lit.atom for lit in query.interventions})
+        if not moved & {lit.atom for lit in query.evidence}:
+            break
+    else:
+        pytest.fail(f"no query seed in {QUERY_SEEDS} keeps the evidence off the intervention")
+    answer = answer_counterfactual(program, query)
+    assert type(answer) is Fraction and 0 < answer < 1
+    assert answer == conditional(intervene(program, query.interventions), query.query,
+                                 query.evidence)

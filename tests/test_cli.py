@@ -1,14 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import SPRINKLER_TEXT, TWIN_SPRINKLER_TEXT
 from whatif.cli import main
+from whatif.counterfactual import answer_counterfactual
 from whatif.model import CounterfactualQuery, Var
 from whatif.parser import parse_formula, parse_literals, parse_problog, parse_lpad, print_problog
 from whatif.transforms import intervene, relevant, twin
 from whatif import wmc as wmc_mod
 from whatif.wmc import add_formula, dump_dimacs, to_weighted_cnf
 from whatif.semantics import marginal
-from whatif.lpad import lpad_distribution, lpad_of_problog
+from whatif.lpad import cp_counterfactual, lpad_distribution, lpad_of_problog
 
 
 def run(capsys, *argv):
@@ -158,17 +161,21 @@ def test_transform_twin_splits_off_evidence_and_do_from_the_right(
         assert out == print_problog(twin(sprinkler, query)[0]), text
 
 
-def test_translate_round_trip(capsys, sprinkler_file, tmp_path, sprinkler):
+def test_translate_round_trip(capsys, sprinkler_file, tmp_path, sprinkler, sprinkler_query):
     code, out, _ = run(capsys, "translate", str(sprinkler_file), "--to", "lpad")
     assert code == 0
     lpad = parse_lpad(out)
     assert lpad_distribution(lpad, Var("slippery")) == marginal(sprinkler, Var("slippery"))
+    # the CP-logic counterfactual of the printed LPAD is the paper's answer
+    assert cp_counterfactual(lpad, sprinkler_query) == Fraction(1, 10)
     lpad_file = tmp_path / "sprinkler.lpad"
     lpad_file.write_text(out)
     code, out, _ = run(capsys, "translate", str(lpad_file), "--to", "problog")
     assert code == 0
     back = parse_problog(out)
     assert marginal(back, Var("slippery")) == marginal(sprinkler, Var("slippery"))
+    for backend in ("wmc", "enumerate", "oracle"):
+        assert answer_counterfactual(back, sprinkler_query, backend) == Fraction(1, 10)
 
 
 def test_translate_reports_where_an_lpad_head_repeats_an_atom(capsys, tmp_path):

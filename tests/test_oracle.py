@@ -6,11 +6,42 @@ import pytest
 from generators import random_acyclic_program, random_counterfactual_query
 from whatif.counterfactual import answer_intervention, conditional
 from whatif.model import CounterfactualQuery, Literal, ValidationError, Var, ZeroEvidenceError
-from whatif.oracle import abduction_action_prediction
+from whatif import oracle
+from whatif.oracle import abduction_action_prediction, walk
 
 
 def test_sprinkler_counterfactual(sprinkler, sprinkler_query):
     assert abduction_action_prediction(sprinkler, sprinkler_query) == Fraction(1, 10)
+
+
+def test_walk_reads_any_table_of_the_worlds(sprinkler, sprinkler_query):
+    table = list(enumerate(sprinkler.world_weights.numerators))
+    expected = abduction_action_prediction(sprinkler, sprinkler_query)
+    assert walk(sprinkler, sprinkler_query, table) == expected == Fraction(1, 10)
+    nonzero = [(world, weight) for world, weight in table if weight]
+    random.Random(3).shuffle(nonzero)
+    assert walk(sprinkler, sprinkler_query, iter(nonzero)) == expected
+
+
+def test_walk_over_no_worlds_has_zero_evidence(sprinkler, sprinkler_query):
+    with pytest.raises(ZeroEvidenceError):
+        walk(sprinkler, sprinkler_query, ())
+
+
+def test_walk_computes_the_acted_model_only_for_kept_worlds(
+    monkeypatch, sprinkler, sprinkler_query
+):
+    calls = []
+    original = oracle.minimal_model
+
+    def counted(program, world):
+        calls.append(world)
+        return original(program, world)
+
+    monkeypatch.setattr(oracle, "minimal_model", counted)
+    abduction_action_prediction(sprinkler, sprinkler_query)
+    # 16 worlds; the evidence sprinkler, slippery holds when u1 and u2 do, in 4 of them
+    assert len(calls) == 16 + 4
 
 
 def test_empty_evidence_is_plain_intervention(sprinkler):

@@ -51,8 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--dump-cnf",
         type=Path,
-        help="also write the weighted CNF (DIMACS) that the wmc backend counts "
-        "(wmc.encode_query): the reduced program's clauses and the query's",
+        help="first write the weighted CNF (DIMACS) that the wmc backend counts "
+        "(wmc.encode_query): the reduced program's clauses and the query's; "
+        "the same file on every backend",
     )
 
     transform = commands.add_parser("transform", help="print a transformed program")
@@ -103,26 +104,15 @@ def _cmd_query(args) -> int:
     exact = args.precision == "rational" or (
         args.precision == "auto" and len(program.externals) <= RATIONAL_LIMIT
     )
-    dumped = []  # the CNF written for --dump-cnf, once it is
-
-    def dump(cnf: wmc_mod.WeightedCnf) -> None:
-        args.dump_cnf.write_text(wmc_mod.dump_dimacs(cnf))
-        dumped.append(cnf)
-
-    try:
-        if args.dump_cnf and args.backend != "wmc":
-            # these backends count no CNF: encode it apart, before answering,
-            # so a program wmc cannot encode prints no answer
-            dump(wmc_mod.encode_query(*counterfactual.reduce(program, query))[0])
-        # the wmc backend calls `dump` with the CNF it counts, before the count
-        answer = counterfactual.answer_counterfactual(
-            program, query, backend=args.backend, exact=exact,
-            on_cnf=dump if args.dump_cnf else None,
-        )
-    except WhatifError as exc:
-        if args.dump_cnf and not dumped:
+    if args.dump_cnf:
+        # encoded apart from the answer, and before it, on every backend, so
+        # a program wmc cannot encode prints no answer
+        try:
+            cnf, _, _ = wmc_mod.encode_query(*counterfactual.reduce(program, query))
+        except WhatifError as exc:
             raise type(exc)(f"--dump-cnf: {exc}") from exc
-        raise
+        args.dump_cnf.write_text(wmc_mod.dump_dimacs(cnf))
+    answer = counterfactual.answer_counterfactual(program, query, backend=args.backend, exact=exact)
     print(_format_probability(answer))
     return 0
 

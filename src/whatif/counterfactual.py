@@ -2,11 +2,13 @@
 
 Each entry point passes one `CounterfactualQuery` to one core, `_answer`, which
 builds the twin network only for a query with both evidence and interventions.
+`reduce` decides what is counted; `whatif query --dump-cnf` encodes its
+output with `wmc.encode_query` before answering, whatever the backend.
 """
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .model import (
     And,
@@ -60,7 +62,6 @@ def _answer(
     query: CounterfactualQuery,
     backend: str,
     exact: bool,
-    on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
 ):
     """The one query path; each public entry point calls it once, directly."""
     if backend not in BACKENDS:
@@ -81,7 +82,7 @@ def _answer(
         warnings.warn(CYCLIC_WARNING, stacklevel=3)  # the caller of the public entry point
     # the twin, or the intervened copy, of a valid program is valid
     if backend == "wmc":
-        answer = wmc_mod.conditional(counted, formula, evidence, on_cnf=on_cnf)
+        answer = wmc_mod.conditional(counted, formula, evidence)
     elif backend == "oracle":
         answer = oracle.abduction_action_prediction(counted, CounterfactualQuery(formula, evidence))
     elif not evidence:  # enumerate: one walk over the worlds, or two with evidence
@@ -133,11 +134,6 @@ def answer_counterfactual(
     query: CounterfactualQuery,
     backend: str = "wmc",
     exact: bool = True,
-    *,
-    on_cnf: Optional[Callable[[wmc_mod.WeightedCnf], None]] = None,
 ):
-    """P(query | evidence, do(interventions)), on the twin network only with both.
-
-    `on_cnf`, if given, is called with the CNF the wmc backend counts, before counting.
-    """
-    return _answer(program, query, backend, exact, on_cnf)
+    """P(query | evidence, do(interventions)), on the twin network only with both."""
+    return _answer(program, query, backend, exact)

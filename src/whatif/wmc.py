@@ -8,7 +8,8 @@ variable 1.  Every answer is an exact `Fraction`; `marginal_wmc`, which is
 `conditional` with no evidence, returns `float()` of it with `exact=False`.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
-`whatif query --dump-cnf` and the counter benchmark use it.
+`whatif query --dump-cnf` and the counter benchmark use it; the command line
+calls it for its file before answering, on every backend.
 It first prunes the program with `transforms.relevant` to the ancestors of
 the query and evidence atoms and the facts they mention (the weights of
 every other external sum to 1).  `to_weighted_cnf` then gives one variable
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ._counter_py import ModelCounter
 from .model import (
@@ -213,22 +214,12 @@ def marginal_wmc(program: Program, formula: Formula, exact: bool = True):
     return answer if exact else float(answer)
 
 
-def conditional(
-    program: Program,
-    formula: Formula,
-    evidence: Iterable[Literal],
-    *,
-    on_cnf: Optional[Callable[[WeightedCnf], None]] = None,
-) -> Fraction:
+def conditional(program: Program, formula: Formula, evidence: Iterable[Literal]) -> Fraction:
     """P(formula | evidence) as a ratio of weighted counts; the one query entry.
 
-    `on_cnf`, if given, is called with the CNF that is counted, before
-    counting.  Expects a validated program (`model.validate_program`); it is
-    not checked here.
+    Expects a validated program (`model.validate_program`); it is not checked here.
     """
     cnf, root, assumptions = encode_query(program, formula, evidence)
-    if on_cnf is not None:
-        on_cnf(cnf)
     if not assumptions:  # P(true) is 1: one search with the root literal assumed
         return wmc(cnf, [root])
     shared = counter(cnf, mark=root)

@@ -239,7 +239,8 @@ def test_dump_cnf_holds_the_query_clauses(capsys, sprinkler_file, tmp_path):
 
 @pytest.mark.parametrize("backend", ["wmc", "enumerate"])
 def test_dump_cnf_encodes_the_query_once(monkeypatch, capsys, sprinkler_file, tmp_path, backend):
-    # with wmc the file holds the CNF that is counted; the other backends encode it only for the file
+    # every backend encodes the file once, before answering; wmc encodes the
+    # same CNF again to count it
     encoded, counted = [], []
     encode_query, wmc = wmc_mod.encode_query, wmc_mod.wmc
 
@@ -258,8 +259,8 @@ def test_dump_cnf_encodes_the_query_once(monkeypatch, capsys, sprinkler_file, tm
                        "--evidence", "sprinkler,slippery", "--do", "\\+sprinkler",
                        "--backend", backend, "--dump-cnf", str(target))
     assert code == 0 and out.strip() == "1/10"
-    assert len(encoded) == 1
-    (cnf, _, _), = encoded
+    assert len(encoded) == (2 if backend == "wmc" else 1)
+    cnf = encoded[-1][0]
     assert target.read_text() == dump_dimacs(cnf)
     assert counted == ([cnf, cnf] if backend == "wmc" else [])
 
@@ -281,8 +282,41 @@ def test_dump_cnf_without_evidence_is_the_intervened_programs(
                        "--do", "\\+sprinkler", "--backend", backend, "--dump-cnf", str(target))
     assert code == 0 and out.strip() == "7/20"
     acted = intervene(parse_problog(sprinkler_file.read_text()), parse_literals("\\+sprinkler"))
-    assert encoded == [acted]
+    assert encoded == ([acted, acted] if backend == "wmc" else [acted])
     assert target.read_text() == dump_dimacs(encode_query(acted, Var("slippery"))[0])
+
+
+def test_dump_cnf_is_the_same_file_on_every_backend(capsys, sprinkler_file, tmp_path):
+    dumps = []
+    for backend in ("wmc", "enumerate", "oracle"):
+        target = tmp_path / f"{backend}.cnf"
+        code, out, _ = run(capsys, "query", str(sprinkler_file), "--query", "slippery",
+                           "--evidence", "sprinkler,slippery", "--do", "\\+sprinkler",
+                           "--backend", backend, "--dump-cnf", str(target))
+        assert code == 0 and out.strip() == "1/10"
+        dumps.append(target.read_bytes())
+    assert dumps[0].startswith(b"p cnf ")
+    assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
+
+
+def test_dump_cnf_of_an_irrelevant_cycle_is_written_before_answering(capsys, tmp_path):
+    # the encoder prunes the cycle, which c does not reach, so the file is
+    # written; then only the wmc backend rejects the cyclic program
+    program = tmp_path / "cyc.pl"
+    program.write_text("0.5::u. 0.5::w. a :- b. b :- a. a :- u. c :- w.")
+    expected = dump_dimacs(wmc_mod.encode_query(parse_problog(program.read_text()), Var("c"))[0])
+    target = tmp_path / "wmc.cnf"
+    code, out, err = run(capsys, "query", str(program), "--query", "c",
+                         "--backend", "wmc", "--dump-cnf", str(target))
+    assert code == 2 and out == ""
+    assert "acyclic" in err and "--dump-cnf" not in err
+    assert target.read_text() == expected
+    target = tmp_path / "enumerate.cnf"
+    with pytest.warns(UserWarning, match="cyclic"):
+        code, out, _ = run(capsys, "query", str(program), "--query", "c",
+                           "--backend", "enumerate", "--dump-cnf", str(target))
+    assert code == 0 and out.strip() == "1/2"
+    assert target.read_text() == expected
 
 
 def test_dump_cnf_of_a_cyclic_program_fails_before_answering(capsys, tmp_path):

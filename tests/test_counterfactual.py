@@ -170,13 +170,20 @@ def test_negative_cycle_rejected():
 
 
 def test_backend_agreement_random_suite():
+    # most draws answer 0 or 1, which a wrong weight rarely moves: draw until
+    # 20 answers strictly between them have been compared
     rng = random.Random(17)
-    for _ in range(40):
+    undecided = 0
+    for _ in range(1000):
         program = random_acyclic_program(rng, max_internals=5, max_externals=6)
         query = random_counterfactual_query(rng, program)
         reference = answer_counterfactual(program, query, "oracle")
         assert answer_counterfactual(program, query, "wmc") == reference
         assert answer_counterfactual(program, query, "enumerate") == reference
+        undecided += 0 < reference < 1
+        if undecided == 20:
+            break
+    assert undecided == 20
 
 
 def _random_fact_query(rng: random.Random, program: Program) -> CounterfactualQuery:

@@ -6,8 +6,10 @@ Builds the CNF of a counterfactual query for each (n, k) cell with
 from one counter, whose search for the first also yields the second.  The
 counter builds its clause database on the first count, so that build is
 timed too.  Reports the best of `--repeats` runs on a fresh counter each
-time, the cache entries and the bytes of the cache's keys and values after
-the pair (`ModelCounter.cache_bytes`), the bits of the counter's integer
+time, the expansions of the last run's search (`ModelCounter.passes`: one
+component pass per node, so the size of the search tree), the cache entries
+and the bytes of the cache's keys and values after the pair
+(`ModelCounter.cache_bytes`), the bits of the counter's integer
 scale (`ModelCounter.scale`: the CNF's `scale`, the product of the facts'
 denominators, by which the integer counts are divided; the facts weigh their
 integer pairs and every other variable 1), and both counts as floats.
@@ -56,8 +58,8 @@ def main() -> int:
     args = parser.parse_args()
 
     mismatches = 0
-    print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9} {'entries':>8} "
-          f"{'cache_MB':>8} {'scale_bits':>10} {'P(e)':>12} {'P(q,e)':>12} check")
+    print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9} {'expansions':>10} "
+          f"{'entries':>8} {'cache_MB':>8} {'scale_bits':>10} {'P(e)':>12} {'P(q,e)':>12} check")
     for n in (int(x) for x in args.n.split(",")):
         for k in (int(x) for x in args.k.split(",")):
             twinned, (cnf, root, assumptions) = build_case(n, k, args.seed)
@@ -67,7 +69,8 @@ def main() -> int:
             agrees = float(numerator / denominator) == float(wmc_mod.conditional(*twinned))
             mismatches += not agrees
             print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {seconds:>9.4f} "
-                  f"{len(counter.cache):>8} {counter.cache_bytes / 2**20:>8.2f} "
+                  f"{counter.passes:>10} {len(counter.cache):>8} "
+                  f"{counter.cache_bytes / 2**20:>8.2f} "
                   f"{counter.scale.bit_length():>10} {float(denominator):>12.6g} "
                   f"{float(numerator):>12.6g} {'ok' if agrees else 'MISMATCH'}")
     if mismatches:

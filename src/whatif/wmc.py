@@ -4,8 +4,11 @@ Translates an acyclic program into a weighted CNF via Clark completion, with
 auxiliary variables for the bodies of atoms with two or more rules, and
 counts with a DPLL-style counter in exact integer arithmetic: the fact
 variables weigh their integer pairs of `Program.world_weights`, every other
-variable 1.  Every answer is an exact `Fraction`; `marginal_wmc`, which is
-`conditional` with no evidence, returns `float()` of it with `exact=False`.
+variable 1.  Facts of probability 0 or 1 and intervened atoms are constants
+that the encoder folds out of the CNF, so the counter never branches on a
+variable of weight zero.  Every answer is an exact `Fraction`;
+`marginal_wmc`, which is `conditional` with no evidence, returns `float()`
+of it with `exact=False`.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `whatif query --dump-cnf` and the counter benchmark use it; the command line
@@ -58,16 +61,18 @@ from .transforms import relevant
 # There is no compiled kernel; the benchmark still reports this flag.
 HAVE_COMPILED_COUNTER = False
 
-_FACT_KEY = frozenset({frozenset()})  # the key of every atom with a fact clause
+_FACT_KEY = frozenset({frozenset()})  # the key of the true variable: a fact clause
 
 
 @dataclass
 class WeightedCnf:
     var_count: int
     clauses: list[tuple[int, ...]]
-    weights: dict[int, tuple[int, int]]  # fact var -> integers (w_true, w_false)
+    weights: dict[int, tuple[int, int]]  # var of a fact in (0, 1) -> integers (w_true, w_false)
     var_map: dict[str, int]
     scale: int  # the product of the facts' denominators, which every count is over
+    true: frozenset[int] = frozenset()  # the literals fixed true: T and -F
+    false: frozenset[int] = frozenset()  # and those fixed false: -T and F
 
     def literal(self, lit: Literal) -> int:
         var = self.var_map[lit.atom]
@@ -75,9 +80,8 @@ class WeightedCnf:
 
     def copy(self) -> "WeightedCnf":
         """A copy for more clauses and variables; `weights` is shared, as no caller writes it."""
-        return WeightedCnf(
-            self.var_count, list(self.clauses), self.weights, dict(self.var_map), self.scale
-        )
+        return WeightedCnf(self.var_count, list(self.clauses), self.weights,
+                           dict(self.var_map), self.scale, self.true, self.false)
 
     def new_var(self) -> int:
         self.var_count += 1
@@ -91,13 +95,18 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
     written as CNF literals; an atom whose key matches an earlier atom's
     shares that atom's variable, since Clark completion makes the two equal
     in every world.  A fact clause decides the key alone, so every atom with
-    one shares one true variable, and every rule-less atom one false one.
+    one, and every fact of probability 1, shares one true variable T; every
+    rule-less atom, and every fact of probability 0, one false variable F.
+    The key folds T and F out of the bodies: a true literal is dropped, and
+    so is a body with a false one; a body left empty makes the head T, and
+    no body left makes it F.  So only T's and F's unit clauses mention them.
     Each variable v is also the key {{v}}, so an atom whose one rule's body
     is the positive literal v takes v's variable.  Any other atom with one
     body is defined as that body's conjunction; only an atom with two or
     more bodies gets an auxiliary per body of two or more literals.
     Variables are numbered as they are defined: externals in sorted order,
-    then each new key's head and the auxiliaries of its bodies.
+    then each new key's head and the auxiliaries of its bodies; T and F
+    where they are first needed.
     """
     classification = check_unique_supported_models(program)
     if classification is Classification.NEGATIVE_CYCLE:
@@ -108,32 +117,49 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
     cnf = WeightedCnf(0, [], {}, {}, program.world_weights.denominator)
     # set of bodies -> the variable of its atoms; {{v}} -> v itself
     defined: dict[frozenset, int] = {}
-    for atom in sorted(program.externals):
-        var = cnf.var_map[atom] = cnf.new_var()
-        cnf.weights[var] = program.world_weights.pairs[atom]
-        defined[frozenset({frozenset({var})})] = var
+    for atom, (wt, wf) in sorted(program.world_weights.pairs.items()):
+        if wt and wf:
+            var = cnf.var_map[atom] = cnf.new_var()
+            cnf.weights[var] = (wt, wf)
+            defined[frozenset({frozenset({var})})] = var
+        else:  # probability 1 or 0: a fact clause, or no rule
+            key = _FACT_KEY if wt else frozenset()
+            cnf.var_map[atom] = defined.get(key) or _variable(cnf, defined, key)
 
     by_head = program.clauses_by_head()
     for (atom,) in reversed(program.stratification.components):  # acyclic: singletons
-        key = frozenset(
-            frozenset(cnf.literal(lit) for lit in clause.body) for clause in by_head.get(atom, ())
-        )
+        key = frozenset([frozenset(map(cnf.literal, c.body)) for c in by_head.get(atom, ())])
         if frozenset() in key:  # a fact clause makes the head true
             key = _FACT_KEY
-        if key in defined:
-            cnf.var_map[atom] = defined[key]
-            continue
-        head = cnf.var_map[atom] = defined[key] = cnf.new_var()
-        defined[frozenset({frozenset({head})})] = head
-        if key == _FACT_KEY:
-            cnf.clauses.append((head,))
-        elif len(key) == 1:  # the head is its one body's conjunction, with no auxiliary
-            (body,) = key
-            _define(cnf, head, sorted(body), True)
-        else:  # with no bodies this is the unit clause (-head,)
-            disjuncts = [_join(cnf, sorted(body), True) for body in sorted(key, key=sorted)]
-            _define(cnf, head, disjuncts, False)
+        cnf.var_map[atom] = defined.get(key) or _variable(cnf, defined, key)
     return cnf
+
+
+def _variable(cnf: WeightedCnf, defined: dict[frozenset, int], key: frozenset) -> int:
+    """The variable of a key not in `defined`: that of the key with T and F folded out, or new.
+
+    Every key in `defined` gives the variable of its folded form, so needs no fold.
+    """
+    for body in key:
+        if not (body.isdisjoint(cnf.true) and body.isdisjoint(cnf.false)):
+            folded = frozenset([each - cnf.true for each in key if each.isdisjoint(cnf.false)])
+            if frozenset() in folded:  # a body left empty makes the head true
+                folded = _FACT_KEY
+            defined[key] = var = defined.get(folded) or _variable(cnf, defined, folded)
+            return var
+    head = defined[key] = cnf.new_var()
+    defined[frozenset({frozenset({head})})] = head
+    if key == _FACT_KEY or not key:  # T, or F: a unit clause, and a constant to fold
+        fixed = head if key else -head
+        cnf.clauses.append((fixed,))
+        cnf.true, cnf.false = cnf.true | {fixed}, cnf.false | {-fixed}
+    elif len(key) == 1:  # the head is its one body's conjunction, with no auxiliary
+        (body,) = key
+        _define(cnf, head, sorted(body), True)
+    else:
+        disjuncts = [_join(cnf, sorted(body), True) for body in sorted(key, key=sorted)]
+        _define(cnf, head, disjuncts, False)
+    return head
 
 
 def _define(cnf: WeightedCnf, out: int, parts: list[int], conjunctive: bool) -> None:
@@ -168,8 +194,15 @@ def _encode(cnf: WeightedCnf, formula: Formula) -> int:
     if isinstance(formula, Not):
         return -_encode(cnf, formula.operand)
     if isinstance(formula, (And, Or)):
+        conjunctive = isinstance(formula, And)
         parts = [_encode(cnf, part) for part in formula.operands]
-        return _join(cnf, parts, isinstance(formula, And))
+        # fold T and F out: a part that is the junction's zero decides it, and units drop
+        zero, unit = (cnf.false, cnf.true) if conjunctive else (cnf.true, cnf.false)
+        for part in parts:
+            if part in zero:
+                return part
+        kept = [part for part in parts if part not in unit]
+        return _join(cnf, kept, conjunctive) if kept or not parts else parts[0]
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -233,8 +266,9 @@ def conditional(program: Program, formula: Formula, evidence: Iterable[Literal])
 def dump_dimacs(cnf: WeightedCnf) -> str:
     """Weighted CNF in the standard model-counting text format.
 
-    Only fact variables get `c p weight` lines, with their probabilities; as
-    in the model-counting competition format, an unlisted literal weighs 1.
+    Only the variables of facts strictly between 0 and 1 get `c p weight`
+    lines, with their probabilities; as in the model-counting competition
+    format, an unlisted literal weighs 1.
     """
     lines = [f"p cnf {cnf.var_count} {len(cnf.clauses)}"]
     for var, (wt, wf) in sorted(cnf.weights.items()):

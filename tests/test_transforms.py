@@ -183,7 +183,7 @@ def test_relevant_drops_unmentioned_facts():
     assert reduced.facts == (RandomFact("x", Fraction(1, 5)),) and not reduced.clauses
 
 
-@pytest.mark.parametrize("positive, kept, answer", [(False, 3, 1), (True, 5, 0)])
+@pytest.mark.parametrize("positive, kept, answer", [(False, 2, 1), (True, 3, 0)])
 def test_relevant_intervention_on_ruleless_atom(positive, kept, answer):
     program = parse_problog("0.5::u. a :- b. a :- u. c :- a, \\+b.")
     query = CounterfactualQuery(
@@ -192,7 +192,10 @@ def test_relevant_intervention_on_ruleless_atom(positive, kept, answer):
     transformed, formula, evidence = twin(program, query)
     reduced = relevant(transformed, formula, evidence)
     cnf = to_weighted_cnf(reduced)
-    # do(not b) leaves both copies of b rule-less, so a and b need one variable each
+    # do(not b) makes both copies of b the false constant F, which the encoder folds
+    # out of every body, so a__e, a__i and c__i all take u's variable.  do(b) makes b__i
+    # the true constant T, so a__i is T, c__i's one body (a__i, \+b__i) is false and c__i
+    # is F.  With the constants left in the bodies the two cases needed 3 and 5 variables.
     assert len(transformed.internals) == 6 and _shared(cnf, reduced.internals) == kept
     assert formula_atoms(formula) | {l.atom for l in evidence} <= reduced.internals
     assert conditional(reduced, formula, evidence) == answer

@@ -23,6 +23,7 @@ from whatif.model import (
     formula_atoms,
 )
 from whatif import _counter_py, wmc as wmc_mod
+from whatif.lpad import lpad_of_problog, prob_of_lpad
 from whatif._counter_py import ModelCounter
 from whatif.parser import parse_problog
 from whatif.semantics import marginal
@@ -162,16 +163,93 @@ def test_free_variables_count():
 
 
 def test_fact_variables_carry_the_world_weight_pairs():
-    # the CNF's weights are the pruned program's table on its fact variables, and nothing else
+    # the CNF's weights are the pruned program's table on the variables of its facts
+    # strictly between 0 and 1, and nothing else; a fact of probability 1 is the one true
+    # variable and one of probability 0 the one false variable, each fixed by a unit clause
     rng = random.Random(16)
+    folded = 0
     for case in range(100):
         program = random_acyclic_program(rng)
         query = random_counterfactual_query(rng, program)
         transformed, formula, evidence = twin(program, query)
         cnf, _, _ = wmc_mod.encode_query(transformed, formula, evidence)
         table = relevant(transformed, formula, sorted(evidence)).world_weights
-        assert cnf.weights == {cnf.var_map[atom]: pair for atom, pair in table.pairs.items()}, case
+        assert cnf.weights == {
+            cnf.var_map[atom]: pair for atom, pair in table.pairs.items() if 0 not in pair
+        }, case
+        units = {clause[0] for clause in cnf.clauses if len(clause) == 1}
+        for value in (True, False):
+            constant = {cnf.var_map[atom] for atom, (wt, wf) in table.pairs.items()
+                        if not (wt and wf) and bool(wt) is value}
+            assert len(constant) <= 1, case
+            for var in constant:
+                assert (var if value else -var) in units, case
+                assert var in (cnf.true if value else cnf.false), case
+            folded += len(constant)
         assert cnf.scale == table.denominator, case
+    assert folded >= 30  # 35 constants over the 100 cases
+
+
+def _query_shapes(query):
+    """The query, its formula alone, with its evidence only and with its interventions only."""
+    return (query, CounterfactualQuery(query.query),
+            CounterfactualQuery(query.query, query.evidence),
+            CounterfactualQuery(query.query, (), query.interventions))
+
+
+def test_constants_are_folded_out_of_every_cnf():
+    # facts of probability 0 or 1 (1/11 of the generator's draws each) and intervened
+    # atoms are constants: none is weighted, and none is in a clause of two or more literals
+    rng = random.Random(24)
+    folded = 0
+    for case in range(80):
+        program = random_acyclic_program(rng, max_internals=6, max_externals=6)
+        for query in _query_shapes(random_counterfactual_query(rng, program)):
+            cnf, _, _ = wmc_mod.encode_query(*counterfactual.reduce(program, query))
+            assert all(wt and wf for wt, wf in cnf.weights.values()), case
+            fixed = {abs(clause[0]) for clause in cnf.clauses if len(clause) == 1}
+            assert all(fixed.isdisjoint(map(abs, clause))
+                       for clause in cnf.clauses if len(clause) > 1), case
+            folded += bool(fixed)
+    assert folded >= 200  # 259 of the 320 CNFs fix a constant
+
+
+def test_constant_facts_fold_like_internal_constants():
+    # a fact of probability 1 is an internal fact clause, and one of probability 0 a
+    # rule-less internal atom: every answer of the wmc backend is the same Fraction,
+    # and the enumerate backend's on the program as written
+    rng = random.Random(25)
+    for case in range(60):
+        constant = {}
+        while not constant:  # a program with at least one such fact
+            program = random_acyclic_program(rng)
+            constant = {f.atom: f.prob for f in program.facts if f.prob in (0, 1)}
+        query = random_counterfactual_query(rng, program)
+        internal = Program(
+            program.clauses + tuple(Clause(atom) for atom, p in constant.items() if p),
+            tuple(f for f in program.facts if f.atom not in constant),
+            Alphabet(program.internals | constant.keys(), program.externals - constant.keys()),
+        )
+        for shape in _query_shapes(query):
+            answers = []
+            for version, backend in ((program, "wmc"), (internal, "wmc"), (program, "enumerate")):
+                try:
+                    answers.append(answer_counterfactual(version, shape, backend))
+                except ZeroEvidenceError:
+                    answers.append(ZeroEvidenceError)
+            assert answers[0] == answers[1] == answers[2], case
+
+
+def test_lpad_round_trip_of_the_sprinkler_folds_its_deterministic_choices(
+    sprinkler, sprinkler_query
+):
+    # every rule of the sprinkler reads as an annotated disjunction with one head of
+    # probability 1, whose choice fact is the true constant; the original's twin CNF
+    # has 10 variables and 16 clauses
+    program = prob_of_lpad(lpad_of_problog(sprinkler))
+    cnf, _, _ = wmc_mod.encode_query(*counterfactual.reduce(program, sprinkler_query))
+    assert cnf.var_count <= 11 and len(cnf.clauses) <= 17
+    assert answer_counterfactual(program, sprinkler_query, "wmc") == Fraction(1, 10)
 
 
 def test_unknown_assumption_rejected():

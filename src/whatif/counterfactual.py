@@ -11,6 +11,7 @@ import warnings
 from typing import Iterable
 
 from .model import (
+    Alphabet,
     And,
     CounterfactualQuery,
     Formula,
@@ -24,7 +25,7 @@ from .model import (
 )
 from . import oracle, semantics, wmc as wmc_mod
 from .semantics import Classification, check_unique_supported_models
-from .transforms import intervene, twin
+from .transforms import intervene, relevant, twin
 
 BACKENDS = ("wmc", "enumerate", "oracle")
 CYCLIC_WARNING = "program is cyclic (stratified); results are formal only"
@@ -99,6 +100,12 @@ def _answer(
 def _walk(program: Program, formula: Formula):
     # classifies again, silently, as querybench's call pins (`expected_calls`) expect
     _classify(program, "enumerate")
+    # Each world evaluates only the rules of the formula's cone, but every
+    # world of the program is still walked: querybench's `expected_calls`
+    # counts minimal models per world of all of `case.externals` (ROADMAP item 7).
+    cone = relevant(program, formula, ())
+    if len(cone.clauses) < len(program.clauses):
+        program = Program(cone.clauses, program.facts, Alphabet(cone.internals, program.externals))
     return semantics.marginal(program, formula)
 
 

@@ -91,11 +91,14 @@ def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) ->
 
     Keeps the internal atoms the formula and the evidence depend on, their
     clauses, and the facts those clauses mention; the weights of every other
-    external sum to 1.  Atoms absent from the program become rule-less
+    external sum to 1.  A reached atom's SCC is kept whole, since its members
+    are the atom's ancestors.  Atoms absent from the program become rule-less
     internals.  Nothing is merged or renamed: the encoder
     (`wmc.to_weighted_cnf`) gives atoms with equal bodies one variable, an
     atom whose one rule is `h :- v.` the variable of v, and rejects a cycle
-    that is kept here.
+    that is kept here.  The enumerate backend's world walk
+    (`counterfactual._walk`) evaluates the clauses kept here too, over every
+    external of the program.
     """
     externals = program.externals
     by_head = program.clauses_by_head()

@@ -19,13 +19,15 @@ from whatif.counterfactual import (
     answer_intervention,
     conditional,
     marginal,
+    reduce,
 )
-from whatif import oracle as oracle_mod, wmc as wmc_mod
+from whatif import oracle as oracle_mod, semantics as semantics_mod, wmc as wmc_mod
 from whatif.model import (
     Alphabet,
     And,
     Clause,
     CounterfactualQuery,
+    Formula,
     Literal,
     NegativeCycleError,
     Or,
@@ -184,6 +186,68 @@ def test_backend_agreement_random_suite():
         if undecided == 20:
             break
     assert undecided == 20
+
+
+def _unpruned(counted: Program, formula: Formula, evidence: frozenset[Literal]) -> Fraction:
+    """P(formula | evidence) as the ratio of enumerations over all of `counted`."""
+    if not evidence:
+        return enumerated_marginal(counted, formula)
+    evidence_formula = conjunction(evidence)
+    both = enumerated_marginal(counted, And((formula, evidence_formula)))
+    return both / enumerated_marginal(counted, evidence_formula)
+
+
+def test_enumerate_walks_the_cone_over_every_world(monkeypatch):
+    # each enumerate walk evaluates only the counted formula's cone, yet visits
+    # every world of the counted program, and answers as the unpruned walk does
+    walks: list[list] = []  # [walked program, minimal-model calls] per walk
+    walk, model = semantics_mod.marginal, semantics_mod.minimal_model
+
+    def counted_walk(program, formula):
+        walks.append([program, 0])
+        return walk(program, formula)
+
+    def counted_model(program, world):
+        walks[-1][1] += 1
+        return model(program, world)
+
+    floors = {"pruned": 100, "cycle kept": 20, "cycle left out": 8, "undecided": 20}
+    seen = dict.fromkeys(floors, 0)
+    rng = random.Random(43)
+    for index in range(2000):
+        if index % 2:
+            program = random_stratified_program(rng)
+        else:
+            program = random_acyclic_program(rng, 6, 6)
+        drawn = random_counterfactual_query(rng, program)
+        formula, evidence, interventions = drawn.query, drawn.evidence, drawn.interventions
+        for query in (CounterfactualQuery(formula), CounterfactualQuery(formula, evidence),
+                      CounterfactualQuery(formula, (), interventions), drawn):
+            counted, counted_formula, counted_evidence = reduce(program, query)
+            cycles = [set(c) for c in counted.stratification.components if len(c) > 1]
+            walks.clear()
+            with warnings.catch_warnings(), monkeypatch.context() as patched:
+                warnings.simplefilter("ignore")  # stratified cyclic programs warn
+                oracle = answer_counterfactual(program, query, "oracle")
+                patched.setattr(semantics_mod, "marginal", counted_walk)
+                patched.setattr(semantics_mod, "minimal_model", counted_model)
+                answer = answer_counterfactual(program, query, "enumerate")
+            reference = _unpruned(counted, counted_formula, counted_evidence)
+            assert answer == reference == oracle, (program, query)
+            assert len(walks) == (2 if counted_evidence else 1)
+            for walked, calls in walks:
+                assert walked.externals == counted.externals
+                assert calls == 2 ** len(counted.externals), (program, query)
+                # a reached atom's SCC is kept whole: its members are the atom's ancestors
+                assert all(c <= walked.internals or not c & walked.internals for c in cycles)
+                if len(walked.clauses) < len(counted.clauses):
+                    seen["pruned"] += 1
+                    seen["cycle kept"] += any(c <= walked.internals for c in cycles)
+                    seen["cycle left out"] += any(not c & walked.internals for c in cycles)
+            seen["undecided"] += 0 < answer < 1
+        if all(seen[k] >= floor for k, floor in floors.items()):
+            break
+    assert all(seen[k] >= floor for k, floor in floors.items()), seen
 
 
 def _random_fact_query(rng: random.Random, program: Program) -> CounterfactualQuery:
@@ -436,3 +500,31 @@ def test_cyclic_program_warning_names_the_caller():
             warnings.simplefilter("always")
             conditional(program, Var("c"), {Literal("a")}, backend)
         assert _only_warning_file(caught) == __file__
+    # the enumerate walks prune to the formula's cone; a stratified two-cycle
+    # outside every cone counted here still makes each entry point warn once
+    program = parse_problog("0.5::u. 0.5::w. a :- b. b :- a. a :- u. d :- w.")
+    query = CounterfactualQuery(Var("d"), {Literal("d")}, {Literal("d", False)})
+    for call, answer in (
+        (lambda: answer_counterfactual(program, query, "enumerate"), 0),
+        (lambda: answer_intervention(program, Var("d"), {Literal("d")}, "enumerate"), 1),
+        (lambda: marginal(program, Var("d"), "enumerate"), Fraction(1, 2)),
+        (lambda: conditional(program, Var("d"), {Literal("d")}, "enumerate"), 1),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert call() == answer
+        assert _only_warning_file(caught) == __file__
+
+
+def test_enumerate_rejects_a_negative_cycle_outside_the_cone():
+    # the whole program is classified before any walk prunes to a cone
+    program = parse_problog("0.5::u. 0.5::w. a :- u. c :- w. p :- \\+q. q :- \\+p.")
+    query = CounterfactualQuery(Var("a"), {Literal("c")}, {Literal("c", False)})
+    for call in (
+        lambda: marginal(program, Var("a"), "enumerate"),
+        lambda: conditional(program, Var("a"), {Literal("c")}, "enumerate"),
+        lambda: answer_intervention(program, Var("a"), {Literal("c")}, "enumerate"),
+        lambda: answer_counterfactual(program, query, "enumerate"),
+    ):
+        with pytest.raises(NegativeCycleError):
+            call()

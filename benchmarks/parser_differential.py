@@ -2,16 +2,23 @@
 
 Feeds the same seeded random strings to `parse_problog`, `parse_lpad`,
 `parse_formula` and `parse_literals` of two checkouts and compares, per
-string, the result or the error (type, message and span).  Half of the
-strings are mutated well-formed statements, formulas or literal lists, half
-are random token soup with whitespace, comments and bad characters.
+string, the result or the error (type, message and span).  The strings
+come in classes: "mutated" strings are well-formed statements, formulas or
+literal lists with up to two pieces deleted, replaced or inserted; "soup" is
+random tokens with whitespace, comments and bad characters; and, for
+`parse_problog` only, "long" programs are 20-200 well-formed statements with
+random spacing and comments, half of them with a few pieces mutated, so that
+both sides of the statement pattern's fallback to the token walk are met on
+texts of realistic size.
 
     python3 benchmarks/parser_differential.py OLD/src NEW/src
 
-Each entry point gets COUNT strings drawn with SEED.  Prints per entry point
-how many strings gave equal results or equal errors, and how many differ: in
-the error's span only, in the error's type only (same message), or otherwise;
-then the first SHOW differing strings.  Exits 1 on any difference.
+Each entry point gets COUNT strings drawn with SEED, half mutated and half
+soup, and `parse_problog` LONG long programs more.  Prints per entry point
+and class how many strings gave equal results or equal errors, and how many
+differ: in the error's span only, in the error's type only (same message),
+or otherwise; then the first SHOW differing strings.  Exits 1 on any
+difference.
 """
 from __future__ import annotations
 
@@ -23,7 +30,8 @@ import subprocess
 import sys
 
 SEED = 1
-COUNT = 100_000  # strings per entry point
+COUNT = 100_000  # mutated and soup strings per entry point
+LONG = 2_000  # long programs for parse_problog
 SHOW = 20  # differing strings to print
 
 ENTRY_POINTS = ("parse_problog", "parse_lpad", "parse_formula", "parse_literals")
@@ -33,6 +41,8 @@ NUMBERS = ("0", "1", "2", "0.5", "0.25", "1.5", "0.70", "2/7", "3/2", "1/0", "1/
 OPS = ("::", ":-", "\\+", ".", ":", ";", ",", "(", ")", "/", "|", "~")
 BAD = ("$", "A", "_", "-", "é", "#")
 SPACE = ("", " ", " ", "\n", "\t", "% note\n", "  \n ")
+IN_RANGE = ("0", "1", "0.5", "0.25", "0.70", "2/7")
+INSIDE = ("", " ", " ", " ", "\t", "\n", "\r\n")  # between the pieces of a long program's statement
 
 
 def _literals(rng: random.Random) -> list[str]:
@@ -82,23 +92,63 @@ def _any_piece(rng: random.Random) -> str:
     return rng.choice(rng.choice((ATOMS, NUMBERS, OPS, OPS, BAD)))
 
 
+def _mutate(rng: random.Random, pieces: list[str]) -> None:
+    """Delete, replace or insert one piece at a random spot."""
+    spot = rng.randint(0, len(pieces))
+    action = rng.randrange(3)
+    if action == 0 and spot < len(pieces):
+        del pieces[spot]
+    elif action == 1 and spot < len(pieces):
+        pieces[spot] = _any_piece(rng)
+    else:
+        pieces.insert(spot, _any_piece(rng))
+
+
+def _long_program(rng: random.Random) -> str:
+    """20-200 ProbLog statements: one fact per external, rules over the internals."""
+    externals = [f"u{i}" for i in range(rng.randint(1, 40))]
+    internals = [f"a{i}" for i in range(rng.randint(1, 40))]
+    statements = [[rng.choice(IN_RANGE), "::", atom] for atom in externals]
+    size = rng.randint(20, 200)
+    while len(statements) < size:
+        statement = [rng.choice(internals)]
+        if rng.random() < 0.8:
+            statement.append(":-")
+            for index in range(rng.randint(1, 4)):
+                statement += [","] * bool(index) + ["\\+"] * (rng.random() < 0.3)
+                statement.append(rng.choice(internals + externals))
+        statements.append(statement)
+    rng.shuffle(statements)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, rng.choice(statements))
+    # a quarter of the programs may get one comment inside a statement; the
+    # others have comments only between statements
+    inside = (rng.randrange(len(statements)), rng.randrange(8)) if rng.random() < 0.25 else None
+    text = []
+    for at, statement in enumerate(statements):
+        text.append(rng.choice(SPACE))
+        for index, piece in enumerate(statement):
+            text += [piece, "% inside\n" if inside == (at, index) else rng.choice(INSIDE)]
+        text.append(".")
+    return "".join(text) + rng.choice(SPACE)
+
+
 def strings(entry: str):
+    """Yield (class, string) pairs for `entry`."""
     rng = random.Random(f"{SEED}:{entry}")
     for _ in range(COUNT):
         if rng.random() < 0.5:
-            pieces = _well_formed(rng, entry)
+            kind, pieces = "mutated", _well_formed(rng, entry)
             for _ in range(rng.randrange(3)):
-                spot = rng.randint(0, len(pieces))
-                action = rng.randrange(3)
-                if action == 0 and spot < len(pieces):
-                    del pieces[spot]
-                elif action == 1 and spot < len(pieces):
-                    pieces[spot] = _any_piece(rng)
-                else:
-                    pieces.insert(spot, _any_piece(rng))
+                _mutate(rng, pieces)
         else:
-            pieces = [_any_piece(rng) for _ in range(rng.randint(0, 8))]
-        yield rng.choice(SPACE) + "".join(p + rng.choice(SPACE) for p in pieces)
+            kind, pieces = "soup", [_any_piece(rng) for _ in range(rng.randint(0, 8))]
+        yield kind, rng.choice(SPACE) + "".join(p + rng.choice(SPACE) for p in pieces)
+    if entry == "parse_problog":
+        rng = random.Random(f"{SEED}:{entry}:long")
+        for _ in range(LONG):
+            yield "long", _long_program(rng)
 
 
 def _describe(value) -> object:
@@ -125,14 +175,14 @@ def _worker() -> None:
 
     for entry in ENTRY_POINTS:
         parse = getattr(parser, entry)
-        for text in strings(entry):
+        for kind, text in strings(entry):
             try:
                 outcome = ["ok", _describe(parse(text))]
             except Exception as exc:  # compared, not handled: every error type counts
                 span = getattr(exc, "span", None)
                 where = [span.line, span.column, span.start, span.end] if span else None
                 outcome = ["error", type(exc).__name__, str(exc), where]
-            print(json.dumps([entry, text, outcome]))
+            print(json.dumps([entry, kind, text, outcome]))
 
 
 def _compare(before: list, after: list) -> str:
@@ -173,15 +223,15 @@ def main(argv=None) -> int:
     old = _outcomes(args.old_src)
     new = _outcomes(args.new_src)
     kinds = ("equal results", "equal errors", "span only", "error type only", "other")
-    tally = {entry: dict.fromkeys(kinds, 0) for entry in ENTRY_POINTS}
+    tally: dict[tuple[str, str], dict[str, int]] = {}
     shown = []
-    for (entry, text, before), (_, _, after) in zip(old, new, strict=True):
+    for (entry, group, text, before), (_, _, _, after) in zip(old, new, strict=True):
         kind = _compare(before, after)
-        tally[entry][kind] += 1
+        tally.setdefault((entry, group), dict.fromkeys(kinds, 0))[kind] += 1
         if not kind.startswith("equal") and len(shown) < SHOW:
             shown.append((entry, text, before, after))
-    for entry, counts in tally.items():
-        print(entry, json.dumps(counts))
+    for (entry, group), counts in tally.items():
+        print(entry, group, json.dumps(counts))
     for entry, text, before, after in shown:
         print(f"{entry}({text!r}):\n  old {before}\n  new {after}")
     differing = sum(counts[kind] for counts in tally.values() for kind in kinds[2:])

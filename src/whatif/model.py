@@ -10,7 +10,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from numbers import Rational
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .semantics import Stratification, WorldWeights
@@ -135,6 +136,11 @@ class Program:
         """The program's dependency analysis, computed once and kept on this instance."""
         from .semantics import Stratification
         return Stratification(self)
+
+    @cached_property
+    def diagnostics(self) -> tuple[str, ...]:
+        """`validate_program`'s diagnostics, computed once and kept on this instance."""
+        return tuple(_diagnose(self))
 
     @cached_property
     def world_weights(self) -> "WorldWeights":
@@ -295,28 +301,49 @@ class CounterfactualQuery:
 # --- validation -----------------------------------------------------------
 
 def validate_program(program: Program) -> list[str]:
-    """Return diagnostics for every violated invariant; empty means valid."""
-    diagnostics: list[str] = []
-    for atom in sorted(program.internals | program.externals):
-        if not ATOM_RE.match(atom):
-            diagnostics.append(f"invalid atom name: {atom!r}")
-    fact_atoms = Counter(f.atom for f in program.facts)
-    for atom, count in sorted(fact_atoms.items()):
-        if count > 1:
-            diagnostics.append(f"duplicate random fact: {atom}")
-        if atom not in program.externals:
-            diagnostics.append(f"random fact for non-external atom: {atom}")
-    for atom in sorted(program.externals - fact_atoms.keys()):
-        diagnostics.append(f"external atom without random fact: {atom}")
+    """Return diagnostics for every violated invariant; empty means valid.
+
+    The checks run once per program (`Program.diagnostics`); each call returns a new list.
+    """
+    return list(program.diagnostics)
+
+
+def _diagnose(program: Program) -> Iterator[str]:
+    """`validate_program`'s checks, one set operation per group of them.
+
+    Only a group that finds a fault walks its items, in order, to name them.
+    """
+    internals, externals = program.internals, program.externals
+    atoms = internals | externals
+    if not all(map(ATOM_RE.match, atoms)):
+        for atom in sorted(atoms):
+            if not ATOM_RE.match(atom):
+                yield f"invalid atom name: {atom!r}"
+    fact_atoms = [fact.atom for fact in program.facts]
+    distinct = set(fact_atoms)
+    if len(distinct) < len(fact_atoms) or not distinct <= externals:
+        for atom, count in sorted(Counter(fact_atoms).items()):
+            if count > 1:
+                yield f"duplicate random fact: {atom}"
+            if atom not in externals:
+                yield f"random fact for non-external atom: {atom}"
+    for atom in sorted(externals - distinct):
+        yield f"external atom without random fact: {atom}"
     for fact in program.facts:
-        if not 0 <= fact.prob <= 1:
-            diagnostics.append(f"probability out of range: {fact.prob}::{fact.atom}")
+        prob = fact.prob
+        if not isinstance(prob, Rational):
+            yield f"probability not an exact rational: {prob!r}::{fact.atom}"
+        elif not 0 <= prob.numerator <= prob.denominator:
+            yield f"probability out of range: {prob}::{fact.atom}"
+    heads = {clause.head for clause in program.clauses}
+    literals = frozenset().union(*(clause.body for clause in program.clauses))
+    if heads <= internals and atoms.issuperset(lit.atom for lit in literals):
+        return
     for clause in program.clauses:
-        if clause.head in program.externals:
-            diagnostics.append(f"external atom in head: {clause.head}")
-        elif clause.head not in program.internals:
-            diagnostics.append(f"head atom outside alphabet: {clause.head}")
+        if clause.head in externals:
+            yield f"external atom in head: {clause.head}"
+        elif clause.head not in internals:
+            yield f"head atom outside alphabet: {clause.head}"
         for lit in clause.body:
-            if lit.atom not in program.alphabet:
-                diagnostics.append(f"body atom outside alphabet: {lit.atom}")
-    return diagnostics
+            if lit.atom not in atoms:
+                yield f"body atom outside alphabet: {lit.atom}"

@@ -1,4 +1,4 @@
-"""Surface syntax: tokenizer, recursive-descent parsers and canonical printers.
+"""Surface syntax: a statement pattern, a token walk, and canonical printers.
 
 Statements are terminated by ``.``; comments start with ``%`` and run to the
 end of the line.  Probability literals are decimal (``0.35``), integer, or
@@ -8,9 +8,18 @@ ProbLog and LPAD text share one statement grammar.  An LPAD statement is
 ``p::a [:- body].`` or ``a[:p] {; b[:p]} [:- body].``; a ProbLog statement
 is the same grammar restricted to facts ``p::a.`` and rules with one
 unannotated head, ``a [:- body].``.
+
+Well-formed ProbLog is read by one compiled pattern, one match per
+statement, with comments only between statements.  Any other text, and any
+text that breaks a rule checked while parsing (a probability above 1, a zero
+denominator, a duplicate fact, a fact atom that is also a head), goes whole
+to the token walk (`_TokenStream`, `_statements`), the one source of
+`ParseError` and its span.  The token walk also reads LPAD text, formulas
+and literal lists.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -18,6 +27,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .model import (
+    Alphabet,
     Clause,
     Formula,
     Literal,
@@ -133,19 +143,15 @@ class _TokenStream:
         if not _is_number(chars):
             raise self.expected("probability")
         self.index += 1
-        if "." in chars:
-            whole, frac = chars.split(".")
-            numerator, denominator = int(whole + frac), 10 ** len(frac)
-        else:
-            numerator, denominator = int(chars), 1
-            if self.accept("/"):
-                denom = self.peek()
-                if not _is_number(denom) or "." in denom:
-                    raise self.error("expected integer denominator")
-                if not int(denom):
-                    raise self.error("zero denominator")
-                self.index += 1
-                denominator = int(denom)
+        if "." not in chars and self.accept("/"):
+            denom = self.peek()
+            if not _is_number(denom) or "." in denom:
+                raise self.error("expected integer denominator")
+            if not int(denom):
+                raise self.error("zero denominator")
+            self.index += 1
+            chars += "/" + denom
+        numerator, denominator = _ratio(chars)
         value = Fraction(numerator, denominator)
         if numerator > denominator:
             raise self.error(f"probability {value} outside [0,1]", at)
@@ -155,6 +161,17 @@ class _TokenStream:
         """Reject anything left after a complete formula or literal list."""
         if self.peek():
             raise self.error(f"unexpected trailing input {self.peek()!r}")
+
+
+def _ratio(chars: str) -> tuple[int, int]:
+    """Numerator and denominator, unreduced, of a decimal, integer or ``num/den`` literal."""
+    if "/" in chars:
+        numerator, denominator = map(int, chars.split("/"))  # int() skips the spaces
+        return numerator, denominator
+    if "." in chars:
+        whole, frac = chars.split(".")
+        return int(whole + frac), 10 ** len(frac)
+    return int(chars), 1
 
 
 def _parse_body(stream: _TokenStream) -> frozenset[Literal]:
@@ -200,8 +217,80 @@ def _statements(
 
 # --- ProbLog --------------------------------------------------------------
 
+_ATOM = r"[a-z][a-zA-Z0-9_]*"
+_LITERAL = rf"(?:\\\+\s*)?{_ATOM}"
+# Whitespace and comments before a statement.  A comment must reach its line
+# end, or backtracking would read the rest of the line as statements, and a
+# repetition is one character or one comment, so failing takes linear time.
+_SKIP = r"(?:\s|%[^\n]*(?![^\n]))*"
+# One statement, with only whitespace between its tokens, or the end of the
+# text: groups (probability, fact atom) or (head, body), and none at the end.
+_STATEMENT_RE = re.compile(
+    rf"{_SKIP}(?:(?:(\d+\.\d+|\d+(?:\s*/\s*\d+)?)\s*::\s*({_ATOM})"
+    rf"|({_ATOM})(?:\s*:-\s*({_LITERAL}(?:\s*,\s*{_LITERAL})*))?)\s*\.|\Z)"
+)
+
+
+@functools.lru_cache(maxsize=256)
+def _probability(chars: str) -> Optional[Fraction]:
+    """The value of a matched probability, None if the token walk must reject it."""
+    numerator, denominator = _ratio(chars)
+    if not denominator or numerator > denominator:
+        return None
+    return Fraction(numerator, denominator)
+
+
+class _Literals(dict):
+    """Literal text without whitespace -> its `Literal`, made on first sight."""
+
+    def __missing__(self, chars: str) -> Literal:
+        positive = chars[0] != "\\"
+        literal = self[chars] = Literal(chars if positive else chars[2:], positive)
+        return literal
+
+
+def _match_statements(text: str) -> Optional[Program]:
+    """The program of well-formed ProbLog `text`, or None for the token walk to read."""
+    clauses: list[Clause] = []
+    facts: list[RandomFact] = []
+    fact_atoms: set[str] = set()
+    heads: set[str] = set()
+    literals = _Literals()
+    match, end = _STATEMENT_RE.match, 0
+    while True:
+        statement = match(text, end)
+        if statement is None:
+            return None
+        prob, atom, head, body = statement.groups()
+        end = statement.end()
+        if head is not None:
+            heads.add(head)
+            pieces = "".join(body.split()).split(",") if body else ()
+            clauses.append(Clause(head, frozenset(map(literals.__getitem__, pieces))))
+        elif atom is not None:
+            value = _probability(prob)
+            if value is None or atom in fact_atoms:
+                return None
+            fact_atoms.add(atom)
+            facts.append(RandomFact(atom, value))
+        else:
+            break
+    if not heads.isdisjoint(fact_atoms):
+        return None
+    externals = frozenset(fact_atoms)
+    mentioned = heads.union(literal.atom for literal in literals.values())
+    alphabet = Alphabet(frozenset(mentioned) - externals, externals)
+    return Program(tuple(clauses), tuple(facts), alphabet)
+
+
 def parse_problog(text: str) -> Program:
     """Parse ProbLog text.  Fact atoms (``p::a.``) become the external alphabet."""
+    program = _match_statements(text)
+    return program if program is not None else _walk_statements(text)
+
+
+def _walk_statements(text: str) -> Program:
+    """`parse_problog` by the token walk, for text the statement pattern does not read."""
     stream = _TokenStream(text)
     clauses: list[Clause] = []
     facts: list[RandomFact] = []

@@ -1,11 +1,16 @@
 import itertools
 import random
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 
-from generators import random_formula
+from generators import random_acyclic_program, random_formula
+from whatif.counterfactual import answer_counterfactual
 from whatif.model import (
+    ATOM_RE,
     Alphabet,
     And,
     Clause,
@@ -73,6 +78,98 @@ def test_validate_never_raises_on_junk():
     )
     diagnostics = validate_program(program)
     assert diagnostics  # reported, not thrown
+
+
+@pytest.mark.parametrize("prob", [0.5, "1/2"])
+def test_inexact_probability_is_diagnosed_on_every_backend(prob):
+    program = Program(
+        (Clause("a", frozenset({Literal("u")})),), (RandomFact("u", prob),)
+    )
+    assert validate_program(program) == [f"probability not an exact rational: {prob!r}::u"]
+    query = CounterfactualQuery(
+        Var("a"), frozenset({Literal("a")}), frozenset({Literal("a", False)})
+    )
+    for backend in ("wmc", "enumerate", "oracle"):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            answer_counterfactual(program, query, backend=backend)
+
+
+def _reference_diagnostics(program):
+    """The per-literal loop `validate_program` replaced, with the rational check added."""
+    diagnostics = []
+    for atom in sorted(program.internals | program.externals):
+        if not ATOM_RE.match(atom):
+            diagnostics.append(f"invalid atom name: {atom!r}")
+    fact_atoms = Counter(f.atom for f in program.facts)
+    for atom, count in sorted(fact_atoms.items()):
+        if count > 1:
+            diagnostics.append(f"duplicate random fact: {atom}")
+        if atom not in program.externals:
+            diagnostics.append(f"random fact for non-external atom: {atom}")
+    for atom in sorted(program.externals - fact_atoms.keys()):
+        diagnostics.append(f"external atom without random fact: {atom}")
+    for fact in program.facts:
+        if not isinstance(fact.prob, Rational):
+            diagnostics.append(f"probability not an exact rational: {fact.prob!r}::{fact.atom}")
+        elif not 0 <= fact.prob <= 1:
+            diagnostics.append(f"probability out of range: {fact.prob}::{fact.atom}")
+    for clause in program.clauses:
+        if clause.head in program.externals:
+            diagnostics.append(f"external atom in head: {clause.head}")
+        elif clause.head not in program.internals:
+            diagnostics.append(f"head atom outside alphabet: {clause.head}")
+        for lit in clause.body:
+            if lit.atom not in program.alphabet:
+                diagnostics.append(f"body atom outside alphabet: {lit.atom}")
+    return diagnostics
+
+
+def _faulty_program(rng):
+    """A random program with a random few of the faults `validate_program` names."""
+    program = random_acyclic_program(rng)
+    clauses, facts = list(program.clauses), list(program.facts)
+    internals, externals = set(program.internals), set(program.externals)
+    for _ in range(rng.randrange(4)):
+        fault = rng.randrange(9)
+        if fault == 0:  # invalid atom name
+            internals.add(rng.choice(("Bad", "a-b", "_x", "1a")))
+        elif fault == 1:  # duplicate random fact
+            facts.append(RandomFact(rng.choice(facts).atom, Fraction(1, 3)))
+        elif fault == 2:  # random fact for non-external atom
+            facts.append(RandomFact(rng.choice([*internals, "zz"]), Fraction(1, 2)))
+        elif fault == 3 and facts:  # external atom without random fact
+            facts.pop(rng.randrange(len(facts)))
+        elif fault == 4:  # probability out of range
+            facts.append(RandomFact(f"w{rng.randrange(3)}", rng.choice((Fraction(3, 2), -1, 2))))
+        elif fault == 5:  # external atom in head
+            clauses.append(Clause(rng.choice(sorted(externals)), frozenset({Literal("a0")})))
+        elif fault == 6:  # head atom outside alphabet
+            clauses.append(Clause(f"h{rng.randrange(3)}", frozenset()))
+        elif fault == 7:  # body atom outside alphabet
+            body = {Literal(f"b{rng.randrange(3)}", rng.random() < 0.5), Literal("a0")}
+            clauses.insert(rng.randrange(len(clauses) + 1), Clause("a0", frozenset(body)))
+        else:  # not an exact rational
+            inexact = rng.choice((0.5, "1/2", Decimal("0.5")))
+            facts.append(RandomFact(f"w{rng.randrange(3)}", inexact))
+    rng.shuffle(facts)
+    alphabet = Alphabet(frozenset(internals), frozenset(externals))
+    return Program(tuple(clauses), tuple(facts), alphabet)
+
+
+def test_validate_program_matches_the_per_literal_loop():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(400):
+        program = _faulty_program(rng)
+        expected = _reference_diagnostics(program)
+        assert validate_program(program) == expected
+        kinds.update(message.split(":")[0] for message in expected)
+        # once per program, but a fresh list per call
+        first, second = validate_program(program), validate_program(program)
+        assert first == second == expected and first is not second
+        first.append("changed")
+        assert validate_program(program) == expected
+    assert len(kinds) == 9, kinds
 
 
 def test_program_equality_ignores_clause_order(sprinkler):

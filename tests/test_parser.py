@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from generators import random_acyclic_program
+from generators import random_acyclic_program, random_stratified_program
+from whatif import parser
+from whatif.benchgen import generate_instance, instance_to_program
 from whatif.lpad import LpadProgram
 from whatif.model import Literal
 from whatif.parser import (
@@ -177,3 +180,83 @@ def test_parse_literals():
     assert parse_literals("") == frozenset()
     with pytest.raises(ParseError):
         parse_literals("a b")
+
+
+# --- the statement pattern and the token walk ------------------------------
+
+def _outcome(parse, text):
+    """A parse's program, or its ParseError's message and span."""
+    try:
+        program = parse(text)
+    except ParseError as err:
+        span = err.span
+        return "error", str(err), (span.line, span.column, span.start, span.end)
+    return "ok", program.clauses, program.facts, program.alphabet
+
+
+def _no_token_walk(text):
+    raise AssertionError(f"the token walk read {text!r}")
+
+
+def test_statement_pattern_reads_printed_programs(monkeypatch):
+    rng = random.Random(11)
+    programs = [random_acyclic_program(rng) for _ in range(60)]
+    programs += [random_stratified_program(rng) for _ in range(60)]
+    programs.append(instance_to_program(generate_instance(100, 5, 1)))
+    texts = [print_problog(program) for program in programs]
+    expected = [_outcome(parser._walk_statements, text) for text in texts]
+    monkeypatch.setattr(parser, "_TokenStream", _no_token_walk)
+    for text, walked in zip(texts, expected):
+        assert _outcome(parse_problog, text) == walked
+
+
+@pytest.mark.parametrize(
+    "text, falls_back",
+    [
+        ("% note\n.", True),  # a comment stops at its line end, not before
+        ("a :- b % c\n, d.", True),  # a comment inside a body
+        ("a :- b, % c\n d.", True),
+        ("0.5 % c\n:: u.", True),  # a comment between 0.5 and ::
+        ("1/0::a.", True),
+        ("0/0::a.", True),
+        ("3/2::a.", True),
+        ("1.5::a.", True),
+        ("1. 5::a.", True),
+        ("1/0.5::a.", True),
+        ("0.5::a. 0.2::a.", True),  # duplicate fact
+        ("0.5::a. a :- b.", True),  # a fact atom that is also a head
+        ("a :- u.\n0.5::u. u :- b.", True),
+        ("a. $", True),
+        ("0.5::a :- b.", True),
+        ("a :- .", True),
+        ("a :- \\+\\+b.", True),
+        ("a :- b\nc.", True),
+        ("a:0.5.", True),
+        ("0.5::u.\r\na :- u, \\+b.\r\n% done\r\n", False),  # CRLF line ends
+        ("0.5::u.\ta\t:-\t\\+\tu ,\tb\t.\t", False),  # tabs
+        ("2 / 7 :: u. a :- u. % trailing, no newline", False),
+        ("% only a comment", False),
+        ("", False),
+        ("a.b:-a.0::u.c:-\\+u,b,b.", False),
+    ],
+)
+def test_statement_pattern_falls_back_to_the_token_walk(monkeypatch, text, falls_back):
+    walk = parser._walk_statements
+    walked = _outcome(walk, text)
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return walk(text)
+
+    monkeypatch.setattr(parser, "_walk_statements", spy)
+    assert _outcome(parse_problog, text) == walked
+    assert calls == ([text] if falls_back else [])
+
+
+def test_statement_pattern_fails_in_linear_time():
+    for text in (" " * 100_000 + "$", "% c\n" * 25_000 + "$", "a :- " + "b, " * 30_000 + "$"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_problog(text)
+        assert time.perf_counter() - start < 1

@@ -13,17 +13,19 @@ per seed from `tests/generators.py` (`random_lpad`, `random_formula`,
 `lpad.lpad_distribution` and `lpad.cp_counterfactual` are equal; a
 `ZeroEvidenceError` counts as an answer.  Next, it draws SHAPE_CASES
 programs and queries per seed (`random_acyclic_program`,
-`random_counterfactual_query`) and checks the exact answers of the four
-entry points of `whatif.counterfactual` on every backend: the query, its
-formula alone, with its evidence only and with its interventions only; the
-name of an error's class counts as an answer.  Then it draws STRATIFIED_CASES
-programs per seed with a recursive block (`random_stratified_program`), each
-with a `random_formula` query, and checks the exact `enumerate` and `oracle`
-answers of that query alone, with evidence, with interventions and with
-both.  They run the fixpoint of recursive blocks, which the other
-rows, all acyclic, never reach.  Answers of 0 or 1 say little about
-weights, so at least OPEN_FLOOR of the stratified rows' answers under the
-new tree must lie strictly between 0 and 1.
+`random_counterfactual_query`), each drawn again until the probability of
+the query's formula lies strictly between 0 and 1, and checks the exact
+answers of the four entry points of `whatif.counterfactual` on every
+backend: the query, its formula alone, with its evidence only and with its
+interventions only; the name of an error's class counts as an answer.  Then
+it draws STRATIFIED_CASES programs per seed with a recursive block
+(`random_stratified_program`), each with a `random_formula` query, and
+checks the exact `enumerate` and `oracle` answers of that query alone, with
+evidence, with interventions and with both.  They run the fixpoint of
+recursive blocks, which the other rows, all acyclic, never reach.  Answers
+of 0 or 1 say little about weights, so at least OPEN_FLOOR of the
+query-shape rows' answers, and of the stratified rows', under the new tree
+must lie strictly between 0 and 1.
 
     python3 benchmarks/encoder_differential.py OLD/src NEW/src
 
@@ -31,8 +33,8 @@ Prints one line per workload and seed with the cases checked, the variable
 and clause counts summed over them, how many cases' CNFs are identical and
 the largest float difference, one line per seed of LPAD, query-shape and
 stratified cases, then the first SHOW differing cases.  Exits 1 on any
-difference or when the stratified rows fall below OPEN_FLOOR; a CNF that is
-not identical is reported, not a difference.
+difference or when the query-shape or the stratified rows fall below
+OPEN_FLOOR; a CNF that is not identical is reported, not a difference.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ SHAPES = "query shapes"  # the workload name of their rows
 STRATIFIED_CASES = 60  # random stratified programs and queries per seed
 STRATIFIED = "stratified"  # the workload name of their rows
 EVIDENCE_DRAWS = 20  # draws of stratified evidence until one has nonzero probability
-OPEN_FLOOR = 0.25  # least share of stratified answers strictly between 0 and 1
+OPEN_FLOOR = 0.25  # least share of query-shape and of stratified answers strictly in (0, 1)
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
@@ -111,17 +113,26 @@ def _lpad_rows(seed: int):
 
 
 def _shape_rows(seed: int):
-    """The exact answers of the four entry points, on every backend, on seeded random cases."""
+    """The exact answers of the four entry points, on every backend, on seeded random cases.
+
+    A program and query whose formula has probability 0 or 1 are drawn
+    again, with the case's own generator, as in `_stratified_rows`: a
+    rule-less query atom or a program of constant facts mostly gives 0 or 1.
+    """
     import random
 
     from generators import random_acyclic_program, random_counterfactual_query
     from whatif import counterfactual
     from whatif.model import WhatifError
+    from whatif.semantics import marginal
 
-    rng = random.Random(seed)
     for index in range(SHAPE_CASES):
-        program = random_acyclic_program(rng, max_internals=6, max_externals=6)
-        query = random_counterfactual_query(rng, program)
+        rng = random.Random(f"{SHAPES} {seed} {index}")
+        while True:
+            program = random_acyclic_program(rng, max_internals=6, max_externals=6)
+            query = random_counterfactual_query(rng, program)
+            if 0 < marginal(program, query.query) < 1:
+                break
         entries = (
             (counterfactual.answer_counterfactual, (query,)),
             (counterfactual.marginal, (query.query,)),
@@ -201,7 +212,7 @@ def _stratified_rows(seed: int):
 def _open_share(rows: list) -> float:
     """The share of the rows' answers that are a number strictly between 0 and 1."""
     answers = [answer for row in rows for answer in row[6].values()]
-    inside = sum(answer[0] != "Z" and 0 < Fraction(answer) < 1 for answer in answers)
+    inside = sum(answer[0].isdigit() and 0 < Fraction(answer) < 1 for answer in answers)
     return inside / len(answers) if answers else 0.0
 
 
@@ -253,10 +264,10 @@ def main(argv=None) -> int:
     #                      identical CNFs, max rel]
     tally: dict[tuple, list] = {}
     shown, differing = [], 0
-    stratified: dict[int, list] = {}  # seed -> the new tree's stratified rows
+    floored: dict[tuple, list] = {}  # (workload, seed) -> the new tree's rows held to OPEN_FLOOR
     for old, new in zip(_rows(args.old_src), _rows(args.new_src), strict=True):
-        if new[0] == STRATIFIED:
-            stratified.setdefault(new[1], []).append(new)
+        if new[0] in (SHAPES, STRATIFIED):
+            floored.setdefault((new[0], new[1]), []).append(new)
         counts = tally.setdefault((old[0], old[1]), [0, 0, 0, 0, 0, 0, 0.0])
         x, y = old[6].get("wmc float", 0.0), new[6].get("wmc float", 0.0)
         counts[0] += 1
@@ -272,24 +283,27 @@ def main(argv=None) -> int:
             if len(shown) < SHOW:
                 shown.append(f"{old[0]} seed {old[1]} case {old[2]}: " + "; ".join(found))
     for (name, seed), (cases, *sums, identical, rel) in tally.items():
-        if name in (LPAD, SHAPES):
+        if name == LPAD:
             print(f"{name} seed {seed}: {cases} cases")
             continue
-        if name == STRATIFIED:
+        if name in (SHAPES, STRATIFIED):
             print(f"{name} seed {seed}: {cases} cases, "
-                  f"{_open_share(stratified[seed]):.1%} of answers strictly between 0 and 1")
+                  f"{_open_share(floored[name, seed]):.1%} of answers strictly between 0 and 1")
             continue
         print(f"{name} seed {seed}: {cases} cases, variables {sums[0]} -> {sums[1]}, "
               f"clauses {sums[2]} -> {sums[3]}, {identical} identical CNFs, "
               f"largest float difference {rel:.3g} relative")
     print("\n".join(shown))
     print(f"{differing} differing cases")
-    share = _open_share([row for rows in stratified.values() for row in rows])
-    if share < OPEN_FLOOR:
-        print(f"only {share:.1%} of stratified answers lie strictly between 0 and 1, "
-              f"below the floor of {OPEN_FLOOR:.0%}")
-        return 1
-    return 1 if differing else 0
+    low = False
+    for name in (SHAPES, STRATIFIED):
+        share = _open_share([row for key, rows in floored.items() if key[0] == name
+                             for row in rows])
+        if share < OPEN_FLOOR:
+            print(f"only {share:.1%} of {name} answers lie strictly between 0 and 1, "
+                  f"below the floor of {OPEN_FLOOR:.0%}")
+            low = True
+    return 1 if differing or low else 0
 
 
 if __name__ == "__main__":

@@ -70,16 +70,16 @@ def _answer(
     diagnostics = validate_program(program)
     if diagnostics:
         raise ValidationError("; ".join(diagnostics))
+    program.world_weights  # valid, so it builds: the twin and every cone share it
     counterfactual = bool(query.evidence and query.interventions)
     if counterfactual and backend == "oracle":  # unclassified, as querybench's pins expect
         answer = oracle.abduction_action_prediction(program, query)
         return answer if exact else float(answer)
     counted, formula, evidence = reduce(program, query)
-    # The twin's dependency graph is two renamed copies of the program's, one
-    # of them with clauses erased and facts added, so an edge inside an SCC of
-    # the twin is a renamed edge inside an SCC of the program, and the two
-    # classify alike.  The check follows twin() so that its errors come first.
-    if _classify(program if counterfactual else counted, backend):
+    # The twin inherits the program's classification: its evidence copy is the
+    # program renamed and its intervention copy a part of that.  The check
+    # follows twin() so that its errors come first.
+    if _classify(counted, backend):
         warnings.warn(CYCLIC_WARNING, stacklevel=3)  # the caller of the public entry point
     # the twin, or the intervened copy, of a valid program is valid
     if backend == "wmc":
@@ -103,9 +103,11 @@ def _walk(program: Program, formula: Formula):
     # Each world evaluates only the rules of the formula's cone, but every
     # world of the program is still walked: querybench's `expected_calls`
     # counts minimal models per world of all of `case.externals` (ROADMAP item 7).
+    program.world_weights  # built before the cone, so that the walk below shares it
     cone = relevant(program, formula, ())
     if len(cone.clauses) < len(program.clauses):
-        program = Program(cone.clauses, program.facts, Alphabet(cone.internals, program.externals))
+        walked = Program(cone.clauses, program.facts, Alphabet(cone.internals, program.externals))
+        program = semantics.inherit(walked, program)
     return semantics.marginal(program, formula)
 
 

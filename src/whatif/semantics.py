@@ -1,7 +1,8 @@
 """Logic-program layer: dependency analysis, minimal models, world enumeration.
 
-The dependency analysis (`Stratification`) runs once per `Program` instance,
-which caches it as `Program.stratification`; programs are immutable.  It
+The dependency analysis (`Stratification`) runs once per query, on the
+program, which caches it as `Program.stratification`; programs are
+immutable, and the programs that a query derives from it `inherit` it.  It
 reads the dependency edges (body atom to head, over internal atoms) straight
 off the clauses into per-atom successor lists, runs Tarjan's algorithm over
 them once, and classifies the program from the SCCs: a negative edge inside
@@ -16,7 +17,8 @@ its own that is iterated to its least fixpoint (stratified bottom-up
 evaluation, Apt, Blair & Walker 1988).  `minimal_model` runs that one
 evaluator, so no world builds a dict or interprets a `Clause`.  The
 externals' weight table that every world's probability is computed from
-(`WorldWeights`) is cached the same way, as `Program.world_weights`.
+(`WorldWeights`) is cached the same way, as `Program.world_weights`, and a
+derived program shares it or restricts it to its fewer externals.
 
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against.  A world is its index in a table of integer
@@ -30,6 +32,7 @@ numerators and divides once, so its answer is an exact `Fraction`.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from functools import cached_property
 from fractions import Fraction
@@ -192,7 +195,7 @@ class Stratification:
     `wmc.to_weighted_cnf` numbers variables in that order.  Only the edges
     through negation are kept as pairs, to tell a negative cycle from a
     positive one.  The `Layout` is built on first use, since only the world
-    walks and `minimal_model` need it.
+    walks and `minimal_model` need it.  Derived programs `inherit` theirs.
     """
 
     def __init__(self, program: Program) -> None:
@@ -227,6 +230,48 @@ class Stratification:
     @cached_property
     def layout(self) -> Layout:
         return Layout(self.components, self._clauses, self._externals)
+
+
+def _classification(components: list[list[str]], clauses: Iterable[Clause]) -> Classification:
+    """The classification of `clauses` with these SCCs: an edge inside one lies on a cycle."""
+    component_of = {atom: i for i, component in enumerate(components) for atom in component}
+    found = Classification.ACYCLIC
+    for clause in clauses:
+        home = component_of.get(clause.head)
+        for atom, positive in clause.body:
+            if component_of.get(atom, -1) == home:
+                if not positive:
+                    return Classification.NEGATIVE_CYCLE
+                found = Classification.STRATIFIED_CYCLIC
+    return found
+
+
+def inherit(program: Program, parent: Program, components: Optional[list[list[str]]] = None,
+            classification: Optional[Classification] = None) -> Program:
+    """Seed `program`'s analyses from those of `parent`, which it derives from; returns it.
+
+    `components` are `program`'s SCCs, each dependency edge pointing to an
+    earlier one, of class `classification`.  Without them `program` is a
+    cone (`transforms.relevant`), of whole SCCs and closed under ancestors,
+    so its SCCs are `parent`'s inside it, when `parent` is analysed and has
+    all its internal atoms.  The layout is of its own clauses and externals.
+    It has `parent`'s facts on its externals, so it shares `parent`'s weight
+    table, if built.
+    """
+    cache, built = program.__dict__, parent.__dict__
+    if components is None and "stratification" in built and program.internals <= parent.internals:
+        analysis = parent.stratification
+        components = [c for c in analysis.components if c[0] in program.internals]
+        classification = analysis.classification
+        if classification is not Classification.ACYCLIC:
+            classification = _classification(components, program.clauses)
+    if components is not None:
+        cache["stratification"] = analysis = Stratification.__new__(Stratification)
+        analysis.components, analysis.classification = components, classification
+        analysis._clauses, analysis._externals = program.clauses, program.externals
+    if "world_weights" in built:
+        cache["world_weights"] = parent.world_weights.restricted(program.externals)
+    return program
 
 
 def check_unique_supported_models(program: Program) -> Classification:
@@ -275,6 +320,15 @@ class WorldWeights:
             p = probs[atom]
             self.pairs[atom] = (p.numerator, p.denominator - p.numerator)
             self.denominator *= p.denominator
+
+    def restricted(self, externals: frozenset[str]) -> "WorldWeights":
+        """The weights of `externals`, some or all of these, with no `Fraction` arithmetic."""
+        if len(externals) == len(self.pairs):
+            return self
+        weights = WorldWeights.__new__(WorldWeights)
+        weights.pairs = {atom: self.pairs[atom] for atom in externals}
+        weights.denominator = math.prod(map(sum, weights.pairs.values()))
+        return weights
 
     @cached_property
     def numerators(self) -> list[int]:

@@ -16,6 +16,7 @@ from .model import (
     formula_atoms,
     rename_formula,
 )
+from .semantics import inherit
 
 EVIDENCE_SUFFIX = "__e"
 INTERVENTION_SUFFIX = "__i"
@@ -54,6 +55,10 @@ def twin(
     raises `intervene`'s `ValidationError`.  Returns the twin program, the
     query formula in the intervention copy's names and the evidence in the
     evidence copy's.
+
+    The twin inherits the program's analyses (`semantics.inherit`): its SCCs
+    in both copies, one that an intervention cuts split again over the
+    intervened clauses, and its classification.
     """
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     query_atoms |= formula_atoms(query.query)
@@ -78,11 +83,27 @@ def twin(
 
     names_e, rename_e = renaming(EVIDENCE_SUFFIX)
     names_i, rename_i = renaming(INTERVENTION_SUFFIX)
+    acted = intervene(program, query.interventions)
     clauses = [Clause(names_e[c.head], frozenset(map(rename_e, c.body))) for c in program.clauses]
-    clauses += [Clause(names_i[c.head], frozenset(map(rename_i, c.body)))
-                for c in intervene(program, query.interventions).clauses]
+    clauses += [Clause(names_i[c.head], frozenset(map(rename_i, c.body))) for c in acted.clauses]
     alphabet = Alphabet(frozenset(a + s for a in internals for s in suffixes), program.externals)
     twinned = Program(tuple(clauses), program.facts, alphabet)
+    forced = {lit.atom for lit in query.interventions}
+    components = []
+    for component in program.stratification.components:
+        if len(component) == 1:  # the common case: no intervention splits it
+            components += [names_e[component[0]]], [names_i[component[0]]]
+            continue
+        pieces = [component]
+        if not forced.isdisjoint(component):
+            members = frozenset(component)
+            cut = tuple(c for c in acted.clauses if c.head in members)
+            pieces = Program(cut, (), Alphabet(members, frozenset())).stratification.components
+        components.append([names_e[atom] for atom in component])
+        components.extend([names_i[atom] for atom in piece] for piece in pieces)
+    # an absent atom heads no rule, only facts, so it comes last: no edge points to it
+    components.extend([a + s] for a in sorted(internals - program.internals) for s in suffixes)
+    inherit(twinned, program, components, program.stratification.classification)
     return twinned, rename_formula(query.query, names_i), frozenset(map(rename_e, query.evidence))
 
 
@@ -98,7 +119,8 @@ def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) ->
     atom whose one rule is `h :- v.` the variable of v, and rejects a cycle
     that is kept here.  The enumerate backend's world walk
     (`counterfactual._walk`) evaluates the clauses kept here too, over every
-    external of the program.
+    external of the program.  The cone inherits the analyses that `program`
+    has built, its SCCs and its weight table (`semantics.inherit`).
     """
     externals = program.externals
     by_head = program.clauses_by_head()
@@ -116,4 +138,5 @@ def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) ->
     internals = frozenset(reached - externals)
     clauses = tuple(c for c in program.clauses if c.head in internals)
     facts = tuple(f for f in program.facts if f.atom in reached)
-    return Program(clauses, facts, Alphabet(internals, frozenset(reached & externals)))
+    cone = Program(clauses, facts, Alphabet(internals, frozenset(reached & externals)))
+    return inherit(cone, program)

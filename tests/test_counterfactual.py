@@ -41,9 +41,14 @@ from whatif.model import (
 from whatif.lpad import prob_of_lpad
 from whatif.oracle import abduction_action_prediction
 from whatif.parser import parse_problog
-from whatif.semantics import Classification, check_unique_supported_models
+from whatif.semantics import (
+    Classification,
+    Stratification,
+    WorldWeights,
+    check_unique_supported_models,
+)
 from whatif.semantics import marginal as enumerated_marginal
-from whatif.transforms import intervene, twin
+from whatif.transforms import intervene, relevant, twin
 
 
 def test_sprinkler_counterfactual_all_backends(sprinkler, sprinkler_query):
@@ -400,10 +405,47 @@ def _with_negative_cycle(rng: random.Random, program: Program) -> Program:
     return Program(program.clauses + tuple(cycle), program.facts, program.alphabet)
 
 
-def test_twin_classifies_as_its_program():
-    # answer_counterfactual classifies the program in place of its twin
+def _assert_inherits_a_fresh_analysis(derived: Program, case: int) -> None:
+    """`derived`'s inherited analysis and weights against fresh ones of an equal program."""
+    inherited = derived.stratification
+    equal = Program(derived.clauses, derived.facts, derived.alphabet)
+    fresh = Stratification(equal)
+    assert set(map(frozenset, inherited.components)) == set(map(frozenset, fresh.components)), case
+    assert inherited.classification is fresh.classification, case
+    # every body -> head edge between two SCCs points to an earlier one
+    position = {atom: i for i, component in enumerate(inherited.components) for atom in component}
+    for clause in derived.clauses:
+        for atom, _ in clause.body:
+            if atom in derived.internals:
+                assert position[clause.head] <= position[atom], case
+    # the layout is of derived's own clauses and externals: the world masks mean the same
+    if fresh.classification is not Classification.NEGATIVE_CYCLE:
+        for world in range(1 << len(derived.externals)):
+            models = []
+            for layout in (inherited.layout, fresh.layout):
+                model = layout.model(world)
+                models.append({atom for atom, bit in layout.bits.items() if model & bit})
+            assert models[0] == models[1], case
+    weights = WorldWeights(equal)
+    assert derived.world_weights.pairs == weights.pairs, case
+    assert derived.world_weights.denominator == weights.denominator, case
+
+
+def test_twin_classifies_as_its_program(monkeypatch):
+    # answer_counterfactual classifies the program in place of its twin; the twin and
+    # the cone that relevant() keeps of it inherit the program's analysis, and equal a
+    # fresh one: the program's SCCs, an SCC that an intervention cuts split again
+    runs = []
+    original = semantics_mod._sccs
+
+    def counted(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semantics_mod, "_sccs", counted)
     rng = random.Random(23)
     seen = set()
+    cut = dropped = 0
     for index in range(300):
         if index % 3 == 0:
             program = random_acyclic_program(rng, max_internals=6, max_externals=5)
@@ -412,10 +454,29 @@ def test_twin_classifies_as_its_program():
         query = random_counterfactual_query(rng, program)
         if index % 3 == 2:  # the query is drawn first: its evidence check enumerates
             program = _with_negative_cycle(rng, program)
+        if index % 5 == 4:  # it reads one atom absent from the program and forces another
+            query = CounterfactualQuery(query.query | Var("z"), query.evidence,
+                                        query.interventions | {Literal("y")})
         classification = check_unique_supported_models(program)
-        assert check_unique_supported_models(twin(program, query)[0]) is classification
+        program.world_weights
+        forced = {lit.atom for lit in query.interventions}
+        cuts = sum(len(component) > 1 and not forced.isdisjoint(component)
+                   for component in program.stratification.components)
+        runs.clear()
+        twinned, formula, evidence = twin(program, query)
+        cone = relevant(twinned, formula, evidence)
+        assert len(runs) == cuts, index  # one fresh run per cut SCC, and no other
+        assert check_unique_supported_models(twinned) is classification
+        assert twinned.world_weights is program.world_weights, index
+        for derived in (twinned, cone):
+            _assert_inherits_a_fresh_analysis(derived, index)
         seen.add(classification)
+        cut += cuts > 0
+        cyclic = [sum(len(c) > 1 for c in p.stratification.components) for p in (twinned, cone)]
+        dropped += cyclic[1] < cyclic[0]
     assert seen == set(Classification)
+    assert cut >= 40  # 45 of the 300 draws
+    assert dropped >= 60  # 68
 
 
 def test_suffix_error_comes_before_the_negative_cycle():

@@ -15,8 +15,11 @@ denominators, by which the integer counts are divided; the facts weigh their
 integer pairs and every other variable 1), and both counts as floats.
 
 `float()` of each cell's exact ratio of the two counts must equal
-`wmc.conditional`'s float answer (same CNF, same search); the script exits
-with status 1 if any cell differs.
+`wmc.conditional`'s float answer (same CNF, same search), and the pair must
+be the same two `Fraction`s when counted once more with `defines=()`, so
+with no definitional component counted without search; that count's
+expansions are reported too.  The script exits with status 1 if any cell
+differs in either check.
 
 Usage: python benchmarks/counter_benchmark.py [--n 20,40,60] [--k 1,3,5] [--repeats 3]
 """
@@ -27,6 +30,7 @@ import sys
 import time
 
 from whatif import benchgen, transforms, wmc as wmc_mod
+from whatif._counter_py import ModelCounter
 
 
 def build_case(n: int, k: int, seed: int):
@@ -49,6 +53,12 @@ def time_pair(cnf, assumptions, root, repeats: int):
     return min(times), counter, denominator, numerator
 
 
+def plain_pair(cnf, assumptions, root):
+    """The two counts and the expansions of a counter told no definitions."""
+    counter = ModelCounter(cnf.var_count, cnf.clauses, cnf.weights, cnf.scale, root)
+    return (counter.count(assumptions), counter.count(assumptions + [root])), counter.passes
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", default="20,40,60")
@@ -59,22 +69,26 @@ def main() -> int:
 
     mismatches = 0
     print(f"{'n':>4} {'k':>3} {'vars':>6} {'clauses':>8} {'seconds':>9} {'expansions':>10} "
-          f"{'entries':>8} {'cache_MB':>8} {'scale_bits':>10} {'P(e)':>12} {'P(q,e)':>12} check")
+          f"{'plain_exp':>10} {'entries':>8} {'cache_MB':>8} {'scale_bits':>10} {'P(e)':>12} "
+          f"{'P(q,e)':>12} check")
     for n in (int(x) for x in args.n.split(",")):
         for k in (int(x) for x in args.k.split(",")):
             twinned, (cnf, root, assumptions) = build_case(n, k, args.seed)
             seconds, counter, denominator, numerator = time_pair(
                 cnf, assumptions, root, args.repeats
             )
-            agrees = float(numerator / denominator) == float(wmc_mod.conditional(*twinned))
+            plain, plain_passes = plain_pair(cnf, assumptions, root)
+            agrees = (float(numerator / denominator) == float(wmc_mod.conditional(*twinned))
+                      and (denominator, numerator) == plain)
             mismatches += not agrees
             print(f"{n:>4} {k:>3} {cnf.var_count:>6} {len(cnf.clauses):>8} {seconds:>9.4f} "
-                  f"{counter.passes:>10} {len(counter.cache):>8} "
+                  f"{counter.passes:>10} {plain_passes:>10} {len(counter.cache):>8} "
                   f"{counter.cache_bytes / 2**20:>8.2f} "
                   f"{counter.scale.bit_length():>10} {float(denominator):>12.6g} "
                   f"{float(numerator):>12.6g} {'ok' if agrees else 'MISMATCH'}")
     if mismatches:
-        print(f"{mismatches} cell(s) differ from wmc.conditional", file=sys.stderr)
+        print(f"{mismatches} cell(s) differ from wmc.conditional or from the plain count",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -3,8 +3,10 @@
 Runs the `querybench` cases of both workloads for SEEDS under each tree.  Per
 case it records the variable and clause counts of the CNF that
 `wmc.encode_query` builds for the case's twin program, a digest of that CNF
-(its clauses, weights and variable map, in order), the rational answer of
-every backend the workload uses, and the float answer of `wmc`.  It then
+(its clauses and weights in order, and its variable map sorted by atom, so
+that the order in which atoms were entered does not count; `defines` is left
+out, as older trees have none), the rational answer of every backend the
+workload uses, and the float answer of `wmc`.  It then
 checks that the rational answers are equal, that the float answers agree
 within REL_TOL relative, and that the new variable and clause counts are at
 most the old ones.  It also draws LPAD_CASES annotated-disjunction programs
@@ -72,7 +74,7 @@ def _worker() -> None:
             for case in generate(name, seed):
                 program = parse_problog(case.text)
                 cnf, _, _ = wmc.encode_query(*transforms.twin(program, case.query))
-                layout = (cnf.clauses, list(cnf.weights.items()), list(cnf.var_map.items()))
+                layout = (cnf.clauses, list(cnf.weights.items()), sorted(cnf.var_map.items()))
                 digest = hashlib.sha256(repr(layout).encode()).hexdigest()
                 answers = {}
                 for backend in workload.backends:

@@ -50,6 +50,24 @@ is not expanded further: with non-negative weights, as probabilities are,
 its q is 0 too.  `count(A)` returns t and keeps q, so a following
 `count(A + [m])` returns q without a second search.
 
+A counter may also be told the variable each clause helps define
+(`defines`; 0 only for a unit clause).  Each defined variable v must have a
+complete definition v <-> and(parts) or v <-> or(parts) whose clauses all
+name v, the definitions must be acyclic, and v must weigh 1 either way, as
+the wmc encoder's Clark completion and Tseitin gates do.  The component
+pass marks a component *definitional* when every clause it takes defines a
+variable that is still unassigned.  Such a component needs no search.
+Propagation has run to its fixpoint, so the open clauses of an unassigned
+v's definition define v over its unassigned parts, and one is left (else v
+would be assigned), which puts v in the component of its definition.  So
+the component's other variables are undefined and free, and the acyclic
+definitions extend each of their assignments in exactly one way: the count
+is the product of `free_weight`, the weight sum of an undefined variable and
+1 for a defined one.  Without the marked variable the component is
+multiplied in like a freed variable, with no cache key and no node; with
+it, t is that product and q the count of one expansion with m assumed.
+With no `defines`, the default, no component is definitional.
+
 Every count is exact and in integers.  A variable weighs the integers
 (wt, wf) given for it, or 1 either way if none are; in the wmc backend the
 facts weigh (a, b - a) for p = a / b.  A count in these integers is the
@@ -61,6 +79,8 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import repeat
+from math import prod
 from sys import getsizeof
 from typing import Iterable, Sequence
 
@@ -78,11 +98,20 @@ class ModelCounter:
     The variables are 1 to `var_count`.  `weights` maps a variable to its
     integer weights (wt, wf); a variable with no entry weighs 1 either way.
     `count` divides by `scale`.  `mark` is the marked literal; 0, the
-    default, marks none.  The clauses are read on the first `count`.
+    default, marks none.  `defines`, empty or aligned with `clauses`, gives
+    the variable each clause helps define (see the module docstring); a
+    defined variable may carry no weight.  The clauses are read on the first
+    `count`.
     """
 
     def __init__(self, var_count: int, clauses: Sequence[Sequence[int]],
-                 weights: dict[int, tuple[int, int]], scale: int, mark: int = 0):
+                 weights: dict[int, tuple[int, int]], scale: int, mark: int = 0,
+                 defines: Sequence[int] = ()):
+        if defines and len(defines) != len(clauses):
+            raise ValueError(f"{len(defines)} defined variables for {len(clauses)} clauses")
+        if any(map(weights.__contains__, defines)):
+            raise ValueError("a defined variable carries a weight")
+        self.defines = defines
         self.var_count = var_count
         self.weights = weights
         self.scale = scale
@@ -99,10 +128,11 @@ class ModelCounter:
         Unit clauses seed the root's propagation queue; an empty clause is
         never satisfied.
         """
-        units, body = [], []
-        for clause in map(tuple, self.clauses):
+        units, body, heads = [], [], []
+        for clause, head in zip(map(tuple, self.clauses), self.defines or repeat(0)):
             if len(clause) > 1:
                 body.append(clause)
+                heads.append(head)
             elif clause:
                 units.append(clause[0])
             else:
@@ -115,6 +145,10 @@ class ModelCounter:
             self.lit_weight[var] = wt
             self.lit_weight[-var] = wf
             self.wsum[var] = wt + wf
+        self.heads = heads if self.defines else ()  # per body clause, the variable it defines
+        self.free_weight = list(self.wsum)  # of a variable in a definitional component
+        for head in self.heads:
+            self.free_weight[head] = 1  # its definition fixes its value
         self.occ = [[] for _ in range(slots)]
         for idx, clause in enumerate(body):
             for lit in clause:
@@ -153,9 +187,10 @@ class ModelCounter:
         """Assign `seeds`, propagate, and split the rest of `variables` into components.
 
         Returns the trail of literals assigned, their weight times that of
-        the freed variables, that weight restricted to the marked literal
-        true, and the components (weights zero and no components on a
-        conflict).
+        the freed variables and definitional components, that weight
+        restricted to the marked literal true, and the components (weights
+        zero and no components on a conflict).  Each component is its
+        variables, its clause ids and, if definitional, its count t.
         """
         state, occ, free, sat, body = self.state, self.occ, self.free, self.sat, self.body
         weight = self.lit_weight
@@ -195,7 +230,8 @@ class ModelCounter:
         # into a component is marked by a `sat` of -1 until the pass ends, a
         # variable reached by a `stamp` of this pass's number.
         occ_var, clause_vars, wsum = self.occ_var, self.clause_vars, self.wsum
-        stamp, degree = self.stamp, self.degree
+        stamp, degree, heads = self.stamp, self.degree, self.heads
+        free_weight = self.free_weight
         self.passes = tick = self.passes + 1
         mark_var = abs(mark)
         mark_free = False
@@ -208,12 +244,15 @@ class ModelCounter:
             degree[start] = 0
             group = [start]
             members = []
+            definitional = bool(heads)
             for var in group:  # breadth-first; grows while iterating
                 for idx in occ_var[var]:
                     if sat[idx]:
                         continue
                     sat[idx] = -1
                     members.append(idx)
+                    if definitional and state[heads[idx]]:
+                        definitional = False
                     for other in clause_vars[idx]:
                         if state[other]:
                             continue
@@ -224,8 +263,12 @@ class ModelCounter:
                             degree[other] = 1
                             group.append(other)
             if members:
-                components.append((group, members))
                 taken += members
+                fixed = prod(map(free_weight.__getitem__, group)) if definitional else None
+                if fixed is None or mark_var in group:
+                    components.append((group, members, fixed))
+                else:
+                    factor *= fixed
             elif start == mark_var:
                 mark_free = True
             else:
@@ -254,7 +297,7 @@ class ModelCounter:
         and is sent back that branch's count pair.
         """
         cache, degree = self.cache, self.degree
-        for variables, members in components:
+        for variables, members, fixed in components:
             if not factor:
                 break
             variables.sort()
@@ -265,12 +308,15 @@ class ModelCounter:
             key = key.tobytes()
             value = cache.get(key)
             if value is None:
-                # the first of the highest degree; the passes below this node
-                # so far reached only the variables of earlier components
-                branch = max(variables, key=degree.__getitem__)
-                positive = yield variables, (branch,)
-                negative = yield variables, (-branch,)
-                value = (negative[0] + positive[0], negative[1] + positive[1])
+                if fixed is not None:  # definitional, holding the mark: q is the count under m
+                    value = (fixed, (yield variables, (self.mark,))[1])
+                else:
+                    # the first of the highest degree; the passes below this node
+                    # so far reached only the variables of earlier components
+                    branch = max(variables, key=degree.__getitem__)
+                    positive = yield variables, (branch,)
+                    negative = yield variables, (-branch,)
+                    value = (negative[0] + positive[0], negative[1] + positive[1])
                 cache[key] = value
                 self.cache_bytes += _entry_bytes(key, value)
                 while self.cache_bytes > CACHE_BYTES:

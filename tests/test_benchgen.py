@@ -123,10 +123,11 @@ def test_run_experiment_zero_limit_times_out():
 
 
 def test_run_experiment_batch_shares_one_deadline():
-    # each instance needs far more than the limit (seeds 1 and 3 run past
-    # 8 s; seed 2 takes under 1 s); joined one after the other with the full
-    # limit each, the call would take twice the limit
-    grid = GridSpec(ns=(100,), ks=(5,), seeds=(1, 3), e_count=2, i_count=2)
+    # each instance needs far more than the limit: standalone on a 2-core
+    # host, seed 2 runs past 60 s and seed 3 takes about 22-42 s; joined one
+    # after the other with the full limit each, the call would take twice
+    # the limit
+    grid = GridSpec(ns=(40,), ks=(3,), seeds=(2, 3), e_count=0, i_count=4)
     start = time.monotonic()
     rows = run_experiment(grid, time_limit_s=1.0, jobs=2)
     elapsed = time.monotonic() - start

@@ -22,7 +22,7 @@ from whatif.model import (
     ZeroEvidenceError,
     formula_atoms,
 )
-from whatif import _counter_py, wmc as wmc_mod
+from whatif import _counter_py, benchgen, wmc as wmc_mod
 from whatif.lpad import lpad_of_problog, prob_of_lpad
 from whatif._counter_py import ModelCounter
 from whatif.parser import parse_problog
@@ -279,7 +279,9 @@ def test_count_invariant_under_clause_permutation(sprinkler):
     rng = random.Random(1)
     for _ in range(5):
         shuffled = cnf.copy()
-        rng.shuffle(shuffled.clauses)
+        pairs = list(zip(shuffled.clauses, shuffled.defines))  # each clause keeps its definition
+        rng.shuffle(pairs)
+        shuffled.clauses, shuffled.defines = map(list, zip(*pairs))
         assert wmc(shuffled, [cnf.var_map["slippery"]]) == reference
 
 
@@ -500,6 +502,70 @@ def test_marked_pair_equals_brute_force(monkeypatch, cap):
         "split",
     }
     assert (evictions > 0) == (cap == 1), evictions
+
+
+# (n, k, seed) of benchgen hub cells whose (e=2, i=2) counterfactual CNFs count in well under a second
+DEFINITION_HUB_CELLS = ((10, 3, 1), (20, 3, 2), (20, 5, 1), (30, 3, 1))
+
+
+def _definition_cases():
+    """(kind, CNF, root, assumptions) of seeded random acyclic queries and of hub cells."""
+    rng = random.Random(28)
+    for _ in range(40):
+        program = random_acyclic_program(rng, max_externals=6)
+        query = random_counterfactual_query(rng, program)
+        yield "random", *wmc_mod.encode_query(*counterfactual.reduce(program, query))
+    for n, k, seed in DEFINITION_HUB_CELLS:
+        instance = benchgen.generate_instance(n, k, seed)
+        query = benchgen.sample_query(instance, 2, 2, seed)
+        program = benchgen.instance_to_program(instance)
+        yield "hub", *wmc_mod.encode_query(*counterfactual.reduce(program, query))
+
+
+def _marked_and_unmarked(cnf, root, assumptions, defines):
+    """The counts of a marked counter's pair and an unmarked counter's two searches.
+
+    Also returns the expansions of the marked search.
+    """
+    marked, unmarked = (ModelCounter(cnf.var_count, cnf.clauses, cnf.weights, cnf.scale,
+                                     mark, defines=defines) for mark in (root, 0))
+    counts = (marked.count(assumptions), marked.count(assumptions + [root]),
+              unmarked.count(assumptions), unmarked.count(assumptions + [root]))
+    return counts, marked.passes
+
+
+def test_definitional_components_count_as_the_search_does(monkeypatch):
+    """Every count is the same with the encoder's definitions as with none, and fewer nodes."""
+    expand = ModelCounter._expand
+    marked_shortcuts = []  # definitional components that hold the marked variable
+
+    def recording(self, *args):
+        trail, factor, marked, components = expand(self, *args)
+        marked_shortcuts.extend(c for c in components if c[2] is not None)
+        return trail, factor, marked, components
+
+    monkeypatch.setattr(ModelCounter, "_expand", recording)
+    fewer = 0
+    for kind, cnf, root, assumptions in _definition_cases():
+        assert len(cnf.defines) == len(cnf.clauses)
+        for clause, head in zip(cnf.clauses, cnf.defines):  # 0 only for T's and F's units
+            assert head in map(abs, clause) if head else len(clause) == 1
+        counts, passes = _marked_and_unmarked(cnf, root, assumptions, cnf.defines)
+        reference, reference_passes = _marked_and_unmarked(cnf, root, assumptions, ())
+        assert counts == reference, (kind, counts, reference)
+        assert all(type(count) is Fraction for count in counts)
+        fewer += kind == "hub" and passes < reference_passes
+    assert fewer
+    assert marked_shortcuts
+
+
+def test_counter_rejects_definitions_it_cannot_use():
+    clauses = [(-1, 2), (1, -2)]  # 1 <-> 2
+    with pytest.raises(ValueError, match="defined variables"):
+        ModelCounter(2, clauses, {}, 1, defines=[1])
+    with pytest.raises(ValueError, match="carries a weight"):
+        ModelCounter(2, clauses, {1: (1, 1)}, 2, defines=[1, 1])
+    assert ModelCounter(2, clauses, {2: (1, 1)}, 2, defines=[1, 1]).count() == 1
 
 
 def _path(n):

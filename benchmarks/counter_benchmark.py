@@ -16,8 +16,8 @@ integer pairs and every other variable 1), and both counts as floats.
 
 `float()` of each cell's exact ratio of the two counts must equal
 `wmc.conditional`'s float answer (same CNF, same search), and the pair must
-be the same two `Fraction`s when counted once more with `defines=()`, so
-with no definitional component counted without search; that count's
+be the same two `Fraction`s when counted once more with
+`definitional=False`, so with no definitional component counted without search; that count's
 expansions are reported too.  The script exits with status 1 if any cell
 differs in either check.
 
@@ -54,8 +54,9 @@ def time_pair(cnf, assumptions, root, repeats: int):
 
 
 def plain_pair(cnf, assumptions, root):
-    """The two counts and the expansions of a counter told no definitions."""
-    counter = ModelCounter(cnf.var_count, cnf.clauses, cnf.weights, cnf.scale, root)
+    """The two counts and the expansions of a counter that reads no clause as a definition."""
+    counter = ModelCounter(cnf.var_count, cnf.clauses, cnf.weights, cnf.scale, root,
+                           definitional=False)
     return (counter.count(assumptions), counter.count(assumptions + [root])), counter.passes
 
 

@@ -4,10 +4,11 @@ Runs the `querybench` cases of both workloads for SEEDS under each tree.  Per
 case it records the variable and clause counts of the CNF that
 `wmc.encode_query` builds for the case's twin program, a digest of that CNF
 (its clauses and weights in order, and its variable map sorted by atom, so
-that the order in which atoms were entered does not count; `defines` is left
-out, as older trees have none), the rational answer of every backend the
-workload uses, and the float answer of `wmc`.  It then
-checks that the rational answers are equal, that the float answers agree
+that the order in which atoms were entered does not count; the clauses in
+order cover the definitions too, as the counter reads the variable a
+clause defines from its first literal), the rational answer of every
+backend the workload uses, and the float answer of `wmc`.  It then checks
+that the rational answers are equal, that the float answers agree
 within REL_TOL relative, and that the new variable and clause counts are at
 most the old ones.  It also draws LPAD_CASES annotated-disjunction programs
 per seed from `tests/generators.py` (`random_lpad`, `random_formula`,

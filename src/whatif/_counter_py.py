@@ -50,23 +50,25 @@ is not expanded further: with non-negative weights, as probabilities are,
 its q is 0 too.  `count(A)` returns t and keeps q, so a following
 `count(A + [m])` returns q without a second search.
 
-A counter may also be told the variable each clause helps define
-(`defines`; 0 only for a unit clause).  Each defined variable v must have a
+A counter may also be told that its clauses are definitions
+(`definitional=True`): each clause of two or more literals helps define the
+variable of its first literal.  Each defined variable v must have a
 complete definition v <-> and(parts) or v <-> or(parts) whose clauses all
-name v, the definitions must be acyclic, and v must weigh 1 either way, as
-the wmc encoder's Clark completion and Tseitin gates do.  The component
-pass marks a component *definitional* when every clause it takes defines a
-variable that is still unassigned.  Such a component needs no search.
-Propagation has run to its fixpoint, so the open clauses of an unassigned
-v's definition define v over its unassigned parts, and one is left (else v
-would be assigned), which puts v in the component of its definition.  So
-the component's other variables are undefined and free, and the acyclic
-definitions extend each of their assignments in exactly one way: the count
-is the product of `free_weight`, the weight sum of an undefined variable and
-1 for a defined one.  Without the marked variable the component is
-multiplied in like a freed variable, with no cache key and no node; with
-it, t is that product and q the count of one expansion with m assumed.
-With no `defines`, the default, no component is definitional.
+start with a literal of v, the definitions must be acyclic, and v must
+weigh 1 either way, as the wmc encoder's Clark completion and Tseitin gates
+do.  The component pass marks a component *definitional* when every clause
+it takes defines a variable that is still unassigned.  Such a component
+needs no search.  Propagation has run to its fixpoint, so the open clauses
+of an unassigned v's definition define v over its unassigned parts, and
+one is left (else v would be assigned), which puts v in the component of
+its definition.  So the component's other variables are undefined and
+free, and the acyclic definitions extend each of their assignments in
+exactly one way: the count is the product of `free_weight`, the weight sum
+of an undefined variable and 1 for a defined one.  Without the marked
+variable the component is multiplied in like a freed variable, with no
+cache key and no node; with it, t is that product and q the count of one
+expansion with m assumed.  Without `definitional`, the default, no
+component is definitional.
 
 Every count is exact and in integers.  A variable weighs the integers
 (wt, wf) given for it, or 1 either way if none are; in the wmc backend the
@@ -79,7 +81,6 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from fractions import Fraction
-from itertools import repeat
 from math import prod
 from sys import getsizeof
 from typing import Iterable, Sequence
@@ -98,20 +99,19 @@ class ModelCounter:
     The variables are 1 to `var_count`.  `weights` maps a variable to its
     integer weights (wt, wf); a variable with no entry weighs 1 either way.
     `count` divides by `scale`.  `mark` is the marked literal; 0, the
-    default, marks none.  `defines`, empty or aligned with `clauses`, gives
-    the variable each clause helps define (see the module docstring); a
-    defined variable may carry no weight.  The clauses are read on the first
-    `count`.
+    default, marks none.  With `definitional`, each clause of two or more
+    literals helps define its first literal's variable (see the module
+    docstring), which may carry no weight; those literals are read here, and
+    the clauses on the first `count`.
     """
 
     def __init__(self, var_count: int, clauses: Sequence[Sequence[int]],
                  weights: dict[int, tuple[int, int]], scale: int, mark: int = 0,
-                 defines: Sequence[int] = ()):
-        if defines and len(defines) != len(clauses):
-            raise ValueError(f"{len(defines)} defined variables for {len(clauses)} clauses")
-        if any(map(weights.__contains__, defines)):
+                 definitional: bool = False):
+        # per clause of two or more literals, the variable it defines: its first literal's
+        self.heads = [abs(c[0]) for c in clauses if len(c) > 1] if definitional else ()
+        if any(map(weights.__contains__, self.heads)):
             raise ValueError("a defined variable carries a weight")
-        self.defines = defines
         self.var_count = var_count
         self.weights = weights
         self.scale = scale
@@ -128,11 +128,10 @@ class ModelCounter:
         Unit clauses seed the root's propagation queue; an empty clause is
         never satisfied.
         """
-        units, body, heads = [], [], []
-        for clause, head in zip(map(tuple, self.clauses), self.defines or repeat(0)):
+        units, body = [], []
+        for clause in map(tuple, self.clauses):
             if len(clause) > 1:
                 body.append(clause)
-                heads.append(head)
             elif clause:
                 units.append(clause[0])
             else:
@@ -145,7 +144,6 @@ class ModelCounter:
             self.lit_weight[var] = wt
             self.lit_weight[-var] = wf
             self.wsum[var] = wt + wf
-        self.heads = heads if self.defines else ()  # per body clause, the variable it defines
         self.free_weight = list(self.wsum)  # of a variable in a definitional component
         for head in self.heads:
             self.free_weight[head] = 1  # its definition fixes its value

@@ -45,14 +45,8 @@ class GraphInstance:
 
     @property
     def vertices(self) -> list[str]:
-        seen: list[str] = [self.start]
-        for src, dst in self.arcs:
-            for v in (src, dst):
-                if v not in seen:
-                    seen.append(v)
-        if self.goal not in seen:
-            seen.append(self.goal)
-        return seen
+        """The start, each arc's ends in order and the goal, each once, in order of first sight."""
+        return list(dict.fromkeys([self.start, *(v for arc in self.arcs for v in arc), self.goal]))
 
 
 def generate_instance(n: int, k: int, seed: int) -> GraphInstance:

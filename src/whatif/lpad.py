@@ -131,7 +131,7 @@ def cp_counterfactual(program: LpadProgram, query: CounterfactualQuery) -> Fract
     """
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     guarded, choices = selector(program, query_atoms | formula_atoms(query.query))
-    bits = guarded.stratification.layout.bits
+    bits = guarded.layout.bits
     worlds = [(0, 1)]
     for row, atoms in zip(selection_weights(program), choices):
         # the clause's options of nonzero weight, with the choice bit each sets (0 for no head)

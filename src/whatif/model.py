@@ -14,7 +14,7 @@ from numbers import Rational
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
-    from .semantics import Stratification, WorldWeights
+    from .semantics import Layout, Stratification, WorldWeights
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -134,8 +134,14 @@ class Program:
     @cached_property
     def stratification(self) -> "Stratification":
         """The program's dependency analysis, computed once and kept on this instance."""
-        from .semantics import Stratification
-        return Stratification(self)
+        from .semantics import analyse
+        return analyse(self.clauses, self.internals)
+
+    @cached_property
+    def layout(self) -> "Layout":
+        """The program's worlds and rules on the bits of one integer, built on first use."""
+        from .semantics import Layout
+        return Layout(self.stratification.components, self.clauses, self.externals)
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
@@ -146,7 +152,11 @@ class Program:
     def world_weights(self) -> "WorldWeights":
         """The externals' weight table, built once per instance; checks each has a fact."""
         from .semantics import WorldWeights
-        return WorldWeights(self)
+        probs = self.fact_probs()
+        if missing := sorted(self.externals - probs.keys()):
+            raise ValidationError(f"external atom without random fact: {', '.join(missing)}")
+        return WorldWeights({atom: (p.numerator, p.denominator - p.numerator)
+                             for atom, p in probs.items() if atom in self.externals})
 
     def clauses_by_head(self) -> dict[str, list[Clause]]:
         grouped: dict[str, list[Clause]] = {}

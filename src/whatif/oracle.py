@@ -42,8 +42,8 @@ def walk(program: Program, query: CounterfactualQuery,
     satisfies the evidence.
     """
     acted = intervene(program, query.interventions)
-    observed = predicate(conjunction(query.evidence), program.stratification.layout.bits)
-    holds = predicate(query.query, acted.stratification.layout.bits)
+    observed = predicate(conjunction(query.evidence), program.layout.bits)
+    holds = predicate(query.query, acted.layout.bits)
     evidence_mass = predicted = 0
     for world, weight in worlds:
         if observed(minimal_model(program, world)):

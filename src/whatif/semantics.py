@@ -1,24 +1,27 @@
 """Logic-program layer: dependency analysis, minimal models, world enumeration.
 
-The dependency analysis (`Stratification`) runs once per query, on the
-program, which caches it as `Program.stratification`; programs are
-immutable, and the programs that a query derives from it `inherit` it.  It
+The dependency analysis runs once per query, on the program.  `analyse`
 reads the dependency edges (body atom to head, over internal atoms) straight
 off the clauses into per-atom successor lists, runs Tarjan's algorithm over
-them once, and classifies the program from the SCCs: a negative edge inside
-an SCC is a cycle through negation, and an SCC of two or more atoms or a
-self-loop is a cycle.  On first use it also lays the program out on the
-bits of one integer (`Layout`): a world is an integer whose bits are the
-externals, a model one that adds the bits of the derived internals, and
-each rule a head bit with two body masks, grouped into blocks in the
-topological order of the SCC condensation.  Consecutive one-atom SCCs share
-one block that a single pass evaluates, and each larger SCC gets a block of
-its own that is iterated to its least fixpoint (stratified bottom-up
-evaluation, Apt, Blair & Walker 1988).  `minimal_model` runs that one
-evaluator, so no world builds a dict or interprets a `Clause`.  The
-externals' weight table that every world's probability is computed from
-(`WorldWeights`) is cached the same way, as `Program.world_weights`, and a
-derived program shares it or restricts it to its fewer externals.
+them once and returns a `Stratification`, a plain record of the SCCs and
+the classification.  As many SCCs as atoms and no self-loop make the
+program acyclic; otherwise `_classification`, the one test for the other
+two classes, looks for an edge inside an SCC: a negative one is a cycle
+through negation, and any other a positive cycle.  A program caches its
+analysis as `Program.stratification`; programs are immutable, and the
+programs that a query derives from it `inherit` it.  `Program.layout`, built
+on first use, lays the program out on the bits of one integer (`Layout`): a
+world is an integer whose bits are the externals, a model one that adds the
+bits of the derived internals, and each rule a head bit with two body
+masks, grouped into blocks in the topological order of the SCC
+condensation.  Consecutive one-atom SCCs share one block that a single pass
+evaluates, and each larger SCC gets a block of its own that is iterated to
+its least fixpoint (stratified bottom-up evaluation, Apt, Blair & Walker
+1988).  `minimal_model` runs that one evaluator, so no world builds a dict
+or interprets a `Clause`.  The externals' weight table that every world's
+probability is computed from (`WorldWeights`) is cached the same way, as
+`Program.world_weights`, and a derived program shares it or restricts it to
+its fewer externals.
 
 The enumeration-based `marginal` is the reference implementation the WMC
 backend is tested against.  A world is its index in a table of integer
@@ -36,7 +39,7 @@ import math
 import sys
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
     Clause,
@@ -44,7 +47,6 @@ from .model import (
     Literal,
     NegativeCycleError,
     Program,
-    ValidationError,
     predicate,
 )
 
@@ -128,6 +130,9 @@ class Layout:
     SCC, which it reads only positively, a rule reads atoms that earlier
     rules have settled, so negation never reads an atom that may still
     change.
+
+    `Program.layout` builds one per program on first use, since only the
+    world walks and `minimal_model` need it.
     """
 
     __slots__ = ("bits", "blocks")
@@ -186,50 +191,33 @@ class Layout:
         return mask
 
 
-class Stratification:
-    """Classification and rule layout of one program, from one run of `_sccs`.
+class Stratification(NamedTuple):
+    """A program's dependency analysis: its SCCs and its classification (`analyse`)."""
+
+    components: list[list[str]]  # each dependency edge points to an earlier SCC
+    classification: Classification
+
+
+def analyse(clauses: Sequence[Clause], internals: frozenset[str]) -> Stratification:
+    """The SCCs of `clauses` over `internals`, from one run of `_sccs`, and their class.
 
     Each internal atom's successors are the heads of the clauses whose body
     mentions it, deduplicated and sorted, so the SCCs come out in one order
     whatever the order of the clauses or of set iteration, and
-    `wmc.to_weighted_cnf` numbers variables in that order.  Only the edges
-    through negation are kept as pairs, to tell a negative cycle from a
-    positive one.  The `Layout` is built on first use, since only the world
-    walks and `minimal_model` need it.  Derived programs `inherit` theirs.
+    `wmc.to_weighted_cnf` numbers variables in that order.  As many SCCs as
+    atoms and no self-loop leave no edge inside an SCC, so no cycle: the
+    common case, decided without a second look at the clauses.
     """
-
-    def __init__(self, program: Program) -> None:
-        internals = program.internals
-        successors: dict[str, set[str]] = {}
-        negative: list[tuple[str, str]] = []
-        for clause in program.clauses:
-            head = clause.head
-            for atom, positive in clause.body:
-                if atom in internals:
-                    successors.setdefault(atom, set()).add(head)
-                    if not positive:
-                        negative.append((atom, head))
-        self.components = _sccs(
-            internals, {atom: sorted(heads) for atom, heads in successors.items()}
-        )
-        # an edge inside one SCC lies on a cycle: an SCC of two or more atoms, or a self-loop
-        if len(self.components) == sum(map(len, self.components)) and not any(
-            atom in heads for atom, heads in successors.items()
-        ):
-            self.classification = Classification.ACYCLIC
-        else:
-            component_of = {v: i for i, comp in enumerate(self.components) for v in comp}
-            self.classification = (
-                Classification.NEGATIVE_CYCLE
-                if any(component_of[src] == component_of[dst] for src, dst in negative)
-                else Classification.STRATIFIED_CYCLIC
-            )
-        # not the program, which holds this object
-        self._clauses, self._externals = program.clauses, program.externals
-
-    @cached_property
-    def layout(self) -> Layout:
-        return Layout(self.components, self._clauses, self._externals)
+    successors: dict[str, set[str]] = {}
+    for clause in clauses:
+        for atom, _ in clause.body:
+            if atom in internals:
+                successors.setdefault(atom, set()).add(clause.head)
+    components = _sccs(internals, {atom: sorted(heads) for atom, heads in successors.items()})
+    self_loop = any(atom in heads for atom, heads in successors.items())
+    if len(components) == len(internals) and not self_loop:
+        return Stratification(components, Classification.ACYCLIC)
+    return Stratification(components, _classification(components, clauses))
 
 
 def _classification(components: list[list[str]], clauses: Iterable[Clause]) -> Classification:
@@ -246,29 +234,28 @@ def _classification(components: list[list[str]], clauses: Iterable[Clause]) -> C
     return found
 
 
-def inherit(program: Program, parent: Program, components: Optional[list[list[str]]] = None,
-            classification: Optional[Classification] = None) -> Program:
+def inherit(program: Program, parent: Program,
+            components: Optional[list[list[str]]] = None) -> Program:
     """Seed `program`'s analyses from those of `parent`, which it derives from; returns it.
 
     `components` are `program`'s SCCs, each dependency edge pointing to an
-    earlier one, of class `classification`.  Without them `program` is a
-    cone (`transforms.relevant`), of whole SCCs and closed under ancestors,
-    so its SCCs are `parent`'s inside it, when `parent` is analysed and has
-    all its internal atoms.  The layout is of its own clauses and externals.
-    It has `parent`'s facts on its externals, so it shares `parent`'s weight
+    earlier one.  Without them `program` is a cone (`transforms.relevant`),
+    of whole SCCs and closed under ancestors, so its SCCs are `parent`'s
+    inside it, when `parent` is analysed and has all its internal atoms.
+    A derived program has no cycle that `parent` lacks, so it is acyclic
+    when `parent` is; else its own clauses are classified over its SCCs.
+    Its `Program.layout` is built from its own clauses and externals.  It
+    has `parent`'s facts on its externals, so it shares `parent`'s weight
     table, if built.
     """
     cache, built = program.__dict__, parent.__dict__
     if components is None and "stratification" in built and program.internals <= parent.internals:
-        analysis = parent.stratification
-        components = [c for c in analysis.components if c[0] in program.internals]
-        classification = analysis.classification
+        components = [c for c in parent.stratification.components if c[0] in program.internals]
+    if components is not None:
+        classification = parent.stratification.classification
         if classification is not Classification.ACYCLIC:
             classification = _classification(components, program.clauses)
-    if components is not None:
-        cache["stratification"] = analysis = Stratification.__new__(Stratification)
-        analysis.components, analysis.classification = components, classification
-        analysis._clauses, analysis._externals = program.clauses, program.externals
+        cache["stratification"] = Stratification(components, classification)
     if "world_weights" in built:
         cache["world_weights"] = parent.world_weights.restricted(program.externals)
     return program
@@ -291,7 +278,7 @@ def minimal_model(program: Program, world: int | WorldAssignment) -> int | dict[
     """
     if check_unique_supported_models(program) is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
-    layout = program.stratification.layout
+    layout = program.layout
     if isinstance(world, int):
         return layout.model(world)
     bits = layout.bits
@@ -311,24 +298,15 @@ class WorldWeights:
     encoder copies the pairs.
     """
 
-    def __init__(self, program: Program) -> None:
-        probs = program.fact_probs()
-        if missing := sorted(program.externals - probs.keys()):
-            raise ValidationError(f"external atom without random fact: {', '.join(missing)}")
-        self.pairs, self.denominator = {}, 1
-        for atom in program.externals:
-            p = probs[atom]
-            self.pairs[atom] = (p.numerator, p.denominator - p.numerator)
-            self.denominator *= p.denominator
+    def __init__(self, pairs: dict[str, tuple[int, int]]) -> None:
+        self.pairs = pairs
+        self.denominator = math.prod(map(sum, pairs.values()))
 
     def restricted(self, externals: frozenset[str]) -> "WorldWeights":
         """The weights of `externals`, some or all of these, with no `Fraction` arithmetic."""
         if len(externals) == len(self.pairs):
             return self
-        weights = WorldWeights.__new__(WorldWeights)
-        weights.pairs = {atom: self.pairs[atom] for atom in externals}
-        weights.denominator = math.prod(map(sum, weights.pairs.values()))
-        return weights
+        return WorldWeights({atom: self.pairs[atom] for atom in externals})
 
     @cached_property
     def numerators(self) -> list[int]:
@@ -351,7 +329,7 @@ def marginal(program: Program, formula: Formula) -> Fraction:
     (`model.predicate`), and each world is its index in the program's weight
     table (`WorldWeights.numerators`), which is also its mask.
     """
-    holds = predicate(formula, program.stratification.layout.bits)
+    holds = predicate(formula, program.layout.bits)
     weights = program.world_weights
     total = 0
     for world, numerator in enumerate(weights.numerators):

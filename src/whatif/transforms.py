@@ -16,7 +16,7 @@ from .model import (
     formula_atoms,
     rename_formula,
 )
-from .semantics import inherit
+from .semantics import analyse, inherit
 
 EVIDENCE_SUFFIX = "__e"
 INTERVENTION_SUFFIX = "__i"
@@ -57,8 +57,9 @@ def twin(
     evidence copy's.
 
     The twin inherits the program's analyses (`semantics.inherit`): its SCCs
-    in both copies, one that an intervention cuts split again over the
-    intervened clauses, and its classification.
+    in both copies, each evidence-copy SCC followed by its intervention
+    copy, which is split again by `semantics.analyse` of its intervened
+    clauses when an intervention cuts it, and its classification.
     """
     query_atoms = {lit.atom for lit in query.evidence | query.interventions}
     query_atoms |= formula_atoms(query.query)
@@ -97,13 +98,12 @@ def twin(
         pieces = [component]
         if not forced.isdisjoint(component):
             members = frozenset(component)
-            cut = tuple(c for c in acted.clauses if c.head in members)
-            pieces = Program(cut, (), Alphabet(members, frozenset())).stratification.components
+            pieces = analyse([c for c in acted.clauses if c.head in members], members).components
         components.append([names_e[atom] for atom in component])
         components.extend([names_i[atom] for atom in piece] for piece in pieces)
     # an absent atom heads no rule, only facts, so it comes last: no edge points to it
     components.extend([a + s] for a in sorted(internals - program.internals) for s in suffixes)
-    inherit(twinned, program, components, program.stratification.classification)
+    inherit(twinned, program, components)
     return twinned, rename_formula(query.query, names_i), frozenset(map(rename_e, query.evidence))
 
 
@@ -119,8 +119,10 @@ def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) ->
     atom whose one rule is `h :- v.` the variable of v, and rejects a cycle
     that is kept here.  The enumerate backend's world walk
     (`counterfactual._walk`) evaluates the clauses kept here too, over every
-    external of the program.  The cone inherits the analyses that `program`
-    has built, its SCCs and its weight table (`semantics.inherit`).
+    external of the program.  The cone inherits what `program` has built
+    (`semantics.inherit`): the SCCs inside it, when `program` is analysed,
+    with `program`'s class when that is acyclic and its own clauses'
+    otherwise, and the weight table.  It builds its own `Program.layout`.
     """
     externals = program.externals
     by_head = program.clauses_by_head()

@@ -25,9 +25,9 @@ and an atom whose one rule is `h :- v.` takes v's variable, so chains of
 such rules cost no variable and no clause.  The query and the evidence need
 no renaming, as their atoms are looked up in the same variable map.  Clark
 completion and the query's Tseitin clauses are written by one definer,
-`_define`, which records in `WeightedCnf.defines` the variable each clause
-helps define; the counter counts a component made only of definitions
-without search.
+`_define`, which puts the literal of the variable each clause helps define
+first; the counter (`definitional=True`) reads it there and counts a
+component made only of definitions without search.
 
 `conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search over one
 counter whose marked literal is the query's root literal; the Tseitin
@@ -40,7 +40,7 @@ the root literal assumed counts P(q) on an unmarked counter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -75,8 +75,6 @@ class WeightedCnf:
     scale: int  # the product of the facts' denominators, which every count is over
     true: frozenset[int] = frozenset()  # the literals fixed true: T and -F
     false: frozenset[int] = frozenset()  # and those fixed false: -T and F
-    # per clause, the variable it helps define (0 for the unit clauses of T and F)
-    defines: list[int] = field(default_factory=list)
 
     def literal(self, lit: Literal) -> int:
         var = self.var_map[lit.atom]
@@ -85,8 +83,7 @@ class WeightedCnf:
     def copy(self) -> "WeightedCnf":
         """A copy for more clauses and variables; `weights` is shared, as no caller writes it."""
         return WeightedCnf(self.var_count, list(self.clauses), self.weights,
-                           dict(self.var_map), self.scale, self.true, self.false,
-                           list(self.defines))
+                           dict(self.var_map), self.scale, self.true, self.false)
 
     def new_var(self) -> int:
         self.var_count += 1
@@ -157,7 +154,6 @@ def _variable(cnf: WeightedCnf, defined: dict[frozenset, int], key: frozenset) -
     if key == _FACT_KEY or not key:  # T, or F: a unit clause, and a constant to fold
         fixed = head if key else -head
         cnf.clauses.append((fixed,))
-        cnf.defines.append(0)
         cnf.true, cnf.false = cnf.true | {fixed}, cnf.false | {-fixed}
     elif len(key) == 1:  # the head is its one body's conjunction, with no auxiliary
         (body,) = key
@@ -169,8 +165,7 @@ def _variable(cnf: WeightedCnf, defined: dict[frozenset, int], key: frozenset) -
 
 
 def _define(cnf: WeightedCnf, out: int, parts: list[int], conjunctive: bool) -> None:
-    """Append the clauses of out <-> and(parts), or of out <-> or(parts), each defining out."""
-    cnf.defines.extend([out] * (len(parts) + 1))
+    """Append the clauses of out <-> and(parts), or of out <-> or(parts), each starting with out."""
     if conjunctive:
         cnf.clauses.extend((-out, part) for part in parts)
         cnf.clauses.append(tuple([out] + [-part for part in parts]))
@@ -227,7 +222,7 @@ def encode_query(
 def counter(cnf: WeightedCnf, mark: int = 0) -> ModelCounter:
     """A counter over `cnf` with `mark` as its marked literal (0 marks none)."""
     return ModelCounter(cnf.var_count, cnf.clauses, cnf.weights, cnf.scale, mark,
-                        defines=cnf.defines)
+                        definitional=True)
 
 
 def wmc(

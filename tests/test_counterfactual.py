@@ -43,8 +43,6 @@ from whatif.oracle import abduction_action_prediction
 from whatif.parser import parse_problog
 from whatif.semantics import (
     Classification,
-    Stratification,
-    WorldWeights,
     check_unique_supported_models,
 )
 from whatif.semantics import marginal as enumerated_marginal
@@ -409,7 +407,7 @@ def _assert_inherits_a_fresh_analysis(derived: Program, case: int) -> None:
     """`derived`'s inherited analysis and weights against fresh ones of an equal program."""
     inherited = derived.stratification
     equal = Program(derived.clauses, derived.facts, derived.alphabet)
-    fresh = Stratification(equal)
+    fresh = equal.stratification
     assert set(map(frozenset, inherited.components)) == set(map(frozenset, fresh.components)), case
     assert inherited.classification is fresh.classification, case
     # every body -> head edge between two SCCs points to an earlier one
@@ -422,19 +420,66 @@ def _assert_inherits_a_fresh_analysis(derived: Program, case: int) -> None:
     if fresh.classification is not Classification.NEGATIVE_CYCLE:
         for world in range(1 << len(derived.externals)):
             models = []
-            for layout in (inherited.layout, fresh.layout):
+            for layout in (derived.layout, equal.layout):
                 model = layout.model(world)
                 models.append({atom for atom, bit in layout.bits.items() if model & bit})
             assert models[0] == models[1], case
-    weights = WorldWeights(equal)
+    weights = equal.world_weights
     assert derived.world_weights.pairs == weights.pairs, case
     assert derived.world_weights.denominator == weights.denominator, case
 
 
+def test_acyclic_shortcut_classifies_as_the_full_test(monkeypatch):
+    # analyse() calls a program acyclic when it has as many SCCs as atoms and no
+    # self-loop, without the edge-by-edge _classification; the two must always agree
+    full, runs = [], []
+    classification, sccs = semantics_mod._classification, semantics_mod._sccs
+
+    def counted(components, clauses):
+        full.append(clauses)
+        return classification(components, clauses)
+
+    def counted_sccs(*args):
+        runs.append(args)
+        return sccs(*args)
+
+    monkeypatch.setattr(semantics_mod, "_classification", counted)
+    monkeypatch.setattr(semantics_mod, "_sccs", counted_sccs)
+    loops = {"0.5::u. a :- a, u.": Classification.STRATIFIED_CYCLIC,
+             "a :- \\+a.": Classification.NEGATIVE_CYCLE}
+    programs = [parse_problog(text) for text in loops]
+    rng = random.Random(29)
+    for index in range(300):
+        draw = random_stratified_program if index % 2 else random_acyclic_program
+        program = draw(rng)
+        programs += [program, _with_negative_cycle(rng, program)]
+    seen = []
+    for index, program in enumerate(programs):
+        full.clear()
+        analysis = semantics_mod.analyse(program.clauses, program.internals)
+        shortcut = not full
+        assert analysis.classification is classification(analysis.components, program.clauses)
+        assert shortcut == (analysis.classification is Classification.ACYCLIC), index
+        seen.append(analysis.classification)
+    assert seen[:2] == list(loops.values())
+    assert set(seen) == set(Classification)
+
+    # a cone that drops its parent's only cycle inherits ACYCLIC, with no run of _sccs
+    for text in ("0.5::u. 0.5::w. a :- b. b :- a. a :- u. d :- w.",
+                 "0.5::u. 0.5::w. a :- \\+b. b :- a. a :- u. d :- w."):
+        program = parse_problog(text)
+        assert check_unique_supported_models(program) is not Classification.ACYCLIC
+        runs.clear()
+        cone = relevant(program, Var("d"), ())
+        assert cone.internals == {"d"}
+        assert check_unique_supported_models(cone) is Classification.ACYCLIC
+        assert not runs
+
+
 def test_twin_classifies_as_its_program(monkeypatch):
-    # answer_counterfactual classifies the program in place of its twin; the twin and
-    # the cone that relevant() keeps of it inherit the program's analysis, and equal a
-    # fresh one: the program's SCCs, an SCC that an intervention cuts split again
+    # the twin is classified as its program, by inheritance and not by a fresh analysis;
+    # the twin and the cone that relevant() keeps of it inherit the program's analysis,
+    # and equal a fresh one: the program's SCCs, an SCC that an intervention cuts split again
     runs = []
     original = semantics_mod._sccs
 

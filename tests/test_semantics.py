@@ -18,7 +18,6 @@ from whatif.parser import parse_problog
 from whatif.transforms import intervene
 from whatif.semantics import (
     Classification,
-    Stratification,
     check_unique_supported_models,
     marginal,
     minimal_model,
@@ -35,7 +34,7 @@ def worlds(program):
 def test_sprinkler_dependency_graph(sprinkler):
     # Tarjan's order from the sorted roots, each atom after every atom it feeds:
     # rain -> wet -> slippery, sprinkler -> wet, szn_spr_sum -> rain, sprinkler
-    assert Stratification(sprinkler).components == [
+    assert sprinkler.stratification.components == [
         ["slippery"], ["wet"], ["rain"], ["sprinkler"], ["szn_spr_sum"],
     ]
 
@@ -43,7 +42,7 @@ def test_sprinkler_dependency_graph(sprinkler):
 def test_components_visit_successors_in_sorted_order():
     # the encoder numbers variables in this order, so it must not follow set order
     program = parse_problog("c :- a. b :- a. e :- a. d :- a.")
-    assert Stratification(program).components == [["b"], ["c"], ["d"], ["e"], ["a"]]
+    assert program.stratification.components == [["b"], ["c"], ["d"], ["e"], ["a"]]
 
 
 def test_two_cycle_detected():
@@ -158,7 +157,7 @@ def _check_both_forms(program, rng):
     World index i is the i-th world of `worlds()`, its mask in the layout and
     the index of its weight numerator; a model mask keeps the world's bits.
     """
-    bits = program.stratification.layout.bits
+    bits = program.layout.bits
     externals = sorted(program.externals)
     assert [bits[atom] for atom in externals] == [1 << j for j in reversed(range(len(externals)))]
     assert all(bit >> len(externals) for atom, bit in bits.items() if atom in program.internals)
@@ -353,15 +352,15 @@ def test_dependency_analysis_runs_once_per_program(monkeypatch):
 
 def test_rules_are_compiled_once_per_program(monkeypatch):
     builds = []
-    original = semantics.Stratification.layout.func
+    original = Program.layout.func
 
     def counted(self):
         builds.append(self)
         return original(self)
 
     counted_layout = cached_property(counted)
-    counted_layout.__set_name__(semantics.Stratification, "layout")
-    monkeypatch.setattr(semantics.Stratification, "layout", counted_layout)
+    counted_layout.__set_name__(Program, "layout")
+    monkeypatch.setattr(Program, "layout", counted_layout)
     program = parse_problog(SIX_EXTERNALS)
     assert marginal(program, Var("c")) == marginal(program, Var("c"))  # 2 x 64 models
     assert len(builds) == 1

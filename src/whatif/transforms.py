@@ -2,7 +2,7 @@
 the pruning of a program to the part a query depends on."""
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .model import (
     Alphabet,
@@ -107,39 +107,38 @@ def twin(
     return twinned, rename_formula(query.query, names_i), frozenset(map(rename_e, query.evidence))
 
 
+def ancestors(by_head: Mapping[str, list[Clause]], atoms: Iterable[str]) -> set[str]:
+    """`atoms` and every atom that a reached atom's clauses in `by_head` read, transitively."""
+    reached = set(atoms)
+    stack = list(reached)
+    while stack:
+        for clause in by_head.get(stack.pop(), ()):
+            for atom, _ in clause.body:
+                if atom not in reached:
+                    reached.add(atom)
+                    stack.append(atom)
+    return reached
+
+
 def relevant(program: Program, formula: Formula, evidence: Iterable[Literal]) -> Program:
     """The part of `program` that decides `formula` and `evidence`.
 
-    Keeps the internal atoms the formula and the evidence depend on, their
-    clauses, and the facts those clauses mention; the weights of every other
-    external sum to 1.  A reached atom's SCC is kept whole, since its members
-    are the atom's ancestors.  Atoms absent from the program become rule-less
-    internals.  Nothing is merged or renamed: the encoder
-    (`wmc.to_weighted_cnf`) gives atoms with equal sets of bodies one
-    literal, an atom whose one rule is `h :- v.` or `h :- \\+v.` v's literal
-    or its negation, and rejects a cycle that is kept here.  The enumerate
-    backend's world walk (`counterfactual._walk`) evaluates the clauses kept
-    here too, over every external of the program.  The cone inherits what
-    `program` has built (`semantics.inherit`): the SCCs inside it, when
-    `program` is analysed, with `program`'s class when that is acyclic and
-    its own clauses' otherwise, and the weight table.  It builds its own
-    `Program.layout`.
+    Keeps the `ancestors` of their atoms, the clauses of the internal ones
+    and the facts of the external ones; the weights of every other external
+    sum to 1.  A reached atom's SCC is kept whole, since its members are its
+    ancestors, and an atom absent from the program becomes a rule-less
+    internal.  The enumerate backend's world walk (`counterfactual._walk`)
+    evaluates the clauses kept here, over every external of the program;
+    the WMC encoder walks the ancestors itself (`wmc.to_weighted_cnf`).  The
+    cone inherits what `program` has built (`semantics.inherit`): the SCCs
+    inside it, when `program` is analysed, with `program`'s class when that
+    is acyclic and its own clauses' otherwise, and the weight table.  It
+    builds its own `Program.layout`.
     """
-    externals = program.externals
-    by_head = program.clauses_by_head()
-    reached = formula_atoms(formula) | {lit.atom for lit in evidence}
-    stack = list(reached)
-    while stack:
-        atom = stack.pop()
-        if atom in externals:
-            continue
-        for clause in by_head.get(atom, ()):
-            for lit in clause.body:
-                if lit.atom not in reached:
-                    reached.add(lit.atom)
-                    stack.append(lit.atom)
-    internals = frozenset(reached - externals)
+    roots = formula_atoms(formula) | {lit.atom for lit in evidence}
+    reached = ancestors(program.clauses_by_head(), roots)
+    internals = frozenset(reached - program.externals)
     clauses = tuple(c for c in program.clauses if c.head in internals)
     facts = tuple(f for f in program.facts if f.atom in reached)
-    cone = Program(clauses, facts, Alphabet(internals, frozenset(reached & externals)))
+    cone = Program(clauses, facts, Alphabet(internals, frozenset(reached & program.externals)))
     return inherit(cone, program)

@@ -9,28 +9,28 @@ in exact integer arithmetic: the fact variables weigh their integer pairs of
 
 `encode_query` is the only builder of the CNF a query counts; `conditional`,
 `whatif query --dump-cnf` and the counter benchmark use it; the command line
-calls it for its file before answering, on every backend.
-It first prunes the program with `transforms.relevant` to the ancestors of
-the query and evidence atoms and the facts they mention (the weights of
-every other external sum to 1).  Both the completion (`to_weighted_cnf`)
-and the query's formula (`add_formula`) are then built from one memoised
-gate table, `WeightedCnf.gate`: an atom is the or-gate of its bodies'
-and-gates, a formula the gates of its junctions, and each distinct gate is
-defined once.  So atoms whose sets of bodies are equal, which Clark
-completion makes equal in every world, share one literal; on a twin program
-this merges the two copies of every atom that no intervention reaches (the
-node merging of Balke & Pearl's twin networks).  A gate of one part is that
-part, so an atom whose one rule is `h :- v.` or `h :- \\+v.` takes v's
-literal or its negation, chains of such rules cost no variable and no
-clause, and a query equal to an atom's definition takes its literal.  Facts
-of probability 0 or 1 and intervened atoms are constants: one variable T,
-fixed by its unit clause, and its negation, which `gate` alone folds out of
-every other clause, so the counter never branches on a variable of weight
-zero.  The query and the evidence need no renaming, as their atoms are
-looked up in the same literal map.  A gate's variable is numbered after its
-parts' and every clause of its definition starts with its literal; the
-counter (`definitional=True`) reads it there and counts a component made
-only of definitions without search.
+calls it for its file before answering, on every backend.  It encodes the
+query and evidence atoms' ancestors in the program, found by
+`to_weighted_cnf` itself, and the facts among them; the weights of every
+other external sum to 1.  The completion (`to_weighted_cnf`) and the query's
+formula (`add_formula`) are built from one memoised gate table,
+`WeightedCnf.gate`: an atom is the or-gate of its bodies' and-gates, a
+formula the gates of its junctions, and each distinct gate is defined once.
+So atoms whose sets of bodies are equal, which Clark completion makes equal
+in every world, share one literal; on a twin program this merges the two
+copies of every atom that no intervention reaches (the node merging of Balke
+& Pearl's twin networks).  A gate of one part is that part, so an atom whose
+one rule is `h :- v.` or `h :- \\+v.` takes v's literal or its negation,
+chains of such rules cost no variable and no clause, and a query equal to an
+atom's definition takes its literal.  Facts of probability 0 or 1 and
+intervened atoms are constants: one variable T, fixed by its unit clause,
+and its negation, which `gate` alone folds out of every other clause, so the
+counter never branches on a variable of weight zero; a gate of a literal and
+its negation is ¬T, or T for an or-gate.  The query and the evidence need no
+renaming, as their atoms are looked up in the same literal map.  A gate's
+variable is numbered after its parts' and every clause of its definition
+starts with its literal; the counter (`definitional=True`) reads it there
+and counts a component made only of definitions without search.
 
 `conditional` answers P(q | e) = P(q ∧ e) / P(e) with one search over one
 counter whose marked literal is the query's root literal; the Tseitin
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import neg
+from typing import Collection, Iterable, Optional, Sequence
 
 from ._counter_py import ModelCounter
 from .model import (
@@ -59,12 +60,14 @@ from .model import (
     NegativeCycleError,
     ValidationError,
     ZeroEvidenceError,
+    formula_atoms,
 )
-from .semantics import Classification, check_unique_supported_models
-from .transforms import relevant
+from .semantics import Classification, _classification, analyse, check_unique_supported_models
+from .transforms import ancestors
 
 # There is no compiled kernel; the benchmark still reports this flag.
 HAVE_COMPILED_COUNTER = False
+_TRUE = (True, frozenset())  # the key of T, the and-gate of no parts, in `WeightedCnf.gates`
 
 
 @dataclass
@@ -95,19 +98,20 @@ class WeightedCnf:
 
         T, the and of no parts, is the one constant, fixed by its unit clause;
         ¬T, the or of none, is false.  They fold out here alone: a part that is
-        the gate's zero decides it, and a unit part drops.  A single part is
-        itself.  A new gate's variable is numbered after its parts', and every
-        clause of its definition starts with its literal.
+        the gate's zero decides it, as do a part and its negation; a unit part
+        drops, and a single part is itself.  A new gate's variable is numbered
+        after its parts', and each clause defining it starts with its literal.
         """
         if len(parts) == 1:
             return parts[0]
-        unit = self.gates.get((True, frozenset()), 0)  # T, once defined
+        key = frozenset(parts)
+        unit = self.gates.get(_TRUE, 0)  # T, once defined
         if not conjunctive:
             unit = -unit
-        key = frozenset(parts)
         if -unit in key:
             return -unit
-        key -= {unit}
+        if unit in key:
+            key -= {unit}
         if len(key) == 1:
             (part,) = key
             return part
@@ -115,6 +119,8 @@ class WeightedCnf:
             return -self.gate(key, True)
         out = self.gates.get((conjunctive, key))
         if out is None:
+            if not key.isdisjoint(map(neg, key)):  # and(x, ¬x, ...) is ¬T, or(x, ¬x, ...) T
+                return self.gate((), not conjunctive)
             out = self.gates[conjunctive, key] = self.new_var()
             parts = sorted(key)
             if conjunctive:
@@ -126,9 +132,12 @@ class WeightedCnf:
         return out
 
 
-def to_weighted_cnf(program: Program) -> WeightedCnf:
+def to_weighted_cnf(program: Program, roots: Optional[Collection[str]] = None) -> WeightedCnf:
     """Clark-completion encoding; model weights are in bijection with worlds.
 
+    With `roots`, only their `transforms.ancestors` are encoded and
+    classified, and a root absent from the program is a rule-less atom; the
+    SCCs are the program's, when it is analysed, as for a `relevant` cone.
     Each external strictly between 0 and 1 gets a weighted variable, in
     sorted order; one of probability 1 is T and one of probability 0 is ¬T.
     Internal atoms are visited bottom-up, and each is the or-gate of its
@@ -139,28 +148,39 @@ def to_weighted_cnf(program: Program) -> WeightedCnf:
     negation.  A body made only of true literals (a fact clause is one)
     makes the head T before any of its other bodies is gated.
     """
-    classification = check_unique_supported_models(program)
+    by_head = program.clauses_by_head()
+    reached = ancestors(by_head, program.internals | program.externals if roots is None else roots)
+    table = program.world_weights.restricted(program.externals & reached)
+    internals = frozenset(reached - program.externals)
+    if "stratification" in program.__dict__ and internals <= program.internals:
+        components = [c for c in program.stratification.components if c[0] in reached]
+        classification = check_unique_supported_models(program)
+        if classification is not Classification.ACYCLIC:
+            classification = _classification(components, program.clauses)
+    else:  # analysed alone, as `semantics.inherit` leaves a cone its program cannot seed
+        clauses = [clause for atom in internals for clause in by_head.get(atom, ())]
+        components, classification = analyse(clauses, internals)
     if classification is Classification.NEGATIVE_CYCLE:
         raise NegativeCycleError("program has a cycle through negation")
     if classification is not Classification.ACYCLIC:
         raise ValidationError("WMC backend requires an acyclic program")
 
-    cnf = WeightedCnf(0, [], {}, {}, program.world_weights.denominator)
-    for atom, (wt, wf) in sorted(program.world_weights.pairs.items()):
+    cnf = WeightedCnf(0, [], {}, {}, table.denominator)
+    var_map, gate = cnf.var_map, cnf.gate
+    for atom, (wt, wf) in sorted(table.pairs.items()):
         if wt and wf:
-            var = cnf.var_map[atom] = cnf.new_var()
+            var = var_map[atom] = cnf.new_var()
             cnf.weights[var] = (wt, wf)
         else:  # probability 1 or 0: T or ¬T
-            cnf.var_map[atom] = cnf.gate((), bool(wt))
-
-    by_head = program.clauses_by_head()
-    for (atom,) in reversed(program.stratification.components):  # acyclic: singletons
-        bodies = [list(map(cnf.literal, c.body)) for c in by_head.get(atom, ())]
-        true = {cnf.gates.get((True, frozenset()))}
+            var_map[atom] = gate((), bool(wt))
+    for (atom,) in reversed(components):  # acyclic: singletons
+        bodies = [[var_map[a] if positive else -var_map[a] for a, positive in clause.body]
+                  for clause in by_head.get(atom, ())]
+        true = {cnf.gates.get(_TRUE)}
         if any(map(true.issuperset, bodies)):
-            cnf.var_map[atom] = cnf.gate((), True)
+            var_map[atom] = gate((), True)
         else:
-            cnf.var_map[atom] = cnf.gate([cnf.gate(body, True) for body in bodies], False)
+            var_map[atom] = gate([gate(body, True) for body in bodies], False)
     return cnf
 
 
@@ -185,10 +205,9 @@ def encode_query(
     program: Program, formula: Formula, evidence: Iterable[Literal] = ()
 ) -> tuple[WeightedCnf, int, list[int]]:
     """The CNF counted for P(formula | evidence), its root and evidence literals."""
-    program.world_weights  # checked before relevant() drops unused externals
     evidence = sorted(evidence)
-    # relevant() adds absent atoms as rule-less internals
-    cnf, root = add_formula(to_weighted_cnf(relevant(program, formula, evidence)), formula)
+    roots = formula_atoms(formula) | {lit.atom for lit in evidence}
+    cnf, root = add_formula(to_weighted_cnf(program, roots), formula)
     return cnf, root, [cnf.literal(lit) for lit in evidence]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from generators import random_acyclic_program, random_stratified_program
-from whatif import parser
+from whatif import model, parser
 from whatif.benchgen import generate_instance, instance_to_program
 from whatif.lpad import LpadProgram
 from whatif.model import Literal
@@ -252,6 +252,21 @@ def test_statement_pattern_falls_back_to_the_token_walk(monkeypatch, text, falls
     monkeypatch.setattr(parser, "_walk_statements", spy)
     assert _outcome(parse_problog, text) == walked
     assert calls == ([text] if falls_back else [])
+
+
+def test_statement_pattern_seeds_the_diagnostics_it_guarantees():
+    rng = random.Random(13)
+    programs = [random_acyclic_program(rng) for _ in range(40)]
+    programs += [random_stratified_program(rng) for _ in range(40)]
+    programs += [instance_to_program(generate_instance(n, k, 1)) for n, k in ((10, 3), (40, 5))]
+    for program in programs:
+        parsed = parse_problog(print_problog(program))
+        assert parsed.__dict__["diagnostics"] == tuple(model._diagnose(parsed)) == ()
+    # text the pattern hands to the token walk is checked on first use
+    for text in ("a :- b % c\n, d.", "0.5 % c\n:: u. a :- \\+u."):
+        parsed = parse_problog(text)
+        assert "diagnostics" not in parsed.__dict__
+        assert parsed.diagnostics == ()
 
 
 def test_statement_pattern_fails_in_linear_time():

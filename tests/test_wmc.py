@@ -17,6 +17,7 @@ from whatif.model import (
     Not,
     Or,
     Program,
+    NegativeCycleError,
     Var,
     ValidationError,
     ZeroEvidenceError,
@@ -26,7 +27,7 @@ from whatif import _counter_py, benchgen, wmc as wmc_mod
 from whatif.lpad import lpad_of_problog, prob_of_lpad
 from whatif._counter_py import ModelCounter
 from whatif.parser import parse_problog
-from whatif.semantics import marginal
+from whatif.semantics import Classification, check_unique_supported_models, marginal
 from whatif.transforms import relevant, twin
 from whatif.wmc import (
     WeightedCnf,
@@ -156,6 +157,18 @@ def test_sprinkler_wmc(sprinkler):
 def test_rejects_cyclic_programs():
     with pytest.raises(ValidationError):
         to_weighted_cnf(parse_problog("a :- b. b :- a."))
+
+
+def test_complementary_parts_fold_to_a_constant():
+    # and(u, \+u) is ¬T and or(u, \+u) is T: neither a nor b gets a gate variable
+    cnf = to_weighted_cnf(parse_problog("0.5::u. a :- u, \\+u. b :- u. b :- \\+u."))
+    true = cnf.gates[True, frozenset()]
+    assert cnf.var_map["a"] == -true and cnf.var_map["b"] == true
+    assert cnf.var_count == 2 and cnf.clauses == [(true,)]
+    # so is a query formula's junction
+    _, root = add_formula(cnf, Or((Var("u"), Not(Var("u")))))
+    assert root == true
+    assert add_formula(cnf, And((Var("a"), Var("b"), Not(Var("a")))))[1] == -true
 
 
 def test_free_variables_count():
@@ -805,9 +818,9 @@ def test_float_underflow_recounts_the_same_cnf(monkeypatch):
     program, query = _underflow_case()
     encoded = []
 
-    def counted(program):
+    def counted(program, roots=None):
         encoded.append(program)
-        return to_weighted_cnf(program)
+        return to_weighted_cnf(program, roots)
 
     monkeypatch.setattr(wmc_mod, "to_weighted_cnf", counted)
     assert answer_counterfactual(program, query, exact=False) == 1.0
@@ -865,3 +878,66 @@ def test_reduced_twin_equals_plain_twin():
         renamed += any(shared[cnf.var_map[atom]] > 1 for atom in named)
         compound += isinstance(formula, (And, Or))  # the query has Tseitin clauses
     assert shrunk >= 250 and renamed >= 50 and compound >= 100, (shrunk, renamed, compound)
+
+
+def _route_pairs(program, formula, evidence):
+    """Pairs of CNFs, one encoded from the roots and one from the `relevant` cone.
+
+    The first pair is over a copy of `program` that nothing has analysed, so
+    each route analyses the cone alone, and the copy stays unanalysed; the
+    second over `program` analysed, whose SCCs both take.
+    """
+    roots = formula_atoms(formula) | {lit.atom for lit in evidence}
+    unanalysed = Program(program.clauses, program.facts, program.alphabet)
+    program.stratification
+    pairs = []
+    for each in (unanalysed, program):
+        cone = relevant(each, formula, evidence)
+        pairs.append((dump_dimacs(to_weighted_cnf(each, roots)),
+                      dump_dimacs(to_weighted_cnf(cone))))
+    assert "stratification" not in unanalysed.__dict__
+    return pairs
+
+
+def test_encoding_from_the_roots_equals_encoding_the_cone():
+    rng = random.Random(71)
+    pruned = 0
+    for case in range(60):
+        program = random_acyclic_program(rng, max_internals=6, max_externals=6)
+        for query in _query_shapes(random_counterfactual_query(rng, program)):
+            counted, formula, evidence = counterfactual.reduce(program, query)
+            for direct, cone in _route_pairs(counted, formula, evidence):
+                assert direct == cone, case
+            pruned += direct != dump_dimacs(to_weighted_cnf(counted))
+    assert pruned >= 120, pruned  # 157 of the 240 encodings leave something out
+    for n, k, seed in DEFINITION_HUB_CELLS:
+        instance = benchgen.generate_instance(n, k, seed)
+        query = benchgen.sample_query(instance, 2, 2, seed)
+        program = benchgen.instance_to_program(instance)
+        for direct, cone in _route_pairs(*counterfactual.reduce(program, query)):
+            assert direct == cone, (n, k, seed)
+
+
+@pytest.mark.parametrize("analysed", [False, True])
+def test_encoding_from_the_roots_classifies_only_their_ancestors(analysed):
+    outside = parse_problog("0.5::u. 0.5::w. a :- b. b :- a. a :- u. d :- w. "
+                            "e :- \\+f. f :- \\+e.")
+    if analysed:  # its own SCCs, classified again over the reached ones
+        assert check_unique_supported_models(outside) is Classification.NEGATIVE_CYCLE
+    # a positive and a negative cycle outside the cone are encoded
+    cnf = to_weighted_cnf(outside, {"d"})
+    assert set(cnf.var_map) == {"w", "d"} and cnf.scale == 2
+    assert conditional(outside, Var("d"), ()) == Fraction(1, 2)
+    # inside it, each is rejected as it is in the whole program
+    with pytest.raises(ValidationError, match="acyclic"):
+        to_weighted_cnf(outside, {"a"})
+    with pytest.raises(NegativeCycleError):
+        to_weighted_cnf(outside, {"e"})
+
+
+def test_root_absent_from_the_program_is_false(sprinkler):
+    cnf = to_weighted_cnf(sprinkler, {"ghost", "rain"})
+    assert cnf.var_map["ghost"] == -cnf.gates[True, frozenset()]
+    rain = marginal(sprinkler, Var("rain"))
+    assert conditional(sprinkler, Var("ghost") | Var("rain"), ()) == rain
+    assert conditional(sprinkler, Var("rain"), {Literal("ghost", False)}) == rain

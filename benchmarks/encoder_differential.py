@@ -13,9 +13,13 @@ within REL_TOL relative, and that the new variable and clause counts are at
 most the old ones.  It also draws LPAD_CASES annotated-disjunction programs
 per seed from `tests/generators.py` (`random_lpad`, `random_formula`,
 `random_lpad_query`) and checks that the exact answers of
-`lpad.lpad_distribution` and `lpad.cp_counterfactual` are equal; a
-`ZeroEvidenceError` counts as an answer.  Next, it draws SHAPE_CASES
-programs and queries per seed (`random_acyclic_program`,
+`lpad.lpad_distribution` and `lpad.cp_counterfactual` are equal, and that
+so is the printed text of `lpad.prob_of_lpad`'s translation; a
+`ZeroEvidenceError` counts as an answer.  It checks as well that the printed
+text of `benchgen.instance_to_program` is the same on a small grid of
+graphs, BENCHGEN_NS by BENCHGEN_KS, one per seed; a text counts as an
+answer by its sha256 digest, so one differing byte is a difference.  Next,
+it draws SHAPE_CASES programs and queries per seed (`random_acyclic_program`,
 `random_counterfactual_query`), each drawn again until the probability of
 the query's formula lies strictly between 0 and 1, and checks the exact
 answers of the four entry points of `whatif.counterfactual` on every
@@ -34,10 +38,10 @@ must lie strictly between 0 and 1.
 
 Prints one line per workload and seed with the cases checked, the variable
 and clause counts summed over them, how many cases' CNFs are identical and
-the largest float difference, one line per seed of LPAD, query-shape and
-stratified cases, then the first SHOW differing cases.  Exits 1 on any
-difference or when the query-shape or the stratified rows fall below
-OPEN_FLOOR; a CNF that is not identical is reported, not a difference.
+the largest float difference, one line per seed of LPAD, benchgen-text,
+query-shape and stratified cases, then the first SHOW differing cases.
+Exits 1 on any difference or when the query-shape or the stratified rows
+fall below OPEN_FLOOR; a CNF that is not identical is reported, not a difference.
 """
 from __future__ import annotations
 
@@ -54,6 +58,8 @@ REL_TOL = 1e-12
 SHOW = 20  # differing cases to print
 LPAD_CASES = 60  # random LPADs per seed
 LPAD = "lpad"  # the workload name of the LPAD rows
+BENCHGEN_NS, BENCHGEN_KS = (1, 5, 20), (0, 1, 3)  # the graph sizes of the benchgen-text rows
+BENCHGEN = "benchgen text"  # the workload name of their rows
 SHAPE_CASES = 60  # random programs and queries per seed
 SHAPES = "query shapes"  # the workload name of their rows
 STRATIFIED_CASES = 60  # random stratified programs and queries per seed
@@ -76,7 +82,7 @@ def _worker() -> None:
                 program = parse_problog(case.text)
                 cnf, _, _ = wmc.encode_query(*transforms.twin(program, case.query))
                 layout = (cnf.clauses, list(cnf.weights.items()), sorted(cnf.var_map.items()))
-                digest = hashlib.sha256(repr(layout).encode()).hexdigest()
+                digest = _digest(repr(layout))
                 answers = {}
                 for backend in workload.backends:
                     answers[backend] = str(answer_counterfactual(program, case.query, backend))
@@ -87,6 +93,9 @@ def _worker() -> None:
         for row in _lpad_rows(seed):
             print(json.dumps(row))
     for seed in SEEDS:
+        for row in _benchgen_rows(seed):
+            print(json.dumps(row))
+    for seed in SEEDS:
         for row in _shape_rows(seed):
             print(json.dumps(row))
     for seed in SEEDS:
@@ -94,25 +103,45 @@ def _worker() -> None:
             print(json.dumps(row))
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _lpad_rows(seed: int):
-    """The exact answers of the two selection-based LPAD functions on seeded random cases."""
+    """The exact answers of the two selection-based LPAD functions on seeded random cases.
+
+    The printed text of the case's translation into random facts counts as an answer too.
+    """
     import random
 
     from generators import random_formula, random_lpad, random_lpad_query
-    from whatif.lpad import cp_counterfactual, lpad_distribution
+    from whatif.lpad import cp_counterfactual, lpad_distribution, prob_of_lpad
     from whatif.model import ZeroEvidenceError
+    from whatif.parser import print_problog
 
     rng = random.Random(seed)
     for index in range(LPAD_CASES):
         lpad = random_lpad(rng, max_clauses=6, max_heads=3)
         formula = random_formula(rng, sorted(lpad.atoms))
         query = random_lpad_query(rng, lpad)
-        answers = {"lpad_distribution": str(lpad_distribution(lpad, formula))}
+        answers = {"lpad_distribution": str(lpad_distribution(lpad, formula)),
+                   "prob_of_lpad text": _digest(print_problog(prob_of_lpad(lpad)))}
         try:
             answers["cp_counterfactual"] = str(cp_counterfactual(lpad, query))
         except ZeroEvidenceError:
             answers["cp_counterfactual"] = "ZeroEvidenceError"
         yield [LPAD, seed, index, 0, 0, "", answers]
+
+
+def _benchgen_rows(seed: int):
+    """The printed text of the benchmark family's program, per graph size, for the seed."""
+    from whatif.benchgen import generate_instance, instance_to_program
+    from whatif.parser import print_problog
+
+    for n in BENCHGEN_NS:
+        for k in BENCHGEN_KS:
+            text = print_problog(instance_to_program(generate_instance(n, k, seed)))
+            yield [BENCHGEN, seed, f"n={n} k={k}", 0, 0, "", {"text": _digest(text)}]
 
 
 def _shape_rows(seed: int):
@@ -286,7 +315,7 @@ def main(argv=None) -> int:
             if len(shown) < SHOW:
                 shown.append(f"{old[0]} seed {old[1]} case {old[2]}: " + "; ".join(found))
     for (name, seed), (cases, *sums, identical, rel) in tally.items():
-        if name == LPAD:
+        if name in (LPAD, BENCHGEN):
             print(f"{name} seed {seed}: {cases} cases")
             continue
         if name in (SHAPES, STRATIFIED):

@@ -1,19 +1,22 @@
 """Annotated-disjunction programs: selection semantics, translations, and the
 selection-based counterfactual formula of CP-logic.
 
-Selections weigh integers, as worlds do in `semantics.WorldWeights`
-(`selection_weights`).  A selection is a world of one `selector` program:
-the mask of the choice atoms it picks.  `cp_counterfactual` builds the
-table of selections of nonzero weight and hands it to `oracle.walk`, the
-same abduction-action-prediction walk the oracle runs over a ProbLog
-program's worlds, so this module evaluates no world itself;
+Each clause carries one row of integer option weights, `LpadClause.weights`.
+Selections weigh integers from it, as worlds do in `semantics.WorldWeights`
+(`selection_weights`), and `prob_of_lpad` reads its facts off it.  A
+selection is a world of one `selector` program: the mask of the choice
+atoms it picks.  `cp_counterfactual` builds the table of selections of
+nonzero weight and hands it to `oracle.walk`, the same
+abduction-action-prediction walk the oracle runs over a ProbLog program's
+worlds, so this module evaluates no world itself;
 `lpad_distribution` is its query with no evidence and no interventions.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable
 
 from .model import (
@@ -35,17 +38,28 @@ Choices = tuple[tuple[str, ...], ...]
 
 @dataclass(frozen=True)
 class LpadClause:
-    """``h1:p1; ...; hl:pl :- body`` with head probabilities summing to at most 1."""
+    """``h1:p1; ...; hl:pl :- body`` with head probabilities summing to at most 1.
+
+    `weights` holds its options' integer weights over d, the lcm of the heads'
+    denominators: no head weighs d minus the heads' weights, head j p_j * d.
+    """
 
     head: tuple[tuple[str, Fraction], ...]
     body: frozenset[Literal] = frozenset()
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = sum((p for _, p in self.head), Fraction(0))
-        if total > 1:
-            raise ValidationError(f"head probabilities sum to {total} > 1")
-        atoms = [atom for atom, _ in self.head]
-        if len(set(atoms)) != len(atoms):
+        for atom, prob in self.head:
+            if not isinstance(prob, Rational):
+                raise ValidationError(f"probability not an exact rational: {prob!r}::{atom}")
+            if not 0 <= prob.numerator <= prob.denominator:
+                raise ValidationError(f"probability out of range: {prob}::{atom}")
+        d = math.lcm(*(p.denominator for _, p in self.head))
+        heads = [p.numerator * (d // p.denominator) for _, p in self.head]
+        if sum(heads) > d:
+            raise ValidationError(f"head probabilities sum to {Fraction(sum(heads), d)} > 1")
+        object.__setattr__(self, "weights", (d - sum(heads), *heads))
+        if len({atom for atom, _ in self.head}) != len(self.head):
             raise ValidationError("duplicate head atoms in one clause")
 
 
@@ -66,18 +80,12 @@ class LpadProgram:
 
 
 def selection_weights(program: LpadProgram) -> tuple[tuple[int, ...], ...]:
-    """Per clause, its options' integer weights over d, the lcm of its heads' denominators.
+    """Per clause, its row of option weights (`LpadClause.weights`).
 
-    Options come in order: no head, weighing d minus the heads' weights,
-    then head j, weighing p_j * d.  A selection weighs the
-    product of its options' weights over the product of the d's.
+    A selection weighs the product of its options' weights over the product
+    of the rows' sums.
     """
-    table = []
-    for clause in program.clauses:
-        d = math.lcm(*(p.denominator for _, p in clause.head))
-        heads = [p.numerator * (d // p.denominator) for _, p in clause.head]
-        table.append((d - sum(heads), *heads))
-    return tuple(table)
+    return tuple(clause.weights for clause in program.clauses)
 
 
 def selector(program: LpadProgram, reserved: Iterable[str] = ()) -> tuple[Program, Choices]:
@@ -145,34 +153,30 @@ def prob_of_lpad(program: LpadProgram) -> Program:
 
     Clause k with heads h_1..h_l becomes, per index i, a fresh switch atom
     guarded by the negations of the earlier switches, with fact probability
-    p_i / (1 - sum of the earlier p_j); a zero denominator makes the later
-    heads impossible and their facts get probability 0.
+    p_i / (1 - sum of the earlier p_j), read off the clause's integer row as
+    w_i / r_i, r_i being d minus the earlier w_j; an r_i of 0 gives 0.
     """
     original = program.atoms
     clauses: list[Clause] = []
     facts: list[RandomFact] = []
     fresh: set[str] = set()
     for k, lpad_clause in enumerate(program.clauses):
-        spent = Fraction(0)
-        for i, (atom, prob) in enumerate(lpad_clause.head):
+        remaining = sum(lpad_clause.weights)
+        earlier: list[Literal] = []  # the negations of the switches made so far
+        for i, ((atom, _), weight) in enumerate(zip(lpad_clause.head, lpad_clause.weights[1:])):
             switch = f"{atom}__rc{k}__{i}"
             chooser = f"u__rc{k}__{i}"
             for name in (switch, chooser):
                 if name in original or name in fresh:
                     raise ValidationError(f"fresh atom {name} collides with existing atom")
                 fresh.add(name)
-            remaining = 1 - spent
-            fact_prob = prob / remaining if remaining else Fraction(0)
-            facts.append(RandomFact(chooser, fact_prob))
-            body = set(lpad_clause.body)
-            body.update(
-                Literal(f"{earlier}__rc{k}__{j}", False)
-                for j, (earlier, _) in enumerate(lpad_clause.head[:i])
-            )
-            body.add(Literal(chooser))
-            clauses.append(Clause(switch, frozenset(body)))
+            # no mass left means no weight either: the fact gets 0/1
+            facts.append(RandomFact(chooser, Fraction(weight, remaining or 1)))
+            remaining -= weight
+            body = frozenset({*lpad_clause.body, *earlier, Literal(chooser)})
+            clauses.append(Clause(switch, body))
             clauses.append(Clause(atom, frozenset({Literal(switch)})))
-            spent += prob
+            earlier.append(Literal(switch, False))
     externals = frozenset(f.atom for f in facts)
     internals = frozenset(original) | (fresh - externals)
     return Program(tuple(clauses), tuple(facts), Alphabet(internals, externals))

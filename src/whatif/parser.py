@@ -335,8 +335,8 @@ def format_probability(prob: Fraction) -> str:
 def print_problog(program: Program) -> str:
     """Canonical text: facts sorted by atom, then clauses sorted by head and body."""
     lines = [f"{format_probability(f.prob)}::{f.atom}." for f in sorted(program.facts)]
-    for clause in sorted(program.clauses, key=lambda c: (c.head, c.sorted_body())):
-        lines.append(str(clause))
+    for head, body in sorted((c.head, c.sorted_body()) for c in program.clauses):
+        lines.append(f"{head} :- {', '.join(map(str, body))}." if body else f"{head}.")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -23,6 +23,7 @@ from whatif.model import (
     CounterfactualQuery,
     Literal,
     Program,
+    RandomFact,
     ValidationError,
     Var,
     ZeroEvidenceError,
@@ -98,6 +99,19 @@ def test_lpad_clause_validation():
         LpadClause((("a", Fraction(1, 10)), ("a", Fraction(1, 10))))
 
 
+
+def test_lpad_clause_rejects_a_probability_outside_zero_one():
+    with pytest.raises(ValidationError, match=r"probability out of range: -1/2::a"):
+        LpadClause((("a", Fraction(-1, 2)), ("b", Fraction(1))))
+    with pytest.raises(ValidationError, match=r"probability out of range: 3/2::a"):
+        LpadClause((("a", Fraction(3, 2)),))
+
+
+def test_lpad_clause_rejects_an_inexact_probability():
+    with pytest.raises(ValidationError, match=r"probability not an exact rational: 0\.5::a"):
+        LpadClause((("a", 0.5),))
+    assert LpadClause((("a", 1),)).weights == (0, 1)  # an int is an exact rational
+
 def test_lpad_distribution(coin):
     assert lpad_distribution(coin, Var("heads")) == Fraction(3, 10)
     assert lpad_distribution(coin, Var("tails")) == Fraction(1, 2)
@@ -132,6 +146,53 @@ def test_prob_of_lpad_boundary():
     saturated = prob_of_lpad(parse_lpad("a:1; b:0."))
     assert saturated.fact_probs()["u__rc0__1"] == 0
 
+
+
+def _reference_prob_of_lpad(program):
+    """The translation in `Fraction` arithmetic: p_i / (1 - sum of the earlier p_j), or 0."""
+    clauses, facts, switches = [], [], set()
+    for k, clause in enumerate(program.clauses):
+        spent = Fraction(0)
+        for i, (atom, prob) in enumerate(clause.head):
+            switch, chooser = f"{atom}__rc{k}__{i}", f"u__rc{k}__{i}"
+            rest = 1 - spent
+            facts.append(RandomFact(chooser, prob / rest if rest else Fraction(0)))
+            earlier = {Literal(f"{a}__rc{k}__{j}", False)
+                       for j, (a, _) in enumerate(clause.head[:i])}
+            clauses.append(Clause(switch, clause.body | earlier | {Literal(chooser)}))
+            clauses.append(Clause(atom, frozenset({Literal(switch)})))
+            switches.add(switch)
+            spent += prob
+    externals = frozenset(fact.atom for fact in facts)
+    return Program(tuple(clauses), tuple(facts), Alphabet(program.atoms | switches, externals))
+
+
+def test_prob_of_lpad_matches_the_fraction_reference():
+    third, two_sevenths, sixth = Fraction(1, 3), Fraction(2, 7), Fraction(1, 6)
+    programs = [
+        # mixed denominators, and the same heads in another order
+        LpadProgram((LpadClause((("a", third), ("b", two_sevenths), ("c", sixth))),)),
+        LpadProgram((LpadClause((("c", sixth), ("a", third), ("b", two_sevenths)),
+                                frozenset({Literal("d", False)})),)),
+        # a head of probability 0, first, between and last
+        LpadProgram((LpadClause((("a", Fraction(0)), ("b", third), ("c", Fraction(0)),
+                                 ("d", two_sevenths))),)),
+        # the mass runs out before the last heads
+        LpadProgram((LpadClause((("a", third), ("b", Fraction(2, 3)), ("c", Fraction(0)),
+                                 ("d", Fraction(0)))),
+                     LpadClause((("e", Fraction(1)), ("f", Fraction(0))),
+                                frozenset({Literal("a")})))),
+    ]
+    rng = random.Random(67)
+    programs += [random_lpad(rng, max_clauses=6, max_heads=4, max_body=3) for _ in range(100)]
+    for program in programs:
+        translated = prob_of_lpad(program)
+        reference = _reference_prob_of_lpad(program)
+        assert translated == reference
+        assert translated.clauses == reference.clauses
+        assert translated.facts == reference.facts
+        assert translated.alphabet == reference.alphabet
+        assert all(type(fact.prob) is Fraction for fact in translated.facts)
 
 def test_prob_of_lpad_collision():
     program = LpadProgram(

@@ -132,6 +132,37 @@ def test_round_trip_random_programs():
         assert print_problog(parse_problog(text)) == text
 
 
+
+def _reference_print_problog(program):
+    """The printer sorting clauses by (head, sorted body) and printing each with `str`."""
+    lines = [f"{format_probability(f.prob)}::{f.atom}." for f in sorted(program.facts)]
+    for clause in sorted(program.clauses, key=lambda c: (c.head, c.sorted_body())):
+        lines.append(str(clause))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_print_problog_matches_the_reference_printer():
+    rng = random.Random(19)
+    programs = [random_acyclic_program(rng) for _ in range(100)]
+    programs += [random_stratified_program(rng) for _ in range(30)]
+    programs += [instance_to_program(generate_instance(n, k, seed))
+                 for n in (1, 5, 20) for k in (0, 1, 3) for seed in (1, 2)]
+    # bodies that differ only in one literal's sign, and duplicate clauses
+    programs.append(model.Program((
+        model.Clause("a", frozenset({Literal("c"), Literal("b", False)})),
+        model.Clause("a", frozenset({Literal("c"), Literal("b")})),
+        model.Clause("a", frozenset({Literal("c", False), Literal("b")})),
+        model.Clause("a", frozenset({Literal("c"), Literal("b")})),
+        model.Clause("a"),
+        model.Clause("b", frozenset({Literal("u")})),
+        model.Clause("a"),
+        model.Clause("b", frozenset({Literal("u", False)})),
+    ), (model.RandomFact("u", Fraction(1, 3)),)))
+    assert any(len(program.clauses) > len(set(program.clauses)) for program in programs)
+    for program in programs:
+        assert print_problog(program) == _reference_print_problog(program)
+
+
 def test_format_probability():
     assert format_probability(Fraction(1, 2)) == "0.5"
     assert format_probability(Fraction(7, 20)) == "0.35"

@@ -18,7 +18,10 @@ so is the printed text of `lpad.prob_of_lpad`'s translation; a
 `ZeroEvidenceError` counts as an answer.  It checks as well that the printed
 text of `benchgen.instance_to_program` is the same on a small grid of
 graphs, BENCHGEN_NS by BENCHGEN_KS, one per seed; a text counts as an
-answer by its sha256 digest, so one differing byte is a difference.  Next,
+answer by its sha256 digest, so one differing byte is a difference.  On the
+same graphs it checks `benchgen.sample_query(instance, e, 2, seed)` for each
+e in BENCHGEN_EVIDENCE: a row holds the sorted evidence and interventions,
+or the name of the error's class.  Next,
 it draws SHAPE_CASES programs and queries per seed (`random_acyclic_program`,
 `random_counterfactual_query`), each drawn again until the probability of
 the query's formula lies strictly between 0 and 1, and checks the exact
@@ -39,7 +42,8 @@ must lie strictly between 0 and 1.
 Prints one line per workload and seed with the cases checked, the variable
 and clause counts summed over them, how many cases' CNFs are identical and
 the largest float difference, one line per seed of LPAD, benchgen-text,
-query-shape and stratified cases, then the first SHOW differing cases.
+benchgen-query, query-shape and stratified cases, then the first SHOW
+differing cases.
 Exits 1 on any difference or when the query-shape or the stratified rows
 fall below OPEN_FLOOR; a CNF that is not identical is reported, not a difference.
 """
@@ -60,6 +64,8 @@ LPAD_CASES = 60  # random LPADs per seed
 LPAD = "lpad"  # the workload name of the LPAD rows
 BENCHGEN_NS, BENCHGEN_KS = (1, 5, 20), (0, 1, 3)  # the graph sizes of the benchgen-text rows
 BENCHGEN = "benchgen text"  # the workload name of their rows
+BENCHGEN_EVIDENCE = range(-3, 4)  # the evidence counts of the sampled benchgen queries
+SAMPLED = "benchgen queries"  # the workload name of their rows
 SHAPE_CASES = 60  # random programs and queries per seed
 SHAPES = "query shapes"  # the workload name of their rows
 STRATIFIED_CASES = 60  # random stratified programs and queries per seed
@@ -134,14 +140,27 @@ def _lpad_rows(seed: int):
 
 
 def _benchgen_rows(seed: int):
-    """The printed text of the benchmark family's program, per graph size, for the seed."""
-    from whatif.benchgen import generate_instance, instance_to_program
+    """The printed text of the benchmark family's program, per graph size, for the seed.
+
+    Then the query `sample_query` draws on each graph for every evidence count.
+    """
+    from whatif.benchgen import generate_instance, instance_to_program, sample_query
+    from whatif.model import WhatifError
     from whatif.parser import print_problog
 
-    for n in BENCHGEN_NS:
-        for k in BENCHGEN_KS:
-            text = print_problog(instance_to_program(generate_instance(n, k, seed)))
-            yield [BENCHGEN, seed, f"n={n} k={k}", 0, 0, "", {"text": _digest(text)}]
+    instances = {(n, k): generate_instance(n, k, seed) for n in BENCHGEN_NS for k in BENCHGEN_KS}
+    for (n, k), instance in instances.items():
+        text = print_problog(instance_to_program(instance))
+        yield [BENCHGEN, seed, f"n={n} k={k}", 0, 0, "", {"text": _digest(text)}]
+    for (n, k), instance in instances.items():
+        for e in BENCHGEN_EVIDENCE:
+            try:
+                query = sample_query(instance, e, 2, seed)
+                answer = "; ".join(",".join(map(str, sorted(literals)))
+                                  for literals in (query.evidence, query.interventions))
+            except (ValueError, WhatifError) as exc:
+                answer = type(exc).__name__
+            yield [SAMPLED, seed, f"n={n} k={k} e={e}", 0, 0, "", {"query": answer}]
 
 
 def _shape_rows(seed: int):
@@ -315,7 +334,7 @@ def main(argv=None) -> int:
             if len(shown) < SHOW:
                 shown.append(f"{old[0]} seed {old[1]} case {old[2]}: " + "; ".join(found))
     for (name, seed), (cases, *sums, identical, rel) in tally.items():
-        if name in (LPAD, BENCHGEN):
+        if name in (LPAD, BENCHGEN, SAMPLED):
             print(f"{name} seed {seed}: {cases} cases")
             continue
         if name in (SHAPES, STRATIFIED):

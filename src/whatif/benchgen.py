@@ -1,10 +1,17 @@
 """Benchmark family: random trees with hub vertices, the graph-traversal
-program, query sampling and a CSV experiment runner."""
+program, query sampling and a CSV experiment runner.
+
+Under the CP-logic reading of the program's annotated disjunctions, the
+reach atoms true in a world are one walk from the start: each reached vertex
+that is not trapped picks exactly one out-arc.  So on an acyclic graph the
+query sampler decides whether evidence is satisfiable on the graph itself,
+without translating or counting a program (see `sample_query`).
+"""
 from __future__ import annotations
 
 import csv
 import io
-import multiprocessing
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -16,14 +23,14 @@ from .model import (
     Clause,
     CounterfactualQuery,
     Literal,
+    NegativeCycleError,
     Program,
     RandomFact,
     Var,
     WhatifError,
-    conjunction,
 )
 from .lpad import LpadClause, LpadProgram, prob_of_lpad
-from . import counterfactual, wmc as wmc_mod
+from . import counterfactual
 
 TRAP_PROB = Fraction(1, 10)
 GOAL = "goal"
@@ -123,6 +130,44 @@ def instance_to_program(instance: GraphInstance) -> Program:
     return Program(tuple(clauses), tuple(facts), Alphabet(internals, externals))
 
 
+def _below(instance: GraphInstance) -> dict[str, set[str]]:
+    """Each vertex's transitive successors along the arcs.
+
+    A cycle in the arcs makes the program's reach and trap atoms depend on
+    each other through negation, so it raises `NegativeCycleError`.
+    """
+    successors: dict[str, list[str]] = {v: [] for v in instance.vertices}
+    unseen = dict.fromkeys(instance.vertices, 0)  # arcs into each vertex not yet ordered
+    for src, dst in instance.arcs:
+        successors[src].append(dst)
+        unseen[dst] += 1
+    order = [v for v, count in unseen.items() if not count]
+    for v in order:  # topological order; the list grows while it is read
+        for w in successors[v]:
+            unseen[w] -= 1
+            if not unseen[w]:
+                order.append(w)
+    if len(order) < len(unseen):
+        raise NegativeCycleError("program has a cycle through negation")
+    below: dict[str, set[str]] = {}
+    for v in reversed(order):
+        below[v] = set(successors[v]).union(*(below[w] for w in successors[v]))
+    return below
+
+
+def _satisfiable(
+    instance: GraphInstance, below: dict[str, set[str]], vertices: list[str], positive: bool
+) -> bool:
+    """Whether some world reaches all of `vertices` (positive) or none of them."""
+    start = instance.start
+    if positive:
+        return all(v == start or v in below[start] for v in vertices) and all(
+            a in below[b] or b in below[a] for a, b in itertools.combinations(vertices, 2)
+        )
+    firsts = {dst for src, dst in instance.arcs if src == start}
+    return start not in vertices and not (firsts and firsts.issubset(vertices))
+
+
 def sample_query(
     instance: GraphInstance,
     e_count: int,
@@ -132,20 +177,34 @@ def sample_query(
     """Query r_goal with |e_count| evidence and |i_count| intervention literals.
 
     The sign of each count gives the literal polarity.  Evidence is rejection
-    sampled until jointly satisfiable.
+    sampled until jointly satisfiable, which is decided on the graph, with
+    no program built or counted.  A reached vertex that is not trapped picks
+    exactly one out-arc, each with share 1/m > 0, the shares summing to 1; a
+    vertex entered by arc (u, v) is trapped exactly when ut_u_v holds, of
+    probability TRAP_PROB, strictly between 0 and 1; r_v holds exactly on
+    the walk.  So every path from the start, stopped at any vertex after the
+    start, has positive probability, and no other set of vertices is ever
+    reached.  Positive evidence is satisfiable exactly when each of its
+    vertices is the start or below it and every two of them are comparable,
+    one below the other: one walk passes through all of them.  Negative
+    evidence is satisfiable exactly when it leaves out the start, and the
+    start has no out-arcs or one of them leads outside the evidence: the
+    walk steps there and is trapped.  The argument needs an acyclic graph,
+    so with evidence a cycle in the arcs raises `NegativeCycleError`.
     """
     rng = random.Random(seed)
     candidates = [_r(v) for v in instance.vertices if v != instance.goal]
     if abs(e_count) > len(candidates) or abs(i_count) > len(candidates):
         raise ValueError("more literals requested than reachable atoms")
-    program = instance_to_program(instance)
     evidence: frozenset[Literal] = frozenset()
     if e_count:
         polarity = e_count > 0
+        below = _below(instance)
+        vertex = {_r(v): v for v in instance.vertices}
         for _ in range(MAX_DRAWS):
             atoms = rng.sample(candidates, abs(e_count))
             evidence = frozenset(Literal(a, polarity) for a in atoms)
-            if wmc_mod.marginal_wmc(program, conjunction(evidence), exact=False) > 0:
+            if _satisfiable(instance, below, [vertex[a] for a in atoms], polarity):
                 break
         else:
             raise QuerySamplingError(
@@ -193,6 +252,8 @@ def run_experiment(
     grid: GridSpec, time_limit_s: float, jobs: int = 1
 ) -> list[dict[str, object]]:
     """Run every grid cell with a wall-clock limit; timeouts get the penalty time."""
+    import multiprocessing  # here, in the only code that starts workers, not on `whatif query`
+
     tasks = [
         (n, k, seed, grid.e_count, grid.i_count, backend)
         for n in grid.ns

@@ -1,11 +1,18 @@
+import itertools
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from whatif import benchgen
+import whatif
+from whatif import benchgen, wmc
 from whatif.benchgen import (
     CSV_COLUMNS,
+    GraphInstance,
     GridSpec,
     QuerySamplingError,
     generate_instance,
@@ -15,7 +22,7 @@ from whatif.benchgen import (
     sample_query,
 )
 from whatif.counterfactual import answer_counterfactual
-from whatif.model import Literal, Var
+from whatif.model import Literal, NegativeCycleError, Var, conjunction
 from whatif.semantics import marginal
 
 
@@ -147,3 +154,46 @@ def test_sample_query_evidence_satisfiability(monkeypatch, n, k, small):
     monkeypatch.setattr(benchgen, "MAX_DRAWS", 1)
     query = sample_query(instance, 1, 0, seed=1)  # any reach atom is possible
     assert len(query.evidence) == 1 and all(lit.positive for lit in query.evidence)
+
+
+# v3 is out of the start's reach, and its arc into the start never fires
+UNREACHED = GraphInstance(
+    3, 0, 0, (("v3", "v1"), ("v1", "v2"), ("v3", "v2"), ("v2", "goal")), "v1", "goal"
+)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [pytest.param(generate_instance(n, k, seed), id=f"n={n} k={k} seed={seed}")
+     for n in (1, 2, 3, 5) for k in (0, 1, 2, 3) for seed in (1, 2, 3)]
+    + [pytest.param(UNREACHED, id="unreached")],
+)
+def test_graph_satisfiability_matches_the_weighted_count(instance):
+    program = instance_to_program(instance)
+    below = benchgen._below(instance)
+    vertices = [v for v in instance.vertices if v != instance.goal]
+    for size in (1, 2, 3):
+        for chosen in itertools.combinations(vertices, size):
+            for positive in (True, False):
+                evidence = conjunction(Literal(f"r_{v}", positive) for v in chosen)
+                expected = wmc.marginal_wmc(program, evidence, exact=False) > 0
+                assert benchgen._satisfiable(instance, below, list(chosen), positive) == expected, (
+                    chosen, positive)
+
+
+def test_sample_query_rejects_a_cyclic_graph():
+    instance = GraphInstance(2, 0, 0, (("v1", "v2"), ("v2", "v1")), "v1", "goal")
+    for e_count in (1, -1):
+        with pytest.raises(NegativeCycleError, match="program has a cycle through negation"):
+            sample_query(instance, e_count, 0, 0)
+    query = sample_query(instance, 0, 1, 0)  # without evidence the graph is never walked
+    assert query.evidence == frozenset() and len(query.interventions) == 1
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    code = "import sys, whatif.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(whatif.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
